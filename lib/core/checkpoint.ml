@@ -25,14 +25,12 @@ let to_string st =
     | None -> ()
     | Some vr ->
       add "vroute %d %d %d %d %d\n" net vr.Rs.v_col vr.Rs.v_vtrack vr.Rs.v_slo vr.Rs.v_shi);
-    (* Oldest claim first: restore prepends as it replays (the normal
-       claiming path), so emitting in reverse rebuilds the live list
-       order exactly — consumers that fold over a net's hroutes see
-       identical iteration order before and after a round-trip. *)
+    (* Channel order, as the live list keeps it; restore claims through
+       [Rs.claim_detail], which keeps that order whatever the replay order. *)
     List.iter
       (fun (ch, (hr : Rs.hroute)) ->
         add "hroute %d %d %d %d %d\n" net ch hr.Rs.h_track hr.Rs.h_slo hr.Rs.h_shi)
-      (List.rev (Rs.h_routes st net))
+      (Rs.h_routes st net)
   done;
   add "end\n";
   Buffer.contents buf

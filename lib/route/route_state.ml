@@ -396,6 +396,13 @@ let claim_global t j net vr =
   let pins = Spr_layout.Placement.net_pin_positions t.place net in
   queue_detail_demands t j net (channel_spans pins (Some vr.v_col))
 
+(* A net's runs stay sorted by channel, ascending, whatever order they
+   are claimed in, so the list (and the RC tree [Net_delay] folds out of
+   it) depends on the routed state alone. *)
+let rec insert_by_channel ((ch, _) as run) = function
+  | ((c, _) as r) :: rest when c < ch -> r :: insert_by_channel run rest
+  | rest -> run :: rest
+
 let claim_detail t j net hr =
   let ns = t.nstats.(net) in
   mark_dirty t net;
@@ -405,7 +412,7 @@ let claim_detail t j net hr =
   for s = hr.h_slo to hr.h_shi do
     set_owner j arr s net
   done;
-  set_hroutes j ns ((hr.h_channel, hr) :: ns.hroutes);
+  set_hroutes j ns (insert_by_channel (hr.h_channel, hr) ns.hroutes);
   set_missing t j net (List.filter (fun ch -> ch <> hr.h_channel) ns.missing);
   refresh_d t j ns
 

@@ -67,7 +67,8 @@ val h_demands : t -> int -> (int * Spr_util.Interval.t) list
     net's global route exists. *)
 
 val h_routes : t -> int -> (int * hroute) list
-(** Completed channel routes, keyed by channel. *)
+(** Completed channel routes, keyed by channel, in ascending channel
+    order whatever order they were claimed in. *)
 
 val is_fully_routed : t -> int -> bool
 
@@ -194,7 +195,8 @@ val satisfy_trivial_global : t -> Spr_util.Journal.t -> int -> unit
 
 val claim_detail : t -> Spr_util.Journal.t -> int -> hroute -> unit
 (** Record a detailed route for one queued channel demand of the net;
-    claims the horizontal segments (which must be free). *)
+    claims the horizontal segments (which must be free). The run joins
+    {!h_routes} at its channel's position. *)
 
 (** {1 Whole-net embedding (for timing)} *)
 

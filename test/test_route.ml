@@ -130,6 +130,42 @@ let test_demands_include_spine_column () =
         (Rs.h_demands st net)
   done
 
+(* A net's runs, and every delay bit computed from them, depend on the
+   routed state alone: claiming the same runs in two channel orders must
+   give the same route list and bit-identical sink delays. Each net that
+   spans channels is claimed alone on the empty fabric, then rolled
+   back. *)
+let test_claim_order_independent () =
+  let st_a, nl, _ = make_state ~tracks:24 () in
+  let st_b, _, _ = make_state ~tracks:24 () in
+  let claim st net order =
+    let j = J.create () in
+    Alcotest.(check bool) "spine claimed" true (Gr.attempt st j net);
+    List.iter
+      (fun channel ->
+        Alcotest.(check bool) "channel run claimed" true (Dr.attempt st j ~net ~channel))
+      (order (List.map fst (Rs.h_demands st net)));
+    let routes = Rs.h_routes st net in
+    let bits =
+      Array.map Int64.bits_of_float
+        (Spr_timing.Net_delay.sink_delays Spr_timing.Delay_model.default st net)
+    in
+    J.rollback j;
+    (routes, bits)
+  in
+  let nets = List.filter (Rs.needs_global st_a) (List.init (Nl.n_nets nl) Fun.id) in
+  Alcotest.(check bool) "some nets span channels" true (nets <> []);
+  List.iter
+    (fun net ->
+      let routes_a, bits_a = claim st_a net (List.sort compare) in
+      let routes_b, bits_b = claim st_b net (List.sort (fun a b -> compare b a)) in
+      Alcotest.(check bool) "h_routes equal" true (routes_a = routes_b);
+      Alcotest.(check (list int)) "h_routes in ascending channel order"
+        (List.sort compare (List.map fst routes_a))
+        (List.map fst routes_a);
+      Alcotest.(check (array int64)) "sink delays bit-identical" bits_a bits_b)
+    nets
+
 (* --- transactional rollback --- *)
 
 let test_rollback_exact =
@@ -671,6 +707,8 @@ let () =
           Alcotest.test_case "hroutes cover spans" `Quick test_hroute_covers_span;
           Alcotest.test_case "spines cover channel spans" `Quick test_spine_covers_channels;
           Alcotest.test_case "demands reach the spine" `Quick test_demands_include_spine_column;
+          Alcotest.test_case "routes independent of claim order" `Quick
+            test_claim_order_independent;
         ] );
       ( "transactions",
         [
