@@ -1253,6 +1253,9 @@ let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temp
          re-raise it at any time. *)
       reset_interrupt ();
       let wall = Spr_util.Clock.start () in
+      (* [Sys.time] is process-wide, so each replica's own delta already
+         counts every domain; the fleet takes one delta of its own. *)
+      let cpu0 = Sys.time () in
       let sched =
         match config.parallel.scheduler.Config.kind with
         | `Barrier ->
@@ -1356,8 +1359,7 @@ let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temp
             results.(!best).report with
             Spr_obs.Report.r_replicas = replicas;
             r_exchange_rounds = List.length exchanges + List.length scheds;
-            r_cpu_seconds =
-              Array.fold_left (fun acc (r : result) -> acc +. r.cpu_seconds) 0.0 results;
+            r_cpu_seconds = Sys.time () -. cpu0;
             r_wall_seconds = wall_seconds;
             r_pipeline = Some (Profile.to_pipeline merged);
             r_metrics = Profile.metrics_snapshot merged;

@@ -405,7 +405,11 @@ type result = {
   profile : Profile.t;
       (** Cumulative per-phase move-pipeline instrumentation for this
           invocation (not carried across resumes). *)
-  cpu_seconds : float;  (** This invocation only, not cumulative across resumes. *)
+  cpu_seconds : float;
+      (** Process CPU seconds ([Sys.time]) over this invocation, not
+          cumulative across resumes. Process-wide: under a portfolio it
+          also counts the other replicas' domains, so replica values do
+          not add up to the fleet's. *)
   status : status;
   best_cost : float;
       (** The delivered layout under the weight-independent best-so-far

@@ -296,6 +296,18 @@ let test_portfolio_exchange_deterministic () =
       | findings -> Alcotest.failf "audit: %s" (Spr_check.Finding.summarize findings))
     a.Tool.p_results
 
+(* [Sys.time] is process-wide, so the fleet's CPU is one delta around
+   the whole fleet: K domains cannot use more than K x wall of it. *)
+let test_portfolio_cpu_within_wall () =
+  let arch, nl = small_case () in
+  let k = 2 in
+  let p = Tool.run_portfolio_exn ~config:(portfolio_config ~replicas:k (Nl.n_cells nl)) arch nl in
+  let r = p.Tool.p_report in
+  let bound = (1.1 *. float_of_int k *. r.Spr_obs.Report.r_wall_seconds) +. 0.05 in
+  if r.Spr_obs.Report.r_cpu_seconds > bound then
+    Alcotest.failf "fleet cpu %.3f s exceeds %d x wall %.3f s" r.Spr_obs.Report.r_cpu_seconds k
+      r.Spr_obs.Report.r_wall_seconds
+
 (* --- racing scheduler --- *)
 
 let rec rmrf path =
@@ -409,6 +421,7 @@ let () =
             test_portfolio_winner_reproducible;
           Alcotest.test_case "best-exchange deterministic" `Slow
             test_portfolio_exchange_deterministic;
+          Alcotest.test_case "fleet cpu within K x wall" `Slow test_portfolio_cpu_within_wall;
           Alcotest.test_case "racing deterministic" `Slow test_portfolio_racing_deterministic;
           Alcotest.test_case "racing kill+resume matches uninterrupted" `Slow
             test_portfolio_racing_resume_matches;
