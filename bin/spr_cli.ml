@@ -387,8 +387,7 @@ let run_flow ~flow ~(config : Spr_core.Tool.config) ?resume_dir arch nl ~svg ~ch
 (* The single flag→Config mapping: every route invocation (fresh or
    resumed) builds its Tool.Config here and nowhere else. *)
 let cli_config config ~time_budget ~max_moves ~run_dir ~snapshot_every ~snapshot_keep
-    ~selfcheck ~parallel ~exchange ~scheduler ~route_workers ~route_grain ~trace ~report_file
-    ~label =
+    ~selfcheck ~parallel ~exchange ~scheduler ~trace ~report_file ~label =
   let open Spr_core.Tool.Config in
   config
   |> (if selfcheck then with_validate true else Fun.id)
@@ -396,8 +395,6 @@ let cli_config config ~time_budget ~max_moves ~run_dir ~snapshot_every ~snapshot
   |> with_persistence { run_dir; snapshot_every; snapshot_keep; final_checkpoint = true }
   |> with_replicas ~exchange parallel
   |> with_scheduler scheduler
-  |> with_route_workers route_workers
-  |> with_route_grain route_grain
   |> with_obs
        {
          record = trace <> None;
@@ -408,8 +405,7 @@ let cli_config config ~time_budget ~max_moves ~run_dir ~snapshot_every ~snapshot
        }
 
 let resume_route dir ~time_budget ~max_moves ~snapshot_every ~snapshot_keep ~selfcheck ~profile
-    ~svg ~checkpoint ~ascii ~stats ~report_k ~clock ~route_workers ~route_grain ~trace
-    ~report_file ~stage_budgets =
+    ~svg ~checkpoint ~ascii ~stats ~report_k ~clock ~trace ~report_file ~stage_budgets =
   match read_run_meta dir with
   | Error e -> `Error (false, "resume failed: " ^ e)
   | Ok m -> (
@@ -432,7 +428,7 @@ let resume_route dir ~time_budget ~max_moves ~snapshot_every ~snapshot_keep ~sel
         cli_config
           (Spr_experiments.Profiles.tool_config ~seed effort ~n)
           ~time_budget ~max_moves ~run_dir:(Some dir) ~snapshot_every ~snapshot_keep ~selfcheck
-          ~parallel ~exchange ~scheduler ~route_workers ~route_grain ~trace ~report_file
+          ~parallel ~exchange ~scheduler ~trace ~report_file
           ~label:(Option.value circuit ~default:"run")
       in
       if flow <> "sa" then begin
@@ -497,7 +493,7 @@ let parse_stage_budgets specs =
 let route file circuit tracks scheme seed effort flow stage_budget_specs selfcheck profile svg
     checkpoint ascii stats report_file endpoints clock trace run_dir resume time_budget
     max_moves snapshot_every snapshot_keep parallel exchange (sched_kind, sched_sync)
-    race_margin race_warmup race_every route_workers route_grain =
+    race_margin race_warmup race_every =
   let report_k = endpoints in
   let scheduler =
     {
@@ -513,8 +509,6 @@ let route file circuit tracks scheme seed effort flow stage_budget_specs selfche
   | Error e -> `Error (false, e)
   | Ok stage_budgets -> (
   if parallel < 1 then `Error (false, "--parallel must be >= 1")
-  else if route_workers < 1 then `Error (false, "--route-workers must be >= 1")
-  else if route_grain < 1 then `Error (false, "--route-grain must be >= 1")
   else
   match resume with
   | Some dir ->
@@ -522,8 +516,8 @@ let route file circuit tracks scheme seed effort flow stage_budget_specs selfche
       `Error (false, "--run-resume continues a saved run; do not also give a design")
     else
       resume_route dir ~time_budget ~max_moves ~snapshot_every ~snapshot_keep ~selfcheck
-        ~profile ~svg ~checkpoint ~ascii ~stats ~report_k ~clock ~route_workers ~route_grain
-        ~trace ~report_file ~stage_budgets
+        ~profile ~svg ~checkpoint ~ascii ~stats ~report_k ~clock ~trace ~report_file
+        ~stage_budgets
   | None -> (
     match load_netlist ~file ~circuit with
     | Error e -> `Error (false, e)
@@ -555,7 +549,7 @@ let route file circuit tracks scheme seed effort flow stage_budget_specs selfche
         cli_config
           (Spr_experiments.Profiles.tool_config ~seed effort ~n)
           ~time_budget ~max_moves ~run_dir ~snapshot_every ~snapshot_keep ~selfcheck ~parallel
-          ~exchange ~scheduler ~route_workers ~route_grain ~trace ~report_file ~label
+          ~exchange ~scheduler ~trace ~report_file ~label
       in
       (match flow with
       | "sa" ->
@@ -688,18 +682,6 @@ let route_cmd =
              ~doc:"Anneal $(docv) independent replicas in parallel (one per domain) and keep \
                    the best result. $(docv)=1 is the plain serial run.")
   in
-  let route_workers =
-    Arg.(value & opt int 1
-         & info [ "route-workers" ] ~docv:"N"
-             ~doc:"Reroute dirty nets on $(docv) worker domains per replica (split across \
-                   replicas when --parallel > 1). Results are bit-identical to the serial \
-                   router at any $(docv); this is purely a throughput knob.")
-  in
-  let route_grain =
-    Arg.(value & opt int 8
-         & info [ "route-grain" ] ~docv:"G"
-             ~doc:"Dispatch reroute batches to workers in chunks of $(docv) nets.")
-  in
   let exchange =
     let parse s =
       match Spr_anneal.Portfolio.exchange_of_string s with
@@ -765,7 +747,7 @@ let route_cmd =
         $ stats $ report_arg $ endpoints $ clock $ trace
         $ run_dir $ resume $ time_budget $ max_moves
         $ snapshot_every $ snapshot_keep $ parallel $ exchange $ scheduler $ race_margin
-        $ race_warmup $ race_every $ route_workers $ route_grain))
+        $ race_warmup $ race_every))
 
 (* --- report: re-render a stored trace --- *)
 

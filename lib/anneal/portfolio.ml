@@ -160,5 +160,3 @@ let run_replicas ~replicas f =
     let first = guard 0 in
     Array.append [| first |] (Array.map Domain.join spawned)
   end
-
-let worker_share ~budget ~replicas = max 1 (budget / max 1 replicas)

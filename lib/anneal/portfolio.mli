@@ -99,11 +99,3 @@ val run_replicas : replicas:int -> (int -> 'a) -> ('a, exn) result array
     spawned domains — and returns their outcomes indexed by replica.
     An exception escaping [f k] is captured as [Error exn] for that
     slot; the other replicas still run to completion. *)
-
-val worker_share : budget:int -> replicas:int -> int
-(** How many route workers each replica of a [replicas]-wide portfolio
-    may use from a fleet-wide pool budget of [budget] domains:
-    [max 1 (budget / replicas)]. Replicas already saturate one domain
-    each, so the route pools only split what remains of the declared
-    budget — a K-replica portfolio at [--route-workers N] spawns at most
-    [K * (N/K - 1)] extra domains. *)

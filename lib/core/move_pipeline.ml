@@ -1,7 +1,6 @@
 module P = Spr_layout.Placement
 module Rs = Spr_route.Route_state
 module Router = Spr_route.Router
-module Parallel = Spr_route.Parallel
 module Sta = Spr_timing.Sta
 module J = Spr_util.Journal
 module Clock = Spr_util.Clock
@@ -14,15 +13,16 @@ type t = {
   weights : Spr_anneal.Weights.t;
   journal : J.t;
   profile : Profile.t;
-  par : Parallel.t;  (* batched reroute dispatcher over [rs] *)
   pinmap_move_prob : float;
   enable_pinmap_moves : bool;
   max_swap_tries : int;
   mutable last_cells : int list;
 }
 
-let create ?profile ?route_pool ?(route_grain = 8) ~router ~pinmap_move_prob
-    ~enable_pinmap_moves ~max_swap_tries ~place ~rs ~sta ~weights ~journal () =
+(* [route_grain] is an inert stub: bench/ledger/traced.ml still passes
+   it, and nothing reads it. *)
+let create ?profile ?route_grain:_ ~router ~pinmap_move_prob ~enable_pinmap_moves
+    ~max_swap_tries ~place ~rs ~sta ~weights ~journal () =
   (* The caller hands over a routing state whose STA is canonical, so
      whatever the initial routing marked dirty is already reflected in
      the timing picture. *)
@@ -35,7 +35,6 @@ let create ?profile ?route_pool ?(route_grain = 8) ~router ~pinmap_move_prob
     weights;
     journal;
     profile = (match profile with Some p -> p | None -> Profile.create ());
-    par = Parallel.create ?pool:route_pool ~grain:route_grain rs;
     pinmap_move_prob;
     enable_pinmap_moves;
     max_swap_tries;
@@ -43,8 +42,6 @@ let create ?profile ?route_pool ?(route_grain = 8) ~router ~pinmap_move_prob
   }
 
 let profile t = t.profile
-
-let route_pool t = Parallel.pool t.par
 
 let last_cells t = t.last_cells
 
@@ -124,18 +121,13 @@ let propose t rng =
       t.last_cells <- cells;
       Profile.time t.profile Profile.Rip_up (fun () -> rip_up t cells);
       let counters = Profile.counters t.profile in
-      let stats = Profile.par_stats t.profile in
-      (* Both reroute phases go through the batch planner whatever the
-         pool size — that keeps the router.par.* trace counters (and of
-         course the routing itself) bit-identical across worker
-         counts. *)
       ignore
         (Profile.time t.profile Profile.Global (fun () ->
-             Parallel.reroute_global ~config:t.router ~counters ~stats t.par t.journal)
+             Router.reroute_global ~config:t.router ~counters t.rs t.journal)
           : int list);
       ignore
         (Profile.time t.profile Profile.Detail (fun () ->
-             Parallel.reroute_detail ~config:t.router ~counters ~stats t.par t.journal)
+             Router.reroute_detail ~config:t.router ~counters t.rs t.journal)
           : int list);
       Profile.time t.profile Profile.Retime (fun () -> retime t);
       true

@@ -33,14 +33,6 @@ type t = {
   phase_times : Metrics.gauge array;  (* cumulative seconds per phase *)
   phase_calls : Metrics.counter array;  (* timed brackets per phase *)
   counters : Spr_route.Router.counters;
-  par : Spr_route.Parallel.stats;
-  m_par_batches : Metrics.counter;
-  m_par_planned : Metrics.counter;
-  m_par_conflicts : Metrics.counter;
-  m_par_retries : Metrics.counter;
-  m_par_hist : Metrics.counter array;  (* batch-size buckets *)
-  m_par_busy : Metrics.gauge;  (* worker busy seconds; masked in traces *)
-  mutable busy_probe : unit -> float;
   m_global_attempts : Metrics.counter;
   m_global_routed : Metrics.counter;
   m_detail_attempts : Metrics.counter;
@@ -64,27 +56,11 @@ let create () =
     Array.of_list
       (List.map (fun p -> Metrics.counter reg ("pipeline.phase." ^ phase_name p ^ ".calls")) phases)
   in
-  (* Batch-size buckets as plain counters (additive, so portfolio
-     absorption just sums them): le<bound> per planner bound plus the
-     overflow bucket. *)
-  let bounds = Spr_route.Parallel.size_hist_bounds in
-  let bucket_name i =
-    if i < Array.length bounds then Printf.sprintf "router.par.batch_size.le%d" bounds.(i)
-    else Printf.sprintf "router.par.batch_size.gt%d" bounds.(Array.length bounds - 1)
-  in
   {
     reg;
     phase_times;
     phase_calls;
     counters = Spr_route.Router.fresh_counters ();
-    par = Spr_route.Parallel.fresh_stats ();
-    m_par_batches = Metrics.counter reg "router.par.batches";
-    m_par_planned = Metrics.counter reg "router.par.planned_nets";
-    m_par_conflicts = Metrics.counter reg "router.par.conflicts";
-    m_par_retries = Metrics.counter reg "router.par.serial_retries";
-    m_par_hist = Array.init (Array.length bounds + 1) (fun i -> Metrics.counter reg (bucket_name i));
-    m_par_busy = Metrics.gauge reg "router.par.worker_busy_seconds";
-    busy_probe = (fun () -> 0.0);
     m_moves = Metrics.counter reg "pipeline.moves";
     m_null_moves = Metrics.counter reg "pipeline.null_moves";
     m_accepts = Metrics.counter reg "pipeline.accepts";
@@ -107,19 +83,7 @@ let sync_mirrors t =
   Metrics.counter_set t.m_global_attempts c.Spr_route.Router.c_global_attempts;
   Metrics.counter_set t.m_global_routed c.Spr_route.Router.c_global_routed;
   Metrics.counter_set t.m_detail_attempts c.Spr_route.Router.c_detail_attempts;
-  Metrics.counter_set t.m_detail_routed c.Spr_route.Router.c_detail_routed;
-  let p = t.par in
-  Metrics.counter_set t.m_par_batches p.Spr_route.Parallel.s_batches;
-  Metrics.counter_set t.m_par_planned p.Spr_route.Parallel.s_planned;
-  Metrics.counter_set t.m_par_conflicts p.Spr_route.Parallel.s_conflicts;
-  Metrics.counter_set t.m_par_retries p.Spr_route.Parallel.s_retries;
-  Array.iteri
-    (fun i m -> Metrics.counter_set m p.Spr_route.Parallel.s_size_hist.(i))
-    t.m_par_hist;
-  (* Worker-count-dependent wall time goes through a gauge, which trace
-     masking zeroes — the counters above must stay bit-identical across
-     [--route-workers] settings, this one need not. *)
-  Metrics.gauge_set t.m_par_busy (t.busy_probe ())
+  Metrics.counter_set t.m_detail_routed c.Spr_route.Router.c_detail_routed
 
 let metrics_snapshot t =
   sync_mirrors t;
@@ -140,26 +104,6 @@ let absorb t other =
     c.Spr_route.Router.c_detail_attempts + oc.Spr_route.Router.c_detail_attempts;
   c.Spr_route.Router.c_detail_routed <-
     c.Spr_route.Router.c_detail_routed + oc.Spr_route.Router.c_detail_routed;
-  let p = t.par and op = other.par in
-  p.Spr_route.Parallel.s_batches <-
-    p.Spr_route.Parallel.s_batches + op.Spr_route.Parallel.s_batches;
-  p.Spr_route.Parallel.s_planned <-
-    p.Spr_route.Parallel.s_planned + op.Spr_route.Parallel.s_planned;
-  p.Spr_route.Parallel.s_conflicts <-
-    p.Spr_route.Parallel.s_conflicts + op.Spr_route.Parallel.s_conflicts;
-  p.Spr_route.Parallel.s_retries <-
-    p.Spr_route.Parallel.s_retries + op.Spr_route.Parallel.s_retries;
-  p.Spr_route.Parallel.s_max_batch <-
-    max p.Spr_route.Parallel.s_max_batch op.Spr_route.Parallel.s_max_batch;
-  Array.iteri
-    (fun i n ->
-      p.Spr_route.Parallel.s_size_hist.(i) <- p.Spr_route.Parallel.s_size_hist.(i) + n)
-    op.Spr_route.Parallel.s_size_hist;
-  (* The two registries both carry the busy gauge; absorbing summed the
-     other replica's last-synced value into ours, which is exactly the
-     fleet-wide busy total, so fold it into our probe's baseline. *)
-  let base = t.busy_probe and other_busy = Metrics.gauge_value other.m_par_busy in
-  t.busy_probe <- (fun () -> base () +. other_busy);
   sync_mirrors t
 
 let record t phase dt =
@@ -176,10 +120,6 @@ let time t phase f =
 let add_total t dt = Metrics.gauge_add t.m_total dt
 
 let counters t = t.counters
-
-let par_stats t = t.par
-
-let set_busy_probe t f = t.busy_probe <- f
 
 let phase_seconds t phase = Metrics.gauge_value t.phase_times.(phase_index phase)
 
@@ -267,15 +207,7 @@ let pp ppf t =
   Format.fprintf ppf
     "counters: ripped %d nets, global %d/%d routed/attempted, detail %d/%d, retimed %d nets@."
     (t_ripped_nets t) c.Spr_route.Router.c_global_routed c.Spr_route.Router.c_global_attempts
-    c.Spr_route.Router.c_detail_routed c.Spr_route.Router.c_detail_attempts (t_retimed_nets t);
-  let p = t.par in
-  if p.Spr_route.Parallel.s_batches > 0 then
-    Format.fprintf ppf
-      "reroute batches: %d batches over %d nets (max %d), %d conflicts, %d serial retries, \
-       workers busy %.2fs@."
-      p.Spr_route.Parallel.s_batches p.Spr_route.Parallel.s_planned
-      p.Spr_route.Parallel.s_max_batch p.Spr_route.Parallel.s_conflicts
-      p.Spr_route.Parallel.s_retries (t.busy_probe ())
+    c.Spr_route.Router.c_detail_routed c.Spr_route.Router.c_detail_attempts (t_retimed_nets t)
 
 let note_move t = Metrics.incr t.m_moves
 

@@ -52,20 +52,6 @@ val counters : t -> Spr_route.Router.counters
 (** The router attempt/success tallies; thread this record through
     {!Spr_route.Router.reroute_global}/[reroute_detail]. *)
 
-val par_stats : t -> Spr_route.Parallel.stats
-(** The batched-reroute tallies; thread this record through
-    {!Spr_route.Parallel.reroute_global}/[reroute_detail]. Mirrored into
-    the registry as [router.par.*] counters at snapshot time — every one
-    of them is a function of the routing trajectory alone, so traces
-    stay bit-identical across [--route-workers] settings. *)
-
-val set_busy_probe : t -> (unit -> float) -> unit
-(** Install the worker-busy-seconds source (the route pool's
-    {!Spr_route.Parallel.Pool.busy_seconds}), exported as the
-    [router.par.worker_busy_seconds] gauge — a gauge precisely because
-    it {e does} vary with the worker count and trace masking zeroes
-    gauges. *)
-
 val phase_seconds : t -> phase -> float
 
 val phase_calls : t -> phase -> int

@@ -15,8 +15,7 @@
     Everything is a deterministic function of [(arch, netlist, seed)] —
     the only randomness is a seed-derived jitter that breaks the
     symmetry of the all-cells-at-center start — so the same inputs
-    yield a bit-identical placement on every run and at every
-    [--route-workers] setting.
+    yield a bit-identical placement on every run.
 
     Optionally ([timing_passes > 0]) the placer routes its first
     legalized guess quickly, runs a static timing analysis, reweights

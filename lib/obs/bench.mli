@@ -1,5 +1,5 @@
 (** The one bench-artifact emitter: every BENCH_*.json the repo writes
-    (kernels, portfolio, route-parallel, flows, serve, racing) goes
+    (kernels, portfolio, flows, serve, racing) goes
     through {!write}, so they all share one versioned envelope and a
     reader never has to guess which fields exist.
 

@@ -18,6 +18,8 @@ let best_track ?(antifuse_weight = 3.0) st ~channel ~span =
   done;
   !best
 
+(* The search half of [attempt]: the run the net's demand in [channel]
+   would claim, if any. *)
 let plan ?antifuse_weight st ~net ~channel =
   match List.assoc_opt channel (Route_state.h_demands st net) with
   | None -> None

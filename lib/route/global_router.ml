@@ -50,14 +50,7 @@ let pin_bbox st net =
     let xlo = List.fold_left min max_int cols and xhi = List.fold_left max min_int cols in
     Some ((clo, chi), (xlo, xhi))
 
-let column_window ?(margin = 2) st net =
-  match pin_bbox st net with
-  | None -> None
-  | Some (_, (xlo, xhi)) ->
-    let arch = Route_state.arch st in
-    let lo = max 0 (xlo - margin) and hi = min (arch.Spr_arch.Arch.cols - 1) (xhi + margin) in
-    Some (I.make lo hi)
-
+(* The search half of [attempt]: the spine the net would claim, if any. *)
 let plan ?(margin = 2) ?(max_candidates = default_max_candidates) st net =
   let arch = Route_state.arch st in
   match pin_bbox st net with

@@ -59,11 +59,9 @@ let criticality_order config ~len queue =
   | None -> queue
   | Some _ -> List.map snd (sort_queue config (List.map (fun net -> (len net, net)) queue))
 
-(* The two queue snapshots below are the single source of truth for
-   which nets a pass attempts and in which order; the serial pass here
-   and the batched pass in {!Parallel} both consume them, which is what
-   makes the bit-identity argument between the two a statement about
-   execution strategy alone. *)
+(* The two queue snapshots below fix which nets a pass attempts and in
+   which order: the queue filtered by the failure memo, re-ordered by
+   criticality when configured, truncated to [retry_cap]. *)
 
 let ordered_global_queue config st =
   let place = Route_state.place st in

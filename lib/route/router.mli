@@ -38,22 +38,6 @@ type counters = {
 
 val fresh_counters : unit -> counters
 
-val ordered_global_queue : config -> Route_state.t -> int list
-(** Snapshot of the nets one global sub-phase will attempt, in attempt
-    order: U{_G} filtered by the failure memo, re-ordered by criticality
-    when configured, truncated to [retry_cap]. Both the serial pass and
-    the parallel batch planner consume exactly this snapshot, which is
-    the root of their bit-identity. *)
-
-val ordered_detail_queue : config -> Route_state.t -> channel:int -> int list
-(** Snapshot of the nets one detailed sub-phase will attempt in
-    [channel], in attempt order (demand span length descending). Same
-    contract as {!ordered_global_queue}. *)
-
-val detail_demand_length : Route_state.t -> channel:int -> int -> int
-(** Length of the net's queued demand span in [channel] (0 when none) —
-    the canonical retry key of U{_D,R}. *)
-
 val rip_up_cell : Route_state.t -> Spr_util.Journal.t -> int -> int list
 (** Rip up and queue every net attached to the cell; returns the ripped
     net ids (the timing analyzer must re-estimate their delays). *)

@@ -63,20 +63,11 @@ let trace name =
       (Config.with_flow_preset "ap+sa" config)
   | other -> failwith ("unknown configuration " ^ other)
 
-(* The route-worker batch counters are left out: they describe how the
-   reroute was executed, not what it produced. *)
-let drop_par_metrics (e : Trace.event) =
-  match e.Trace.ev with
-  | Trace.Metrics_dump ms ->
-    let keep (name, _) = not (String.starts_with ~prefix:"router.par." name) in
-    { e with Trace.ev = Trace.Metrics_dump (List.filter keep ms) }
-  | _ -> e
-
 let () =
   match Sys.argv with
   | [| _; name |] ->
     List.iter
-      (fun e -> print_endline (Trace.encode_line (Trace.mask_times (drop_par_metrics e))))
+      (fun e -> print_endline (Trace.encode_line (Trace.mask_times e)))
       (trace name)
   | _ ->
     prerr_endline "usage: golden.exe serial-sa|fleet-best4|fleet-racing|ap-sa";

@@ -45,16 +45,6 @@ let test_prop_op_sequences () =
   | Ok () -> ()
   | Error f -> Alcotest.fail (Prop.failure_to_string spec f)
 
-(* Differential twins: every random op hits a serial-rerouting state
-   and a parallel-rerouting one (real 3-worker pool); their observable
-   fingerprints must stay string-equal throughout. A divergence shrinks
-   to a minimal op list plus the first disagreeing net line. *)
-let test_prop_parallel_mirrors_serial () =
-  let spec = Spr_check.Par_ops.spec ~n_cells:40 ~tracks:12 () in
-  match Prop.run ~seeds:[ 1; 2; 3 ] ~n_ops:45 spec with
-  | Ok () -> ()
-  | Error f -> Alcotest.fail (Prop.failure_to_string spec f)
-
 let test_prop_shrinker_reports () =
   (* A deliberately broken system: a counter that must stay below 3,
      and only Incr ops matter. The harness must find the failure and
@@ -655,8 +645,6 @@ let () =
         [
           Alcotest.test_case "random op sequences pass the audits" `Slow
             test_prop_op_sequences;
-          Alcotest.test_case "parallel reroute mirrors serial on op sequences" `Slow
-            test_prop_parallel_mirrors_serial;
           Alcotest.test_case "shrinker minimizes a failing sequence" `Quick
             test_prop_shrinker_reports;
           Alcotest.test_case "dense state matches scratch recomputation" `Slow

@@ -13,7 +13,6 @@ module P = Spr_layout.Placement
 module Arch = Spr_arch.Arch
 module Nl = Spr_netlist.Netlist
 module Gen = Spr_netlist.Generator
-module Trace = Spr_obs.Trace
 module Job = Spr_serve.Job
 
 let rec rmrf path =
@@ -137,44 +136,6 @@ let test_seq_preset_deterministic () =
   let names = List.map (fun s -> s.Flow.sg_name) a.Flow.f_stages in
   Alcotest.(check (list string)) "stage order" [ "greedy"; "route"; "sta" ] names
 
-(* --- seeded anneal: worker-count independence --- *)
-
-let masked_lines events =
-  String.concat "\n" (List.map (fun e -> Trace.encode_line (Trace.mask_times e)) events)
-
-let test_ap_sa_workers_identical () =
-  let arch, nl, config = preset ~seed:21 () in
-  let run workers =
-    let config =
-      Config.(
-        config |> with_flow_preset "ap+sa" |> with_trace_recording true
-        |> with_route_workers workers)
-    in
-    let r = Flow.run_exn ~config arch nl in
-    let trace =
-      match r.Flow.f_portfolio with
-      | Some p -> masked_lines (Tool.portfolio_trace_events ~config nl p)
-      | None -> (
-        match r.Flow.f_tool with
-        | Some t -> masked_lines (Tool.trace_events ~config nl t)
-        | None -> Alcotest.fail "ap+sa produced no sa result")
-    in
-    (trace, r.Flow.f_g, r.Flow.f_d, r.Flow.f_seed_temperature)
-  in
-  let t1, g1, d1, temp1 = run 1 in
-  let t2, g2, d2, temp2 = run 2 in
-  let t4, g4, d4, temp4 = run 4 in
-  Alcotest.(check bool) "non-trivial trace" true (String.length t1 > 0);
-  Alcotest.(check bool) "seed temperature probed" true (temp1 <> None);
-  Alcotest.(check bool) "workers 1 == 2: seed temperature" true (temp1 = temp2);
-  Alcotest.(check bool) "workers 1 == 4: seed temperature" true (temp1 = temp4);
-  Alcotest.(check bool) "workers 1 == 2: masked traces byte-identical" true (t1 = t2);
-  Alcotest.(check bool) "workers 1 == 4: masked traces byte-identical" true (t1 = t4);
-  Alcotest.(check int) "same g (2 workers)" g1 g2;
-  Alcotest.(check int) "same d (2 workers)" d1 d2;
-  Alcotest.(check int) "same g (4 workers)" g1 g4;
-  Alcotest.(check int) "same d (4 workers)" d1 d4
-
 (* --- stage-boundary kill + resume --- *)
 
 let test_ap_sa_kill_resume () =
@@ -259,11 +220,6 @@ let () =
           Alcotest.test_case "sa == Tool.run bit-identical" `Quick
             test_sa_preset_matches_tool;
           Alcotest.test_case "seq deterministic" `Quick test_seq_preset_deterministic;
-        ] );
-      ( "determinism",
-        [
-          Alcotest.test_case "ap+sa identical across route workers" `Quick
-            test_ap_sa_workers_identical;
         ] );
       ( "resume",
         [ Alcotest.test_case "ap+sa kill mid-sa and resume" `Quick test_ap_sa_kill_resume ]
