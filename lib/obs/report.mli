@@ -85,7 +85,7 @@ type t = {
   r_moves : int;
   r_temperatures : int;
   r_exchange_rounds : int;  (** 0 for a serial run *)
-  r_cpu_seconds : float;  (** process CPU of the whole run, every replica's domain included *)
+  r_cpu_seconds : float;  (** process CPU of the whole run, all replicas *)
   r_wall_seconds : float;  (** elapsed; equals cpu for a serial run *)
   r_pipeline : pipeline option;  (** [None] when profiling was off *)
   r_route : route_summary option;
