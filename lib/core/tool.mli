@@ -161,8 +161,8 @@ module Config : sig
             [with_stream k]. Must be >= 0. *)
     route_grain : int;
         (** Inert stub, read by nothing: [bench/ledger/traced.ml] still
-            passes it to {!Move_pipeline.create}. No builder, flag or
-            validation sets it. *)
+            passes it to {!Move_pipeline.create}. No [with_*]
+            function, flag or validation sets it. *)
   }
 
   type obs = {
