@@ -4,7 +4,7 @@
    file during `dune runtest`; after an intended behaviour change,
    `dune promote` takes the new traces.
 
-     golden.exe serial-sa | fleet-best4 | fleet-racing | ap-sa *)
+     golden.exe serial-sa | fleet-best4 | fleet-indep | fleet-racing | ap-sa | seq *)
 
 module Config = Spr_core.Tool.Config
 module Tool = Spr_core.Tool
@@ -45,6 +45,10 @@ let trace name =
     traced
       (fun config -> ignore (Tool.run_portfolio_exn ~config arch nl))
       (Config.with_replicas ~exchange:(Spr_anneal.Portfolio.Best_exchange 4) 2 config)
+  | "fleet-indep" ->
+    traced
+      (fun config -> ignore (Tool.run_portfolio_exn ~config arch nl))
+      (Config.with_replicas ~exchange:Spr_anneal.Portfolio.Independent 2 config)
   | "fleet-racing" ->
     (* Zero margin and a short warmup, so the fleet records a kill. *)
     let events =
@@ -61,6 +65,11 @@ let trace name =
     traced
       (fun config -> ignore (Spr_flow.run_exn ~config arch nl))
       (Config.with_flow_preset "ap+sa" config)
+  | "seq" ->
+    (* No sa stage: the flow frames the stage spans itself. *)
+    traced
+      (fun config -> ignore (Spr_flow.run_exn ~config arch nl))
+      (Config.with_flow_preset "seq" config)
   | other -> failwith ("unknown configuration " ^ other)
 
 let () =
@@ -70,5 +79,5 @@ let () =
       (fun e -> print_endline (Trace.encode_line (Trace.mask_times e)))
       (trace name)
   | _ ->
-    prerr_endline "usage: golden.exe serial-sa|fleet-best4|fleet-racing|ap-sa";
+    prerr_endline "usage: golden.exe serial-sa|fleet-best4|fleet-indep|fleet-racing|ap-sa|seq";
     exit 2
