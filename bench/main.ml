@@ -279,7 +279,7 @@ let portfolio () =
             |> with_max_moves budget
             |> with_replicas ~exchange k)
         in
-        let p = Spr_core.Tool.run_portfolio_exn ~config arch nl in
+        let p = Spr_core.Tool.run_exn ~config arch nl in
         let best = Spr_core.Tool.best_result p in
         let moves =
           Array.fold_left
@@ -296,13 +296,13 @@ let portfolio () =
           p.Spr_core.Tool.p_best_replica
           (best.Spr_core.Tool.g + best.Spr_core.Tool.d)
           best.Spr_core.Tool.critical_delay
-          (List.length p.Spr_core.Tool.p_exchanges);
+          (List.length p.Spr_core.Tool.p_rounds);
         (k, exchange, p, best, moves))
       fleets
   in
   let open Spr_obs.Json in
   let fleet_json
-      (k, exchange, (p : Spr_core.Tool.portfolio_result), (best : Spr_core.Tool.result), moves)
+      (k, exchange, (p : Spr_core.Tool.fleet), (best : Spr_core.Tool.result), moves)
       =
     Obj
       [
@@ -318,7 +318,7 @@ let portfolio () =
         ("best_cost", Float best.Spr_core.Tool.best_cost);
         ("unrouted", Int (best.Spr_core.Tool.g + best.Spr_core.Tool.d));
         ("critical_delay_ns", Float best.Spr_core.Tool.critical_delay);
-        ("exchange_rounds", Int (List.length p.Spr_core.Tool.p_exchanges));
+        ("exchange_rounds", Int (List.length p.Spr_core.Tool.p_rounds));
       ]
   in
   Spr_obs.Bench.write ~path:portfolio_json_path ~bench:"portfolio"
@@ -371,7 +371,7 @@ let racing () =
           base |> with_replicas k |> with_scheduler_kind `Racing |> with_race_margin margin
           |> with_race_warmup 8 |> with_race_every 3)
     in
-    let p = Spr_core.Tool.run_portfolio_exn ~config arch nl in
+    let p = Spr_core.Tool.run_exn ~config arch nl in
     let best = Spr_core.Tool.best_result p in
     let moves =
       Array.fold_left
@@ -381,8 +381,8 @@ let racing () =
     in
     let kills =
       List.fold_left
-        (fun acc (r : Spr_anneal.Scheduler.round_record) -> acc + List.length r.sr_kills)
-        0 p.Spr_core.Tool.p_scheds
+        (fun acc (r : Spr_anneal.Scheduler.round_record) -> acc + List.length r.kills)
+        0 p.Spr_core.Tool.p_rounds
     in
     let name = match scheduler with `Barrier -> "barrier" | `Racing -> "racing" in
     Printf.printf
@@ -420,7 +420,7 @@ let racing () =
       | _ -> ())
     [ 2; 4 ];
   let open Spr_obs.Json in
-  let row_json (name, k, (p : Spr_core.Tool.portfolio_result), (best : Spr_core.Tool.result), moves, kills) =
+  let row_json (name, k, (p : Spr_core.Tool.fleet), (best : Spr_core.Tool.result), moves, kills) =
     Obj
       [
         ("scheduler", String name);

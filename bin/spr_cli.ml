@@ -206,7 +206,7 @@ let write_run_dir ~dir ~tracks ~scheme ~seed ~effort ~parallel ~exchange
        (Spr_experiments.Profiles.effort_to_string effort)
        parallel
        (Spr_anneal.Portfolio.exchange_to_string exchange)
-       (Spr_core.Tool.Config.scheduler_to_string scheduler)
+       (Spr_core.Tool.Config.scheduler_to_string scheduler.kind)
        scheduler.race_margin scheduler.race_warmup scheduler.race_every flow circuit_line)
 
 let read_run_meta dir =
@@ -252,14 +252,14 @@ let read_run_meta dir =
                barrier. *)
             let flow = Option.value (find "flow") ~default:"sa" in
             let d = Spr_core.Tool.Config.default.parallel.scheduler in
-            let kind_sync =
+            let kind =
               match find "scheduler" with
-              | None -> Ok (`Barrier, true)
+              | None -> Ok `Barrier
               | Some s -> Spr_core.Tool.Config.scheduler_of_string s
             in
-            match kind_sync with
+            match kind with
             | Error e -> fail "%s" e
-            | Ok (kind, race_sync) ->
+            | Ok kind ->
               let num key of_string default =
                 match find key with None -> Some default | Some v -> of_string v
               in
@@ -277,8 +277,7 @@ let read_run_meta dir =
                     m_effort = effort;
                     m_parallel = parallel;
                     m_exchange = exchange;
-                    m_scheduler =
-                      { d with kind; race_sync; race_margin; race_warmup; race_every };
+                    m_scheduler = { kind; race_margin; race_warmup; race_every };
                     m_flow = flow;
                     m_circuit = find "circuit";
                   }
@@ -288,41 +287,37 @@ let read_run_meta dir =
       | _ -> fail "missing tracks/scheme/seed/effort field")
     | _ -> fail "not a version-1 spr run-meta file")
 
-let report_portfolio (p : Spr_core.Tool.portfolio_result) =
-  Array.iteri
-    (fun k (r : Spr_core.Tool.result) ->
-      Printf.printf "  replica %d%s routed=%b (G=%d D=%d)  critical=%.2f ns  cpu=%.1f s\n" k
-        (if k = p.Spr_core.Tool.p_best_replica then "*" else " ")
-        r.Spr_core.Tool.fully_routed r.Spr_core.Tool.g r.Spr_core.Tool.d
-        r.Spr_core.Tool.critical_delay r.Spr_core.Tool.cpu_seconds)
-    p.Spr_core.Tool.p_results;
-  let kills =
-    List.fold_left
-      (fun n (r : Spr_anneal.Scheduler.round_record) -> n + List.length r.sr_kills)
-      0 p.Spr_core.Tool.p_scheds
-  in
-  Printf.printf "portfolio: replica %d wins (%d replicas, %d exchange rounds%s, %.1f s wall)\n"
-    p.Spr_core.Tool.p_best_replica
-    (Array.length p.Spr_core.Tool.p_results)
-    (List.length p.Spr_core.Tool.p_exchanges)
-    (if kills > 0 then Printf.sprintf ", %d racing kills" kills else "")
-    p.Spr_core.Tool.p_wall_seconds
+(* The per-replica table and the fleet verdict; a fleet of one prints
+   neither, its replica line being [report_sim]'s. *)
+let report_fleet (p : Spr_core.Tool.fleet) =
+  let module T = Spr_core.Tool in
+  if Array.length p.T.p_results > 1 then begin
+    Array.iteri
+      (fun k (r : T.result) ->
+        Printf.printf "  replica %d%s routed=%b (G=%d D=%d)  critical=%.2f ns  cpu=%.1f s\n" k
+          (if k = p.T.p_best_replica then "*" else " ")
+          r.T.fully_routed r.T.g r.T.d r.T.critical_delay r.T.cpu_seconds)
+      p.T.p_results;
+    let kills =
+      List.map (fun (r : Spr_anneal.Scheduler.round_record) -> List.length r.kills) p.T.p_rounds
+    in
+    Printf.printf "portfolio: replica %d wins (%d replicas, %d exchange rounds%s, %.1f s wall)\n"
+      p.T.p_best_replica (Array.length p.T.p_results)
+      (List.length (List.filter (( = ) 0) kills))
+      (match List.fold_left ( + ) 0 kills with
+      | 0 -> ""
+      | n -> Printf.sprintf ", %d racing kills" n)
+      p.T.p_wall_seconds
+  end
 
-let run_sim ~(config : Spr_core.Tool.config) ?resume ?resume_dir ~selfcheck ~profile arch nl
-    ~run_dir ~svg ~checkpoint ~ascii ~stats ~report_k ~clock =
+let run_sim ~(config : Spr_core.Tool.config) ?resume_dir ~selfcheck ~profile arch nl ~run_dir
+    ~svg ~checkpoint ~ascii ~stats ~report_k ~clock =
   Spr_core.Tool.install_signal_handlers ();
-  let outcome =
-    if config.parallel.replicas > 1 then
-      match Spr_core.Tool.run_portfolio ~config ?resume_dir arch nl with
-      | Error e -> Error e
-      | Ok p ->
-        report_portfolio p;
-        Ok (Spr_core.Tool.best_result p)
-    else Spr_core.Tool.run ~config ?resume arch nl
-  in
-  match outcome with
+  match Spr_core.Tool.run ~config ?resume_dir arch nl with
   | Error e -> Error ("simultaneous flow failed: " ^ Spr_core.Tool.error_to_string e)
-  | Ok r ->
+  | Ok p ->
+    report_fleet p;
+    let r = Spr_core.Tool.best_result p in
     (match r.Spr_core.Tool.status with
     | Spr_core.Tool.Completed -> ()
     | Spr_core.Tool.Interrupted reason ->
@@ -359,9 +354,8 @@ let run_sim ~(config : Spr_core.Tool.config) ?resume ?resume_dir ~selfcheck ~pro
       ~ascii ~stats ~report_k ~clock;
     if audit_ok then Ok () else Error "selfcheck reported audit findings"
 
-(* Multi-stage flows go through the flow engine; the classic [--flow sa]
-   path stays on [run_sim] above, bit-identical to what it always
-   produced. *)
+(* Multi-stage flows go through the flow engine; [--flow sa] is the one
+   [Tool.run] in [run_sim] above. *)
 let run_flow ~flow ~(config : Spr_core.Tool.config) ?resume_dir arch nl ~svg ~checkpoint ~ascii
     ~stats ~report_k ~clock =
   Spr_core.Tool.install_signal_handlers ();
@@ -369,15 +363,13 @@ let run_flow ~flow ~(config : Spr_core.Tool.config) ?resume_dir arch nl ~svg ~ch
   | Error e ->
     Error (Printf.sprintf "flow %s failed: %s" flow (Spr_core.Tool.error_to_string e))
   | Ok r ->
-    (match r.Spr_flow.f_portfolio with
-    | Some p when Array.length p.Spr_core.Tool.p_results > 1 -> report_portfolio p
-    | _ -> ());
+    Option.iter report_fleet r.Spr_flow.f_fleet;
     report_flow ~flow nl r;
     (match config.obs.trace_path with
     | Some path -> Printf.printf "trace written to %s\n" path
     | None -> ());
     (match config.obs.report_path with
-    | Some path when r.Spr_flow.f_tool <> None || r.Spr_flow.f_portfolio <> None ->
+    | Some path when r.Spr_flow.f_fleet <> None ->
       Printf.printf "report written to %s\n" path
     | _ -> ());
     post_layout nl ~route:r.Spr_flow.f_route ~sta:r.Spr_flow.f_sta ~svg ~checkpoint ~ascii
@@ -431,48 +423,28 @@ let resume_route dir ~time_budget ~max_moves ~snapshot_every ~snapshot_keep ~sel
           ~parallel ~exchange ~scheduler ~trace ~report_file
           ~label:(Option.value circuit ~default:"run")
       in
-      if flow <> "sa" then begin
-        (* Multi-stage resume: the flow engine reads flow.json to skip
-           completed stages and hands an in-flight sa its V2
-           snapshots. *)
-        let config =
-          List.fold_left
-            (fun c (stage, b) -> Spr_core.Tool.Config.with_stage_budget stage b c)
-            (Spr_core.Tool.Config.with_flow_preset flow config)
-            stage_budgets
-        in
-        Printf.printf "resuming flow %s from %s\n%!" flow dir;
-        match
-          run_flow ~flow ~config ~resume_dir:dir arch nl ~svg ~checkpoint ~ascii ~stats
-            ~report_k ~clock
-        with
-        | Ok () -> `Ok ()
-        | Error e -> `Error (false, e)
-      end
-      else if parallel > 1 then begin
-        (* Fleet resume: each replica finds (or lacks) its own
-           snapshots; recorded exchange rounds replay from the run
-           directory. *)
-        Printf.printf "resuming portfolio of %d replicas from %s\n%!" parallel dir;
-        match
+      (* Each replica continues from its own newest loadable snapshot
+         (or restarts from scratch without one) and recorded rounds
+         replay from the run directory; a multi-stage flow first skips
+         the stages flow.json records as done. *)
+      Printf.printf "resuming flow %s with %d replica%s from %s\n%!" flow parallel
+        (if parallel = 1 then "" else "s")
+        dir;
+      let outcome =
+        if flow = "sa" then
           run_sim ~config ~resume_dir:dir ~selfcheck ~profile arch nl ~run_dir:(Some dir) ~svg
             ~checkpoint ~ascii ~stats ~report_k ~clock
-        with
-        | Ok () -> `Ok ()
-        | Error e -> `Error (false, e)
-      end
-      else (
-        match Spr_core.Checkpoint.V2.load_latest nl ~dir with
-        | Error e -> `Error (false, Spr_core.Tool.(error_to_string (Resume_failed e)))
-        | Ok loaded -> (
-          Printf.printf "resuming from %s (snapshot %d)\n%!" loaded.Spr_core.Checkpoint.V2.path
-            loaded.Spr_core.Checkpoint.V2.seq;
-          match
-            run_sim ~config ~resume:loaded ~selfcheck ~profile arch nl ~run_dir:(Some dir) ~svg
-              ~checkpoint ~ascii ~stats ~report_k ~clock
-          with
-          | Ok () -> `Ok ()
-          | Error e -> `Error (false, e))))
+        else
+          let config =
+            List.fold_left
+              (fun c (stage, b) -> Spr_core.Tool.Config.with_stage_budget stage b c)
+              (Spr_core.Tool.Config.with_flow_preset flow config)
+              stage_budgets
+          in
+          run_flow ~flow ~config ~resume_dir:dir arch nl ~svg ~checkpoint ~ascii ~stats
+            ~report_k ~clock
+      in
+      match outcome with Ok () -> `Ok () | Error e -> `Error (false, e))
 
 (* --stage-budget is repeatable: each occurrence is STAGE=SECONDS. *)
 let parse_stage_budgets specs =
@@ -492,19 +464,10 @@ let parse_stage_budgets specs =
 
 let route file circuit tracks scheme seed effort flow stage_budget_specs selfcheck profile svg
     checkpoint ascii stats report_file endpoints clock trace run_dir resume time_budget
-    max_moves snapshot_every snapshot_keep parallel exchange (sched_kind, sched_sync)
-    race_margin race_warmup race_every =
+    max_moves snapshot_every snapshot_keep parallel exchange kind race_margin race_warmup
+    race_every =
   let report_k = endpoints in
-  let scheduler =
-    {
-      Spr_core.Tool.Config.kind = sched_kind;
-      race_margin;
-      race_warmup;
-      race_every;
-      race_horizon = Spr_core.Tool.Config.default.parallel.scheduler.race_horizon;
-      race_sync = sched_sync;
-    }
-  in
+  let scheduler = { Spr_core.Tool.Config.kind; race_margin; race_warmup; race_every } in
   match parse_stage_budgets stage_budget_specs with
   | Error e -> `Error (false, e)
   | Ok stage_budgets -> (
@@ -703,23 +666,16 @@ let route_cmd =
       | Ok v -> Ok v
       | Error e -> Error (`Msg e)
     in
-    let print ppf (kind, sync) =
-      Format.pp_print_string ppf
-        (match kind with
-        | `Barrier -> "barrier"
-        | `Racing -> if sync then "racing" else "racing:free")
-    in
+    let print ppf kind = Format.pp_print_string ppf (Spr_core.Tool.Config.scheduler_to_string kind) in
     Arg.(
       value
-      & opt (conv (parse, print)) (`Barrier, true)
+      & opt (conv (parse, print)) `Barrier
       & info [ "scheduler" ] ~docv:"POLICY" ~docs:sched_docs
           ~doc:"Replica scheduler for $(b,--parallel) fleets: $(b,barrier) (every replica runs \
                 to completion, coordinated only by $(b,--exchange)), $(b,racing) (fit an online \
                 predictor on each replica's annealing dynamics and early-kill replicas whose \
                 predicted final quality trails the fleet leader, reallocating their domains to \
-                perturbed forks of the leader; deterministic and resumable), or \
-                $(b,racing:free) (asynchronous racing — no rendezvous, faster, but not \
-                bit-reproducible).")
+                perturbed forks of the leader; deterministic and resumable).")
   in
   let race_margin =
     Arg.(value & opt float 1.0
@@ -1108,7 +1064,7 @@ let submit_cmd =
   let scheduler =
     Arg.(value & opt string "barrier"
          & info [ "scheduler" ] ~docv:"SCHED"
-             ~doc:"Fleet scheduler: $(b,barrier), $(b,racing), or $(b,racing:free).")
+             ~doc:"Fleet scheduler: $(b,barrier) or $(b,racing).")
   in
   let time_budget =
     Arg.(value & opt (some float) None

@@ -15,7 +15,7 @@ let () =
   let nl = Spr_netlist.Circuits.make_by_name circuit in
   let arch = Spr_arch.Arch.size_for ~tracks:30 nl in
   Printf.printf "initial layout of %s...\n%!" circuit;
-  let r = Tool.run_exn arch nl in
+  let r = Tool.best_result (Tool.run_exn arch nl) in
   Printf.printf "routed=%b  critical=%.2f ns\n" r.Tool.fully_routed r.Tool.critical_delay;
 
   (* checkpoint to disk and restore, proving the layout round-trips *)

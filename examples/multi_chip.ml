@@ -32,7 +32,7 @@ let () =
                  max_temperatures = 90;
                })
       in
-      let r = Tool.run_exn ~config arch piece.Mc.netlist in
+      let r = Tool.best_result (Tool.run_exn ~config arch piece.Mc.netlist) in
       Printf.printf "   routed=%b (G=%d D=%d)  critical=%.2f ns  cpu=%.1f s\n%!"
         r.Tool.fully_routed r.Tool.g r.Tool.d r.Tool.critical_delay r.Tool.cpu_seconds)
     split.Mc.pieces;

@@ -34,7 +34,7 @@ let () =
   Format.printf "fabric:  %a@." Spr_arch.Arch.pp arch;
 
   (* 3. Simultaneous place and route. *)
-  let result = Spr_core.Tool.run_exn arch nl in
+  let result = Spr_core.Tool.(best_result (run_exn arch nl)) in
   let open Spr_core.Tool in
   Format.printf "fully routed: %b (G=%d, D=%d)@." result.fully_routed result.g result.d;
   Format.printf "critical path delay: %.2f ns@." result.critical_delay;

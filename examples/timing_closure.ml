@@ -37,7 +37,7 @@ let () =
   pp_path nl seq.Spr_flow.f_sta "sequential";
 
   Printf.printf "\n-- simultaneous place and route (this paper) --\n%!";
-  let sim = Spr_core.Tool.run_exn arch nl in
+  let sim = Spr_core.Tool.(best_result (run_exn arch nl)) in
   Printf.printf "routed: %b   critical delay: %.2f ns   cpu: %.1f s\n"
     sim.Spr_core.Tool.fully_routed sim.Spr_core.Tool.critical_delay
     sim.Spr_core.Tool.cpu_seconds;

@@ -38,54 +38,42 @@ module Predictor = struct
   let predict f ~at = f.intercept +. (f.slope *. float_of_int at)
 end
 
-type config = {
-  replicas : int;
-  warmup : int;
-  every : int;
-  margin : float;
-  horizon : int;
-  sync : bool;
-}
+type racing = { warmup : int; every : int; margin : float; horizon : int }
+
+type policy = Exchange of Portfolio.exchange | Racing of racing
 
 type kill = { k_replica : int; k_stream : int }
 
 type round_record = {
-  sr_round : int;
-  sr_leader : int;
-  sr_metric : float;
-  sr_payload : string;
-  sr_kills : kill list;
+  round : int;
+  leader : int;
+  metric : float;
+  payload : string;
+  kills : kill list;
 }
 
-type decision =
-  | Continue
-  | Adopt of { round : int; from_replica : int; metric : float; payload : string }
-  | Kill of { round : int; from_replica : int; metric : float; payload : string; stream : int }
+type decision = Continue | Adopt of round_record | Kill of round_record * int
 
-(* A replica blocked at a decision round, with the layout it brought
-   along (any participant may turn out to be the leader). *)
+(* A replica blocked at a round, with the layout it brought along (any
+   participant may turn out to be the leader). *)
 type waiter = { w_replica : int; w_round : int; w_metric : float; w_payload : string }
 
-type racing = {
-  cfg : config;
+type t = {
+  replicas : int;
+  policy : policy;
   persist : round_record -> unit;
   frozen : unit -> bool;
   m : Mutex.t;
   cv : Condition.t;
-  mutable active : int;
-  mutable waiters : waiter list;
-  results : (int, round_record) Hashtbl.t;  (** tripped + replayed deciding rounds *)
+  mutable active : int;  (** replicas still annealing *)
+  mutable waiters : waiter list;  (** replicas blocked at a round *)
+  results : (int, round_record) Hashtbl.t;  (** tripped + replayed rounds *)
   mutable next_stream : int;  (** fresh-fork RNG stream allocator *)
   series : (int, (int * float * float) list) Hashtbl.t;
       (** replica -> (temp_index, metric, acceptance), newest first *)
-  series_start : (int, int) Hashtbl.t;
-      (** replica -> temp_index of its last kill; fits use only later samples *)
-  latest : (int, float * string) Hashtbl.t;
-      (** free mode: replica -> last published (metric, layout) *)
-  mutable free_rounds : round_record list;  (** free mode: kills, for the trace *)
+  killed_at : (int, int) Hashtbl.t;
+      (** replica -> round of its last kill; fits use only later samples *)
 }
-
-type t = Barrier of Portfolio.t | Racing of racing
 
 (* Fit window: recent samples only, where the cooling curve is locally
    linear — a whole-history fit would average the steep early descent
@@ -97,47 +85,60 @@ let fit_window = 16
    neither be killed nor trusted to predict. *)
 let hot_acceptance = 0.5
 
-let barrier p = Barrier p
-
-let racing cfg ?(history = []) ?(persist = fun _ -> ()) ?(frozen = fun () -> false) () =
-  if cfg.replicas < 1 then invalid_arg "Scheduler.racing: replicas must be >= 1";
-  if cfg.every < 1 then invalid_arg "Scheduler.racing: every must be >= 1";
-  if cfg.warmup < 0 then invalid_arg "Scheduler.racing: warmup must be >= 0";
+let create ~replicas policy ?(history = []) ?(persist = fun _ -> ()) ?(frozen = fun () -> false)
+    () =
+  if replicas < 1 then invalid_arg "Scheduler.create: replicas must be >= 1";
+  (match policy with
+  | Exchange (Portfolio.Best_exchange n) when n < 1 ->
+    invalid_arg "Scheduler.create: exchange period must be >= 1"
+  | Racing r when r.every < 1 || r.warmup < 0 ->
+    invalid_arg "Scheduler.create: racing every must be >= 1 and warmup >= 0"
+  | Exchange _ | Racing _ -> ());
   let results = Hashtbl.create 16 in
-  let series_start = Hashtbl.create 8 in
-  let next_stream = ref cfg.replicas in
+  let killed_at = Hashtbl.create 8 in
+  let next_stream = ref replicas in
   List.iter
     (fun r ->
-      Hashtbl.replace results r.sr_round r;
+      Hashtbl.replace results r.round r;
       List.iter
         (fun k ->
           if k.k_stream >= !next_stream then next_stream := k.k_stream + 1;
-          let start = r.sr_round * cfg.every in
-          match Hashtbl.find_opt series_start k.k_replica with
-          | Some s when s >= start -> ()
-          | _ -> Hashtbl.replace series_start k.k_replica start)
-        r.sr_kills)
+          match Hashtbl.find_opt killed_at k.k_replica with
+          | Some s when s >= r.round -> ()
+          | _ -> Hashtbl.replace killed_at k.k_replica r.round)
+        r.kills)
     history;
-  Racing
-    {
-      cfg;
-      persist;
-      frozen;
-      m = Mutex.create ();
-      cv = Condition.create ();
-      active = cfg.replicas;
-      waiters = [];
-      results;
-      next_stream = !next_stream;
-      series = Hashtbl.create 8;
-      series_start;
-      latest = Hashtbl.create 8;
-      free_rounds = [];
-    }
+  {
+    replicas;
+    policy;
+    persist;
+    frozen;
+    m = Mutex.create ();
+    cv = Condition.create ();
+    active = replicas;
+    waiters = [];
+    results;
+    next_stream = !next_stream;
+    series = Hashtbl.create 8;
+    killed_at;
+  }
 
-let round_of cfg ~temp_index =
-  if temp_index > cfg.warmup && temp_index mod cfg.every = 0 then Some (temp_index / cfg.every)
-  else None
+(* A lone replica has nobody to meet, so it never reaches a round. *)
+let round_of t ~temp_index =
+  let due ~after ~every =
+    if temp_index > after && temp_index mod every = 0 then Some (temp_index / every) else None
+  in
+  if t.replicas < 2 then None
+  else
+    match t.policy with
+    | Exchange Portfolio.Independent -> None
+    | Exchange (Portfolio.Best_exchange n) -> due ~after:0 ~every:n
+    | Racing r -> due ~after:r.warmup ~every:r.every
+
+(* Exchange rounds are always recorded: which replicas adopt depends on
+   each one's own metric, so a resumed fleet must meet the leader the
+   live fleet met. A racing round without kills has no verdict. *)
+let recorded t r = match t.policy with Exchange _ -> true | Racing _ -> r.kills <> []
 
 (* --- per-replica series (caller holds [t.m]) --- *)
 
@@ -145,8 +146,10 @@ let push_sample t ~replica ~temp_index ~metric ~acceptance =
   let prev = Option.value (Hashtbl.find_opt t.series replica) ~default:[] in
   Hashtbl.replace t.series replica ((temp_index, metric, acceptance) :: prev)
 
-let post_kill_samples t replica =
-  let start = Option.value (Hashtbl.find_opt t.series_start replica) ~default:0 in
+let post_kill_samples t rc replica =
+  let start =
+    match Hashtbl.find_opt t.killed_at replica with Some round -> round * rc.every | None -> 0
+  in
   let all = Option.value (Hashtbl.find_opt t.series replica) ~default:[] in
   let rec take k = function
     | (ti, _, _) :: _ when ti <= start -> []
@@ -155,11 +158,11 @@ let post_kill_samples t replica =
   in
   take fit_window all
 
-let fit_for t replica =
-  Predictor.fit (List.map (fun (ti, m, _) -> (ti, m)) (post_kill_samples t replica))
+let fit_for t rc replica =
+  Predictor.fit (List.map (fun (ti, m, _) -> (ti, m)) (post_kill_samples t rc replica))
 
-let is_hot t replica =
-  match post_kill_samples t replica with
+let is_hot t rc replica =
+  match post_kill_samples t rc replica with
   | [] -> true
   | recent ->
     let rec take k = function s :: rest when k > 0 -> s :: take (k - 1) rest | _ -> [] in
@@ -167,56 +170,42 @@ let is_hot t replica =
     let sum = List.fold_left (fun a (_, _, acc) -> a +. acc) 0.0 last3 in
     sum /. float_of_int (List.length last3) > hot_acceptance
 
-(* --- verdict replay ---
+(* --- verdicts ---
    Serving a kill verdict (live or replayed) restarts the replica's
    predictor series at the round boundary, so later fits describe the
    fork, not the abandoned trajectory. Caller holds [t.m]. *)
 
-let verdict_of t r ~replica =
-  match List.find_opt (fun k -> k.k_replica = replica) r.sr_kills with
-  | None -> Continue
+let verdict t r ~replica ~metric =
+  match List.find_opt (fun k -> k.k_replica = replica) r.kills with
   | Some k ->
-    Hashtbl.replace t.series_start replica (r.sr_round * t.cfg.every);
-    Kill
-      {
-        round = r.sr_round;
-        from_replica = r.sr_leader;
-        metric = r.sr_metric;
-        payload = r.sr_payload;
-        stream = k.k_stream;
-      }
+    Hashtbl.replace t.killed_at replica r.round;
+    Kill (r, k.k_stream)
+  | None -> (
+    match t.policy with
+    | Exchange _ when r.leader <> replica && r.metric < metric -> Adopt r
+    | Exchange _ | Racing _ -> Continue)
 
-(* --- deterministic decision rounds ---
-   Rendezvous, trip, persist-before-release and freeze semantics mirror
-   [Portfolio.try_trip] exactly: the participant set of a live round is
-   every replica still active, so verdicts are a deterministic function
-   of the replica trajectories, independent of domain scheduling. *)
+(* --- decisions ---
+   [participants] arrive sorted by replica index, so the lowest index
+   wins every tie. *)
 
-let decide t ~round participants =
-  let at = (round * t.cfg.every) + t.cfg.horizon in
-  let fitted = List.map (fun w -> (w, fit_for t w.w_replica)) participants in
-  let leader =
-    let best_by f = function
-      | [] -> None
-      | x :: rest ->
-        Some (List.fold_left (fun acc y -> if f y < f acc then y else acc) x rest)
-    in
-    (* Lowest replica index wins ties because participants arrive
-       sorted by index below. *)
+let best_by f = function
+  | [] -> None
+  | x :: rest -> Some (List.fold_left (fun acc y -> if f y < f acc then y else acc) x rest)
+
+let decide_racing t rc ~round participants =
+  let at = (round * rc.every) + rc.horizon in
+  let fitted = List.map (fun w -> (w, fit_for t rc w.w_replica)) participants in
+  let leader_w, leader_fit =
     match
       best_by
         (fun (_, fit) ->
           match fit with Some f -> Predictor.predict f ~at | None -> infinity)
         (List.filter (fun (_, fit) -> fit <> None) fitted)
     with
-    | Some (w, Some f) -> (w, Some f)
-    | Some (_, None) -> assert false
-    | None -> (
-      match best_by (fun (w : waiter) -> w.w_metric) participants with
-      | Some w -> (w, None)
-      | None -> assert false)
+    | Some (w, fit) -> (w, fit)
+    | None -> (Option.get (best_by (fun (w : waiter) -> w.w_metric) participants), None)
   in
-  let leader_w, leader_fit = leader in
   let kills =
     match leader_fit with
     | None -> []
@@ -227,21 +216,30 @@ let decide t ~round participants =
           match fit with
           | Some f
             when w.w_replica <> leader_w.w_replica
-                 && (not (is_hot t w.w_replica))
-                 && Predictor.predict f ~at -. lpred > t.cfg.margin +. f.sigma +. lf.sigma ->
+                 && (not (is_hot t rc w.w_replica))
+                 && Predictor.predict f ~at -. lpred > rc.margin +. f.sigma +. lf.sigma ->
             let stream = t.next_stream in
             t.next_stream <- stream + 1;
             Some { k_replica = w.w_replica; k_stream = stream }
           | _ -> None)
         fitted
   in
-  {
-    sr_round = round;
-    sr_leader = leader_w.w_replica;
-    sr_metric = leader_w.w_metric;
-    sr_payload = leader_w.w_payload;
-    sr_kills = kills;
-  }
+  (leader_w, kills)
+
+let decide t ~round participants =
+  let leader, kills =
+    match t.policy with
+    | Exchange _ -> (Option.get (best_by (fun w -> w.w_metric) participants), [])
+    | Racing rc -> decide_racing t rc ~round participants
+  in
+  { round; leader = leader.w_replica; metric = leader.w_metric; payload = leader.w_payload; kills }
+
+(* --- the rendezvous ---
+   Trip the lowest pending round once every active replica is
+   accounted for, so a round's participant set — and therefore its
+   decision — is a deterministic function of the replica trajectories,
+   independent of domain scheduling. Caller holds [t.m]. When frozen,
+   never trip: just wake everyone so they can bail out. *)
 
 let try_trip t =
   if t.frozen () then Condition.broadcast t.cv
@@ -252,17 +250,23 @@ let try_trip t =
       |> List.sort (fun a b -> compare a.w_replica b.w_replica)
     in
     let r = decide t ~round participants in
-    (* Persist before releasing anyone — but only rounds that kill:
-       a no-kill round has no observable verdict, so a resumed fleet
-       re-tripping it live reaches the same (empty) outcome. *)
-    if r.sr_kills <> [] then t.persist r;
+    (* Persist before releasing anyone: a crash after this point must
+       replay the very round the survivors acted on. *)
+    if recorded t r then t.persist r;
     Hashtbl.replace t.results round r;
     t.waiters <- List.filter (fun w -> w.w_round <> round) t.waiters;
     Condition.broadcast t.cv
   end
 
-let observe_sync t ~replica ~temp_index ~metric ~capture =
-  match round_of t.cfg ~temp_index with
+let observe t ~replica ~temp_index ~metric ~acceptance ~capture =
+  Mutex.lock t.m;
+  push_sample t ~replica ~temp_index ~metric ~acceptance;
+  let serve r =
+    let d = verdict t r ~replica ~metric in
+    Mutex.unlock t.m;
+    d
+  in
+  match round_of t ~temp_index with
   | None ->
     Mutex.unlock t.m;
     Continue
@@ -270,9 +274,7 @@ let observe_sync t ~replica ~temp_index ~metric ~capture =
     match Hashtbl.find_opt t.results round with
     | Some r ->
       (* Replayed (resume) or already-tripped round: serve directly. *)
-      let d = verdict_of t r ~replica in
-      Mutex.unlock t.m;
-      d
+      serve r
     | None ->
       if t.frozen () then begin
         Mutex.unlock t.m;
@@ -285,10 +287,7 @@ let observe_sync t ~replica ~temp_index ~metric ~capture =
         let payload = capture () in
         Mutex.lock t.m;
         match Hashtbl.find_opt t.results round with
-        | Some r ->
-          let d = verdict_of t r ~replica in
-          Mutex.unlock t.m;
-          d
+        | Some r -> serve r
         | None ->
           t.waiters <-
             { w_replica = replica; w_round = round; w_metric = metric; w_payload = payload }
@@ -296,10 +295,7 @@ let observe_sync t ~replica ~temp_index ~metric ~capture =
           try_trip t;
           let rec wait () =
             match Hashtbl.find_opt t.results round with
-            | Some r ->
-              let d = verdict_of t r ~replica in
-              Mutex.unlock t.m;
-              d
+            | Some r -> serve r
             | None ->
               if t.frozen () then begin
                 t.waiters <- List.filter (fun w -> w.w_replica <> replica) t.waiters;
@@ -315,121 +311,26 @@ let observe_sync t ~replica ~temp_index ~metric ~capture =
           wait ()
       end)
 
-(* Free mode: no rendezvous. At a decision boundary the replica
-   publishes its own layout, then measures itself against the best
-   prediction over whatever fleet state is currently known. Decisions
-   depend on domain scheduling, so this mode is NOT reproducible — the
-   price of zero blocking. *)
-let observe_free t ~replica ~temp_index ~metric ~capture =
-  match round_of t.cfg ~temp_index with
-  | None ->
-    Mutex.unlock t.m;
-    Continue
-  | Some round ->
-    if t.frozen () then begin
-      Mutex.unlock t.m;
-      Continue
-    end
-    else begin
-      Mutex.unlock t.m;
-      let payload = capture () in
-      Mutex.lock t.m;
-      Hashtbl.replace t.latest replica (metric, payload);
-      let at = temp_index + t.cfg.horizon in
-      let known =
-        Hashtbl.fold
-          (fun rep (m, p) acc ->
-            match fit_for t rep with Some f -> (rep, m, p, f) :: acc | None -> acc)
-          t.latest []
-      in
-      let leader =
-        (* Sorted ascending by replica so the lowest index wins ties. *)
-        List.fold_left
-          (fun acc (rep, m, p, f) ->
-            let pred = Predictor.predict f ~at in
-            match acc with
-            | Some (_, _, _, _, lpred) when lpred <= pred -> acc
-            | _ -> Some (rep, m, p, f, pred))
-          None
-          (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) known)
-      in
-      let d =
-        match (leader, fit_for t replica) with
-        | Some (lrep, lm, lp, lf, lpred), Some f
-          when lrep <> replica
-               && (not (is_hot t replica))
-               && Predictor.predict f ~at -. lpred > t.cfg.margin +. f.sigma +. lf.sigma ->
-          let stream = t.next_stream in
-          t.next_stream <- stream + 1;
-          Hashtbl.replace t.series_start replica temp_index;
-          t.free_rounds <-
-            {
-              sr_round = round;
-              sr_leader = lrep;
-              sr_metric = lm;
-              sr_payload = "";
-              sr_kills = [ { k_replica = replica; k_stream = stream } ];
-            }
-            :: t.free_rounds;
-          Kill { round; from_replica = lrep; metric = lm; payload = lp; stream }
-        | _ -> Continue
-      in
-      Mutex.unlock t.m;
-      d
-    end
-
-let observe t ~replica ~temp_index ~metric ~acceptance ~capture =
-  match t with
-  | Barrier p -> (
-    match Portfolio.sync p ~replica ~temp_index ~metric ~capture with
-    | None -> Continue
-    | Some r ->
-      Adopt
-        {
-          round = r.Portfolio.xr_round;
-          from_replica = r.Portfolio.xr_best_replica;
-          metric = r.Portfolio.xr_best_metric;
-          payload = r.Portfolio.xr_payload;
-        })
-  | Racing t ->
-    Mutex.lock t.m;
-    push_sample t ~replica ~temp_index ~metric ~acceptance;
-    (* Both observers unlock on every path. *)
-    if t.cfg.sync then observe_sync t ~replica ~temp_index ~metric ~capture
-    else observe_free t ~replica ~temp_index ~metric ~capture
-
 let preload t ~replica samples =
-  match t with
-  | Barrier _ -> ()
-  | Racing t ->
-    Mutex.lock t.m;
-    List.iter
-      (fun (temp_index, metric, acceptance) ->
-        push_sample t ~replica ~temp_index ~metric ~acceptance)
-      samples;
-    Mutex.unlock t.m
+  Mutex.lock t.m;
+  List.iter
+    (fun (temp_index, metric, acceptance) ->
+      push_sample t ~replica ~temp_index ~metric ~acceptance)
+    samples;
+  Mutex.unlock t.m
 
 let finished t ~replica =
-  match t with
-  | Barrier p -> Portfolio.finished p ~replica
-  | Racing t ->
-    Mutex.lock t.m;
-    t.active <- t.active - 1;
-    if t.cfg.sync then try_trip t;
-    Condition.broadcast t.cv;
-    Mutex.unlock t.m
+  ignore replica;
+  Mutex.lock t.m;
+  t.active <- t.active - 1;
+  try_trip t;
+  (* Wake waiters even when nothing tripped: with one fewer active
+     replica the frozen check (and future trips) must re-run. *)
+  Condition.broadcast t.cv;
+  Mutex.unlock t.m
 
 let rounds t =
-  match t with
-  | Barrier _ -> []
-  | Racing t ->
-    Mutex.lock t.m;
-    let rs =
-      if t.cfg.sync then
-        Hashtbl.fold (fun _ r acc -> if r.sr_kills <> [] then r :: acc else acc) t.results []
-      else t.free_rounds
-    in
-    Mutex.unlock t.m;
-    List.sort (fun a b -> compare (a.sr_round, a.sr_kills) (b.sr_round, b.sr_kills)) rs
-
-let exchanges t = match t with Barrier p -> Portfolio.history p | Racing _ -> []
+  Mutex.lock t.m;
+  let rs = Hashtbl.fold (fun _ r acc -> if recorded t r then r :: acc else acc) t.results [] in
+  Mutex.unlock t.m;
+  List.sort (fun a b -> compare a.round b.round) rs

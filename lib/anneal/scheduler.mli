@@ -1,42 +1,36 @@
-(** Pluggable replica scheduling for the parallel annealing portfolio.
+(** The fleet scheduler: the one rendezvous that coordinates the
+    replicas of a multi-replica anneal at temperature boundaries.
 
-    A scheduler owns the fleet-level control decisions of a portfolio
-    run. Each replica reports a sample of its annealing dynamics at
-    every temperature boundary ({!observe}); the scheduler answers with
-    a {!decision} — keep going, adopt the fleet-best layout, or be
-    killed and restarted as a fork of a more promising replica.
+    Each replica reports a sample of its annealing dynamics at every
+    temperature boundary ({!observe}). When a round is due, the replica
+    blocks until every replica still annealing has arrived (or
+    finished); the round then trips once, under the scheduler lock, and
+    its {!round_record} is persisted before any replica is released.
+    Two decision policies share that rendezvous:
 
-    Two implementations:
+    - {b exchange} ([Exchange (Best_exchange n)], every [n] boundaries):
+      the leader is the participant with the lowest metric (lowest
+      index on ties) and every strictly worse replica adopts its
+      layout. [Exchange Independent] never meets.
+    - {b racing}: a cheap online predictor ({!Predictor}) is fitted on
+      each replica's recent dynamics (weight-independent metric trend
+      plus acceptance trajectory); replicas whose predicted terminal
+      quality trails the predicted leader by a confidence margin are
+      killed. A killed replica's domain is reallocated at once: it
+      adopts the leader's captured layout and continues on a fresh RNG
+      stream (a clone-and-perturb fork).
 
-    - {!barrier} wraps an untouched {!Portfolio.t}: the classic
-      all-active exchange barrier. Decisions are exactly
-      [Portfolio.sync]'s adoption broadcasts, so a barrier-scheduled
-      run is bit-identical to the historical portfolio behaviour.
-    - {!racing} fits a cheap online predictor ({!Predictor}) on each
-      replica's recent dynamics (weight-independent metric trend plus
-      acceptance trajectory) and early-kills replicas whose predicted
-      terminal quality trails the fleet leader by a confidence margin.
-      A killed replica's domain is immediately reallocated: it adopts
-      the leader's captured layout and continues on a fresh RNG stream
-      (a clone-and-perturb fork). In the default deterministic mode
-      decision rounds rendezvous the active replicas (so the
-      participant set — and therefore every verdict — is a pure
-      function of the replica trajectories) and each deciding round is
-      persisted before any replica acts on it, making racing runs
-      reproducible and kill+resume ≡ uninterrupted; with [sync =
-      false] replicas decide against the latest published fleet state
-      without blocking, trading reproducibility for zero rendezvous.
-
-    {2 Determinism contract (racing, deterministic mode)}
+    {2 Determinism contract}
 
     Samples carry only masked-trace-derivable quantities (temperature
-    index, the weight-independent best metric, acceptance ratio), so a
-    decision round is a deterministic function of the participating
-    replicas' trajectories. Rounds that kill are durably recorded
-    before any waiter is released; on resume, recorded rounds replay
-    their verdicts without a rendezvous, and unrecorded rounds re-trip
-    live with full participation — the same invariant the exchange
-    barrier relies on. *)
+    index, the weight-independent best metric, acceptance ratio), and a
+    round's participant set is every replica still active, so each
+    decision is a deterministic function of the replica trajectories,
+    independent of domain scheduling. Exchange rounds are always
+    recorded and racing rounds whenever they kill; on resume, recorded
+    rounds replay their verdicts without a rendezvous and unrecorded
+    rounds re-trip live. Once [frozen] (a fleet stop) no round trips or
+    persists, so every recorded round had full live participation. *)
 
 (** Online linear predictor over a replica's dynamics series. *)
 module Predictor : sig
@@ -56,8 +50,7 @@ module Predictor : sig
   (** Extrapolated metric at temperature boundary [at]. *)
 end
 
-type config = {
-  replicas : int;
+type racing = {
   warmup : int;  (** boundaries before the first decision round *)
   every : int;  (** decision round period, in temperature boundaries *)
   margin : float;
@@ -65,53 +58,62 @@ type config = {
           predicted metric trails the leader's by more than
           [margin + sigma_replica + sigma_leader] *)
   horizon : int;  (** prediction lookahead, in boundaries *)
-  sync : bool;  (** deterministic rendezvous rounds (see above) *)
 }
+
+type policy =
+  | Exchange of Portfolio.exchange
+      (** adopt the lowest-metric leader at every exchange round *)
+  | Racing of racing  (** kill replicas the predictor says trail *)
 
 type kill = { k_replica : int; k_stream : int }
 (** One early-kill verdict: replica [k_replica] abandons its
     trajectory and forks the round leader on RNG stream [k_stream]. *)
 
 type round_record = {
-  sr_round : int;  (** 1-based decision round index *)
-  sr_leader : int;  (** predicted-best replica (lowest index on ties) *)
-  sr_metric : float;  (** leader's live metric at the round *)
-  sr_payload : string;  (** leader's captured layout *)
-  sr_kills : kill list;  (** ascending replica order *)
+  round : int;  (** 1-based round index *)
+  leader : int;  (** the round's leader (lowest index on ties) *)
+  metric : float;  (** leader's live metric at the round *)
+  payload : string;  (** leader's captured layout *)
+  kills : kill list;  (** ascending replica order; [[]] for exchange rounds *)
 }
-(** Outcome of one racing decision round, exactly as persisted. *)
+(** Outcome of one tripped round, exactly as persisted. *)
 
 type decision =
   | Continue  (** no intervention; keep annealing *)
-  | Adopt of { round : int; from_replica : int; metric : float; payload : string }
-      (** barrier broadcast: some other replica is strictly better —
-          adopt its layout and continue on the same RNG stream *)
-  | Kill of { round : int; from_replica : int; metric : float; payload : string; stream : int }
-      (** racing early-kill: abandon this trajectory, adopt the round
-          leader's layout and reseed onto fresh RNG [stream] — the
-          domain is reallocated to a clone-and-perturb fork *)
+  | Adopt of round_record
+      (** exchange: the leader is strictly better — adopt its layout
+          and continue on the same RNG stream *)
+  | Kill of round_record * int
+      (** racing early-kill: abandon this trajectory, adopt the
+          leader's layout and reseed onto the given fresh RNG stream *)
 
 type t
 
-val barrier : Portfolio.t -> t
-(** The historical all-active exchange barrier as a scheduler. Samples
-    are ignored; [observe] delegates to {!Portfolio.sync} verbatim. *)
-
-val racing :
-  config ->
+val create :
+  replicas:int ->
+  policy ->
   ?history:round_record list ->
   ?persist:(round_record -> unit) ->
   ?frozen:(unit -> bool) ->
   unit ->
   t
-(** [racing cfg ()] builds the predictive scheduler. [history] replays
-    previously recorded decision rounds (resume): a replica arriving
-    at a recorded round is served its verdict immediately, the stream
+(** A scheduler for [replicas] replica workers. [history] replays
+    previously recorded rounds (resume): a replica arriving at a
+    recorded round is served its verdict immediately, the stream
     allocator continues past every recorded stream, and each killed
     replica's predictor series restarts at its recorded kill round.
-    [persist] is called once per freshly decided round that kills,
-    under the scheduler lock, before any waiter is released. [frozen]
-    freezes coordination on interrupt exactly as in {!Portfolio.create}. *)
+    [persist] is called once per freshly tripped round that
+    {!rounds} reports, under the scheduler lock, before any waiter is
+    released — write the record durably there. [frozen] is polled to
+    freeze coordination on a fleet stop: once it returns [true], no new
+    round trips or persists and every waiter is released with
+    [Continue]. *)
+
+val round_of : t -> temp_index:int -> int option
+(** The round due at this temperature boundary, if any.
+    [Best_exchange n] meets at boundaries [n, 2n, ...]; racing at
+    multiples of [every] past [warmup]. A one-replica scheduler and
+    [Independent] never meet. *)
 
 val observe :
   t ->
@@ -123,27 +125,24 @@ val observe :
   decision
 (** Called by [replica] at every temperature boundary with its
     weight-independent best [metric] and the batch acceptance ratio.
-    Appends the sample to the replica's series, then — when a decision
-    round is due — blocks until the round trips (deterministic mode)
-    or decides against the latest published fleet state (free mode).
-    [capture] serialises this replica's layout, invoked at most once,
-    outside the scheduler lock. *)
+    Appends the sample to the replica's series, then — when a round is
+    due — blocks until it trips (or the scheduler freezes). [capture]
+    serialises this replica's layout, invoked at most once, outside
+    the scheduler lock. *)
 
 val preload : t -> replica:int -> (int * float * float) list -> unit
 (** [preload t ~replica samples] seeds the replica's dynamics series
     from restored checkpoint samples ([(temp_index, metric,
     acceptance)], oldest first) so that a resumed run fits exactly the
-    series the uninterrupted run would have. No-op for {!barrier}. *)
+    series the uninterrupted run would have. *)
 
 val finished : t -> replica:int -> unit
-(** Deregister a replica that has stopped annealing. Must be called
-    exactly once per replica, as with {!Portfolio.finished}. *)
+(** Deregister a replica that has stopped annealing (normally or on
+    interrupt). Must be called exactly once per replica — pending
+    rounds re-evaluate without it, so forgetting this deadlocks the
+    remaining waiters. *)
 
 val rounds : t -> round_record list
-(** Racing decision rounds that killed at least one replica (replayed
-    and fresh), ascending; [[]] for {!barrier}. Rounds with no kills
-    are not reported: they are not persisted, so a resumed run would
-    not see the same set. *)
-
-val exchanges : t -> Portfolio.round_result list
-(** The wrapped barrier's exchange history; [[]] for {!racing}. *)
+(** The recorded rounds (tripped and replayed), ascending: every
+    exchange round, and every racing round that killed. Exactly the
+    set [persist] sees, so a resumed fleet reports the same list. *)

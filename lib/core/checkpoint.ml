@@ -652,6 +652,7 @@ module V2 = struct
             (Printf.sprintf "unsupported checkpoint version %d (this loader reads version %d)" v
                format_version)
         | _, None | None, _ -> Error "malformed v2 header"
+        | Some _, Some len when len < 0 -> Error "malformed v2 header"
         | Some _, Some len ->
           if String.length body < len then
             Error
@@ -672,10 +673,10 @@ module V2 = struct
 
   (* --- run-directory rotation --- *)
 
-  (* Serial runs use plain [snap-NNNNNNNN.ckpt]; portfolio replica [k]
-     uses [snap-r<k>-NNNNNNNN.ckpt], so a fleet shares one run
-     directory without the replicas' rotations interfering — and
-     without replica files ever matching the serial scan. *)
+  (* A fleet of one uses plain [snap-NNNNNNNN.ckpt]; replica [k] of a
+     larger fleet uses [snap-r<k>-NNNNNNNN.ckpt], so the fleet shares
+     one run directory without the replicas' rotations interfering —
+     and without replica files ever matching the untagged scan. *)
   let snapshot_prefix = function
     | None -> "snap-"
     | Some k -> Printf.sprintf "snap-r%d-" k
@@ -745,111 +746,13 @@ module V2 = struct
     end
 end
 
-(* --- persisted exchange rounds (portfolio crash safety) --- *)
+(* --- persisted fleet rounds (scheduler crash safety) ---
+   One durable record per recorded round, written under the scheduler
+   lock before any replica acts on the round, so a resumed fleet
+   replays exactly the decisions the live fleet acted on. An exchange
+   round is a record with no kills. *)
 
-module Exchange = struct
-  module Pe = Spr_util.Persist
-  module Pf = Spr_anneal.Portfolio
-
-  let format_version = 1
-
-  let record_path dir round = Filename.concat dir (Printf.sprintf "exch-%08d.rec" round)
-
-  let encode (r : Pf.round_result) =
-    let payload =
-      Printf.sprintf "round %d %d %s\nlayout %d\n%s" r.Pf.xr_round r.Pf.xr_best_replica
-        (Pe.float_to_hex r.Pf.xr_best_metric)
-        (String.length r.Pf.xr_payload) r.Pf.xr_payload
-    in
-    Printf.sprintf "spr-exchange %d %s %d\n%s" format_version (Pe.checksum_hex payload)
-      (String.length payload) payload
-
-  let ( let* ) = V2.( let* )
-
-  let decode text =
-    match String.index_opt text '\n' with
-    | None -> Error "empty or headerless exchange record"
-    | Some i -> (
-      let header = String.sub text 0 i in
-      let body = String.sub text (i + 1) (String.length text - i - 1) in
-      match V2.words header with
-      | [ "spr-exchange"; version; crc; len ] -> (
-        match int_of_string_opt version, int_of_string_opt len with
-        | Some v, _ when v <> format_version ->
-          Error (Printf.sprintf "unsupported exchange record version %d" v)
-        | None, _ | _, None -> Error "malformed exchange header"
-        | Some _, Some len ->
-          if String.length body < len then Error "truncated exchange record"
-          else begin
-            let payload = String.sub body 0 len in
-            if not (String.equal (Pe.checksum_hex payload) crc) then
-              Error "exchange record checksum mismatch"
-            else begin
-              let cur = { V2.text = payload; pos = 0 } in
-              let* round_line = V2.next_line cur in
-              let* round0 =
-                V2.expect_tag "round" round_line (function
-                  | [ r; b; m ] ->
-                    let* xr_round = V2.int_ r in
-                    let* xr_best_replica = V2.int_ b in
-                    let* xr_best_metric = V2.float_ m in
-                    Ok (xr_round, xr_best_replica, xr_best_metric)
-                  | _ -> Error "bad round record")
-              in
-              let* layout_line = V2.next_line cur in
-              let* xr_payload =
-                V2.expect_tag "layout" layout_line (function
-                  | [ n ] ->
-                    let* n = V2.int_ n in
-                    V2.take_bytes cur n
-                  | _ -> Error "bad layout record")
-              in
-              let xr_round, xr_best_replica, xr_best_metric = round0 in
-              Ok { Pf.xr_round; xr_best_replica; xr_best_metric; xr_payload }
-            end
-          end)
-      | _ -> Error "not a spr exchange record")
-
-  let write ~dir (r : Pf.round_result) =
-    Spr_util.Persist.ensure_dir dir;
-    let path = record_path dir r.Pf.xr_round in
-    (* Durable for the same reason as snapshots: replicas act on the
-       round as soon as this returns, so a lost rename would leave the
-       resumed fleet without a round the live fleet already adopted. *)
-    Spr_util.Persist.atomic_write ~durable:true path (encode r);
-    path
-
-  let load_all ~dir =
-    match Sys.readdir dir with
-    | exception Sys_error _ -> []
-    | entries ->
-      Array.to_list entries
-      |> List.filter_map (fun name ->
-             if
-               String.length name = 5 + 8 + 4
-               && String.sub name 0 5 = "exch-"
-               && Filename.check_suffix name ".rec"
-             then
-               match Pe.read_file (Filename.concat dir name) with
-               | Error _ -> None
-               | Ok text -> (
-                 (* A torn or corrupted record is simply skipped: the
-                    resumed round re-trips live with full participation,
-                    which is exactly what an unrecorded round means. *)
-                 match decode text with Ok r -> Some r | Error _ -> None)
-             else None)
-      |> List.sort (fun a b -> compare a.Pf.xr_round b.Pf.xr_round)
-end
-
-(* --- persisted racing decision rounds (scheduler crash safety) ---
-   Same shape and guarantees as [Exchange]: one durable record per
-   deciding round, written under the scheduler lock before any replica
-   acts on the round, so a resumed fleet replays exactly the verdicts
-   the live fleet acted on. Rounds with no kills are never written —
-   they have no observable verdict, so re-tripping them live is
-   equivalent. *)
-
-module Sched = struct
+module Round = struct
   module Pe = Spr_util.Persist
   module Sc = Spr_anneal.Scheduler
 
@@ -858,24 +761,25 @@ module Sched = struct
   let record_path dir round = Filename.concat dir (Printf.sprintf "sched-%08d.rec" round)
 
   let encode (r : Sc.round_record) =
-    let b = Buffer.create (String.length r.Sc.sr_payload + 128) in
-    Printf.bprintf b "round %d %d %s\n" r.Sc.sr_round r.Sc.sr_leader
-      (Pe.float_to_hex r.Sc.sr_metric);
-    Printf.bprintf b "kills %d\n" (List.length r.Sc.sr_kills);
+    let b = Buffer.create (String.length r.Sc.payload + 128) in
+    Printf.bprintf b "round %d %d %s\n" r.Sc.round r.Sc.leader (Pe.float_to_hex r.Sc.metric);
+    Printf.bprintf b "kills %d\n" (List.length r.Sc.kills);
     List.iter
       (fun (k : Sc.kill) -> Printf.bprintf b "kill %d %d\n" k.Sc.k_replica k.Sc.k_stream)
-      r.Sc.sr_kills;
-    Printf.bprintf b "layout %d\n%s" (String.length r.Sc.sr_payload) r.Sc.sr_payload;
+      r.Sc.kills;
+    Printf.bprintf b "layout %d\n%s" (String.length r.Sc.payload) r.Sc.payload;
     let payload = Buffer.contents b in
     Printf.sprintf "spr-sched %d %s %d\n%s" format_version (Pe.checksum_hex payload)
       (String.length payload) payload
 
   let ( let* ) = V2.( let* )
 
+  let check cond msg = if cond then Ok () else Error msg
+
   let decode_payload payload =
     let cur = { V2.text = payload; pos = 0 } in
     let* round_line = V2.next_line cur in
-    let* sr_round, sr_leader, sr_metric =
+    let* round, leader, metric =
       V2.expect_tag "round" round_line (function
         | [ r; l; m ] ->
           let* r = V2.int_ r in
@@ -884,38 +788,47 @@ module Sched = struct
           Ok (r, l, m)
         | _ -> Error "bad round record")
     in
+    let* () = check (round >= 1) "round below 1" in
+    let* () = check (leader >= 0) "negative leader" in
     let* kills_line = V2.next_line cur in
     let* n_kills =
       V2.expect_tag "kills" kills_line (function [ n ] -> V2.int_ n | _ -> Error "bad kill count")
     in
+    let* () = check (n_kills >= 0) "negative kill count" in
     let rec read_kills k acc =
       if k = 0 then Ok (List.rev acc)
       else
         let* line = V2.next_line cur in
         let* kill =
-          V2.expect_tag "kill" line (function
-            | [ r; s ] ->
-              let* k_replica = V2.int_ r in
-              let* k_stream = V2.int_ s in
-              Ok { Sc.k_replica; k_stream }
-            | _ -> Error "bad kill record")
+          match V2.words line with
+          | [ "kill"; r; s ] ->
+            let* k_replica = V2.int_ r in
+            let* k_stream = V2.int_ s in
+            let* () = check (k_replica >= 0 && k_stream >= 0) "negative kill replica or stream" in
+            Ok { Sc.k_replica; k_stream }
+          | _ -> Error "kill count does not match the kill lines"
         in
         read_kills (k - 1) (kill :: acc)
     in
-    let* sr_kills = read_kills n_kills [] in
+    let* kills = read_kills n_kills [] in
     let* layout_line = V2.next_line cur in
-    let* sr_payload =
+    let* () =
+      check (List.nth_opt (V2.words layout_line) 0 <> Some "kill")
+        "kill count does not match the kill lines"
+    in
+    let* payload =
       V2.expect_tag "layout" layout_line (function
         | [ n ] ->
           let* n = V2.int_ n in
           V2.take_bytes cur n
         | _ -> Error "bad layout record")
     in
-    Ok { Sc.sr_round; sr_leader; sr_metric; sr_payload; sr_kills }
+    let* () = check (cur.V2.pos = String.length cur.V2.text) "trailing bytes after the layout" in
+    Ok { Sc.round; leader; metric; payload; kills }
 
   let decode text =
     match String.index_opt text '\n' with
-    | None -> Error "empty or headerless sched record"
+    | None -> Error "empty or headerless round record"
     | Some i -> (
       let header = String.sub text 0 i in
       let body = String.sub text (i + 1) (String.length text - i - 1) in
@@ -923,23 +836,25 @@ module Sched = struct
       | [ "spr-sched"; version; crc; len ] -> (
         match (int_of_string_opt version, int_of_string_opt len) with
         | Some v, _ when v <> format_version ->
-          Error (Printf.sprintf "unsupported sched record version %d" v)
-        | None, _ | _, None -> Error "malformed sched header"
+          Error (Printf.sprintf "unsupported round record version %d" v)
+        | None, _ | _, None -> Error "malformed round record header"
+        | Some _, Some len when len < 0 -> Error "malformed round record header"
         | Some _, Some len ->
-          if String.length body < len then Error "truncated sched record"
+          if String.length body < len then Error "truncated round record"
           else begin
             let payload = String.sub body 0 len in
             if not (String.equal (Pe.checksum_hex payload) crc) then
-              Error "sched record checksum mismatch"
+              Error "round record checksum mismatch"
             else decode_payload payload
           end)
-      | _ -> Error "not a spr sched record")
+      | _ -> Error "not a spr round record")
 
   let write ~dir (r : Sc.round_record) =
     Spr_util.Persist.ensure_dir dir;
-    let path = record_path dir r.Sc.sr_round in
-    (* Durable for the same reason as exchange records: replicas act on
-       the verdicts as soon as this returns. *)
+    let path = record_path dir r.Sc.round in
+    (* Durable for the same reason as snapshots: replicas act on the
+       round as soon as this returns, so a lost rename would leave the
+       resumed fleet without a round the live fleet already acted on. *)
     Spr_util.Persist.atomic_write ~durable:true path (encode r);
     path
 
@@ -957,7 +872,10 @@ module Sched = struct
                match Pe.read_file (Filename.concat dir name) with
                | Error _ -> None
                | Ok text -> (
+                 (* A torn or corrupted record is simply skipped: the
+                    resumed round re-trips live with full participation,
+                    which is exactly what an unrecorded round means. *)
                  match decode text with Ok r -> Some r | Error _ -> None)
              else None)
-      |> List.sort (fun a b -> compare a.Sc.sr_round b.Sc.sr_round)
+      |> List.sort (fun a b -> compare a.Sc.round b.Sc.round)
 end

@@ -79,10 +79,10 @@ module V2 : sig
       Snapshots live in a run directory as [snap-NNNNNNNN.ckpt] with a
       monotonically increasing sequence number; writers keep the newest
       [keep] files and loaders fall back to older ones when the newest
-      is damaged. Portfolio replica [k] writes
-      [snap-r<k>-NNNNNNNN.ckpt] instead (pass [?replica]), so a fleet
+      is damaged. Replica [k] of a fleet of several writes
+      [snap-r<k>-NNNNNNNN.ckpt] instead (pass [?replica]), so the fleet
       shares one run directory with per-replica rotation and the
-      replica files never match the serial scan. *)
+      replica files never match the untagged scan. *)
 
   val snapshot_path : ?replica:int -> string -> int -> string
 
@@ -114,52 +114,33 @@ module V2 : sig
       every per-file failure when none loads. *)
 end
 
-(** {1 Persisted exchange rounds}
+(** {1 Persisted fleet rounds}
 
-    A portfolio run with [Best_exchange] records every tripped exchange
-    round as an atomic, checksummed [exch-NNNNNNNN.rec] file in the run
-    directory, written before any replica acts on the round. Resuming
-    a killed fleet replays these records: a replica arriving at a
-    recorded round is served the recorded broadcast immediately, so the
-    resumed trajectories match the uninterrupted run exactly. *)
+    A fleet records every round {!Spr_anneal.Scheduler.rounds} reports
+    — each exchange round, and each racing round that killed — as an
+    atomic, checksummed [sched-NNNNNNNN.rec] file in the run directory,
+    written under the scheduler lock before any replica acts on the
+    round. Resuming a killed fleet replays these records, so the
+    resumed trajectories match the uninterrupted run. An exchange round
+    is a record with [kills 0].
 
-module Exchange : sig
-  val record_path : string -> int -> string
-  (** [record_path dir round]. *)
+    On-disk shape: one header line
+    [spr-sched 1 <fnv1a64-hex> <payload-bytes>], then the payload:
+    [round <round> <leader> <metric-bits>], [kills <n>], [n] lines
+    [kill <replica> <stream>], then [layout <bytes>] and that many
+    layout bytes. *)
 
-  val encode : Spr_anneal.Portfolio.round_result -> string
-
-  val decode : string -> (Spr_anneal.Portfolio.round_result, string) Stdlib.result
-  (** Never raises: truncation, checksum mismatch and bad records all
-      return [Error]. *)
-
-  val write : dir:string -> Spr_anneal.Portfolio.round_result -> string
-  (** Atomic; returns the path written. *)
-
-  val load_all : dir:string -> Spr_anneal.Portfolio.round_result list
-  (** Every loadable record in ascending round order; torn or corrupt
-      records are skipped (the round simply re-trips live on resume). *)
-end
-
-(** {1 Persisted racing decision rounds}
-
-    A portfolio run under the racing scheduler records every decision
-    round that killed a replica as an atomic, checksummed
-    [sched-NNNNNNNN.rec] file, written under the scheduler lock before
-    any replica acts on the verdicts — the same crash-safety contract
-    as {!Exchange}. Rounds with no kills are not written: they have no
-    observable verdict, so a resumed fleet re-tripping them live is
-    equivalent to replay. *)
-
-module Sched : sig
+module Round : sig
   val record_path : string -> int -> string
   (** [record_path dir round]. *)
 
   val encode : Spr_anneal.Scheduler.round_record -> string
 
   val decode : string -> (Spr_anneal.Scheduler.round_record, string) Stdlib.result
-  (** Never raises: truncation, checksum mismatch and bad records all
-      return [Error]. *)
+  (** Never raises. Truncation, checksum mismatch, malformed records,
+      a round below 1, a negative leader, kill replica or stream, a
+      kill count that does not match the kill lines, and bytes past the
+      layout all return [Error]. *)
 
   val write : dir:string -> Spr_anneal.Scheduler.round_record -> string
   (** Atomic and durable; returns the path written. *)

@@ -19,7 +19,7 @@ type delta = {
 }
 
 val create : Spr_route.Route_state.t -> Spr_timing.Sta.t -> t
-(** Wrap an existing layout (e.g. {!Tool.run}'s result, or a loaded
+(** Wrap an existing layout (e.g. a {!Tool.result}, or a loaded
     {!Checkpoint}). The state is mutated in place by committed edits. *)
 
 val of_result : Tool.result -> t

@@ -28,7 +28,7 @@ val create :
     the timing picture already reflects the initial routing. [?profile]
     continues accumulating into an existing profile instead of starting
     a fresh one — the tool passes the old pipeline's profile when it
-    rebuilds the pipeline around an adopted portfolio layout, so one
+    rebuilds the pipeline around an adopted fleet layout, so one
     profile spans the whole replica run. [?route_grain] is an inert
     stub, ignored; it stays only because [bench/ledger/traced.ml]
     passes it. *)

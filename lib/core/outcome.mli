@@ -1,7 +1,7 @@
 (** The one vocabulary for how a run ends.
 
-    Every entry point in the core layer — serial {!Tool.run}, the
-    portfolio runner, and the CLI on top of them — reports success,
+    Every entry point in the core layer — {!Tool.run}, the flow
+    engine, and the CLI on top of them — reports success,
     early stops, and failures with the types below, so callers match
     one error shape instead of three ad-hoc ones. {!Tool} re-exports
     the constructors via type equations; [Outcome] is the defining

@@ -89,7 +89,7 @@ let metrics_snapshot t =
   sync_mirrors t;
   Metrics.snapshot t.reg
 
-(* Fold another profile into this one; the portfolio merges per-replica
+(* Fold another profile into this one; a fleet merges per-replica
    profiles into a fleet-wide breakdown this way. The mirrors are
    rebuilt from the merged raw record at the next export, so absorbing
    their stale registry values is harmless. *)

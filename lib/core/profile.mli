@@ -34,7 +34,7 @@ val create : unit -> t
 
 val absorb : t -> t -> unit
 (** [absorb t other] adds every tally, time, and router counter of
-    [other] into [t] (leaving [other] untouched). The portfolio runner
+    [other] into [t] (leaving [other] untouched). A fleet run
     merges per-replica profiles into one fleet-wide breakdown with
     this. *)
 

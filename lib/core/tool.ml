@@ -47,8 +47,6 @@ module Config = struct
     race_margin : float;
     race_warmup : int;
     race_every : int;
-    race_horizon : int;
-    race_sync : bool;
   }
 
   type parallel = {
@@ -113,8 +111,6 @@ module Config = struct
               race_margin = 1.0;
               race_warmup = 10;
               race_every = 5;
-              race_horizon = 10;
-              race_sync = true;
             };
           stream = 0;
           route_grain = 8;
@@ -195,23 +191,15 @@ module Config = struct
       end
 
   (* --- scheduler vocabulary ---
-     "barrier" is the historical all-active exchange barrier;
-     "racing" the deterministic predictive scheduler; "racing:free"
-     its asynchronous, non-reproducible variant. *)
+     "barrier" meets only at exchange rounds; "racing" is the
+     predictive early-kill scheduler. *)
 
-  let scheduler_to_string (s : scheduler) =
-    match s.kind with
-    | `Barrier -> "barrier"
-    | `Racing -> if s.race_sync then "racing" else "racing:free"
+  let scheduler_to_string = function `Barrier -> "barrier" | `Racing -> "racing"
 
-  let scheduler_of_string name =
-    match name with
-    | "barrier" -> Ok (`Barrier, true)
-    | "racing" -> Ok (`Racing, true)
-    | "racing:free" -> Ok (`Racing, false)
-    | _ ->
-      Error
-        (Printf.sprintf "unknown scheduler %S (want barrier, racing, or racing:free)" name)
+  let scheduler_of_string = function
+    | "barrier" -> Ok `Barrier
+    | "racing" -> Ok `Racing
+    | name -> Error (Printf.sprintf "unknown scheduler %S (want barrier or racing)" name)
 
   (* The one place configuration sanity lives. Nonsense is rejected
      with a message naming every offending field; the historical
@@ -255,7 +243,6 @@ module Config = struct
        reject "race_margin must be finite and >= 0 (got %g)" s.race_margin;
      if s.race_warmup < 0 then reject "race_warmup must be >= 0 (got %d)" s.race_warmup;
      if s.race_every < 1 then reject "race_every must be >= 1 (got %d)" s.race_every;
-     if s.race_horizon < 1 then reject "race_horizon must be >= 1 (got %d)" s.race_horizon;
      match (s.kind, t.parallel.exchange) with
      | `Racing, Portfolio.Best_exchange _ ->
        reject "the racing scheduler replaces the exchange barrier; use exchange independent"
@@ -381,11 +368,7 @@ module Config = struct
 
   let with_scheduler scheduler t = { t with parallel = { t.parallel with scheduler } }
 
-  let with_scheduler_kind ?sync kind t =
-    let s = t.parallel.scheduler in
-    with_scheduler
-      { s with kind; race_sync = (match sync with Some b -> b | None -> s.race_sync) }
-      t
+  let with_scheduler_kind kind t = with_scheduler { t.parallel.scheduler with kind } t
 
   let with_race_margin race_margin t =
     with_scheduler { t.parallel.scheduler with race_margin } t
@@ -438,8 +421,10 @@ exception Tool_error = Outcome.Error
 let error_to_string = Outcome.error_to_string
 
 (* --- graceful interruption ---
-   Atomic so that portfolio replicas on other domains observe the flag
-   promptly; the signal handler still runs on the main domain. *)
+   Set only by a signal or [request_interrupt]: a fleet spreads one
+   replica's stop through its own per-run flag instead. Atomic so that
+   replicas on other domains observe it promptly; the signal handler
+   still runs on the main domain. *)
 
 let interrupt_flag = Atomic.make false
 
@@ -518,7 +503,7 @@ let run_label (config : Config.t) = Option.value config.Config.obs.Config.label 
    timing propagation) into the shared journal; accept commits it,
    reject rolls the whole cascade back.
 
-   The layout-bearing fields are mutable because a portfolio replica
+   The layout-bearing fields are mutable because a fleet replica
    can adopt the fleet-best layout at an exchange boundary: the whole
    place/route/timing complex is swapped out mid-run while the engine,
    weights and dynamics recorder carry on. Every closure handed to the
@@ -541,7 +526,7 @@ let session_cost s =
 (* Best-so-far comparisons need a metric that is stable across the whole
    run, so it cannot use the adaptive weights (their normalization
    drifts between temperatures): unrouted nets dominate, critical delay
-   breaks ties. The same metric compares replicas across a portfolio,
+   breaks ties. The same metric compares replicas across a fleet,
    precisely because it is weight-independent. *)
 let best_metric ~rs ~sta =
   (float_of_int (Rs.g_count rs + Rs.d_count rs) *. 1e9) +. Sta.critical_delay sta
@@ -557,8 +542,6 @@ let validate_now s =
   | [] -> ()
   | findings -> raise (Audit_failure findings)
 
-type resume = Checkpoint.V2.loaded
-
 let timing_router ~(config : Config.t) ~sta nl =
   if not config.timing_driven_routing then config.router
   else begin
@@ -568,11 +551,16 @@ let timing_router ~(config : Config.t) ~sta nl =
     { config.router with Router.criticality = Some crit }
   end
 
-(* A replica's view of the portfolio it runs in; absent for serial
-   runs (and one-replica portfolios, which ARE serial runs). *)
+(* A replica's view of the fleet it runs in. *)
 type replica_ctx = {
   rep_index : int;
+  rep_tag : int option;
+      (* Snapshot file tag: [Some rep_index] in a fleet of several; a
+         lone replica writes the plain [snap-*] names. *)
   rep_sched : Scheduler.t;
+  rep_stop : bool Atomic.t;
+      (* The fleet's stop flag: raised by the first replica to stop on
+         a wall-clock budget or interrupt, polled by the others. *)
 }
 
 (* Swap the session onto a broadcast layout: decode it, rebuild the
@@ -581,13 +569,13 @@ type replica_ctx = {
    RNG stream. The criticality closure inside the router config
    captures the STA, so the pipeline rebuild also re-derives the
    router config. *)
-let adopt_layout ~(config : Config.t) s (r : Portfolio.round_result) =
+let adopt_layout ~(config : Config.t) s (r : Scheduler.round_record) =
   let nl = P.netlist s.place in
-  match Checkpoint.of_string nl r.Portfolio.xr_payload with
+  match Checkpoint.of_string nl r.Scheduler.payload with
   | Error e ->
     Log.warn (fun m ->
-        m "exchange round %d: broadcast layout failed to decode (%s); keeping own layout"
-          r.Portfolio.xr_round e)
+        m "round %d: broadcast layout failed to decode (%s); keeping own layout"
+          r.Scheduler.round e)
   | Ok rs ->
     let place = Rs.place rs in
     let sta = Sta.create config.delay_model rs in
@@ -605,20 +593,19 @@ let adopt_layout ~(config : Config.t) s (r : Portfolio.round_result) =
     s.sta <- sta;
     s.pipeline <- pipeline;
     Log.info (fun m ->
-        m "adopted portfolio-best layout of replica %d at exchange round %d (metric %.4g)"
-          r.Portfolio.xr_best_replica r.Portfolio.xr_round r.Portfolio.xr_best_metric)
+        m "adopted the layout of replica %d at round %d (metric %.4g)" r.Scheduler.leader
+          r.Scheduler.round r.Scheduler.metric)
 
 (* The annealing loop shared by fresh and resumed runs. [s] is a fully
    initialized session whose STA is canonical (freshly built or
    [full_update]d); [resume] carries the engine schedule position when
-   continuing from a snapshot; [ctx] makes this run one replica of a
-   portfolio. *)
-let anneal_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~best s =
+   continuing from a snapshot; [ctx] places the run in its fleet. *)
+let anneal_session ?resume ?start_temperature ~ctx ~(config : Config.t) ~rng ~best s =
   let nl = P.netlist s.place in
   let n_routable = max 1 (Rs.n_routable s.rs) in
   let profile = Move_pipeline.profile s.pipeline in
   let batch_mark = ref (Profile.mark profile) in
-  let replica = Option.map (fun c -> c.rep_index) ctx in
+  let replica = ctx.rep_tag in
   (* Per-temperature acceptance ratios, bucketed by decile, registered
      next to the pipeline's metrics so one snapshot carries both. *)
   let acceptance_hist =
@@ -670,51 +657,35 @@ let anneal_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~be
        handed to the scheduler carries the same values the flushed
        dynamics row does, so decisions are a function of masked trace
        content — what makes deterministic racing replayable. *)
-    match ctx with
-    | None -> ()
-    | Some c -> (
-      match
-        Scheduler.observe c.rep_sched ~replica:c.rep_index
-          ~temp_index:ts.Spr_anneal.Engine.temp_index
-          ~metric:(best_metric ~rs:s.rs ~sta:s.sta)
-          ~acceptance
-          ~capture:(fun () -> Checkpoint.to_string s.rs)
-      with
-      | Scheduler.Continue -> ()
-      | Scheduler.Adopt { round; from_replica; metric; payload } ->
-        adopt_layout ~config s
-          {
-            Portfolio.xr_round = round;
-            xr_best_replica = from_replica;
-            xr_best_metric = metric;
-            xr_payload = payload;
-          }
-      | Scheduler.Kill { round; from_replica; metric; payload; stream } ->
-        (* Early-killed: this domain is reallocated to a fork of the
-           round leader. Adopt its layout and continue on a fresh RNG
-           stream — the stream switch IS the perturbation that makes
-           the fork explore differently from its parent. *)
-        adopt_layout ~config s
-          {
-            Portfolio.xr_round = round;
-            xr_best_replica = from_replica;
-            xr_best_metric = metric;
-            xr_payload = payload;
-          };
-        Spr_util.Rng.assign rng ~from:(Spr_util.Rng.stream ~seed:config.seed ~index:stream);
-        Log.info (fun m ->
-            m "replica %d killed at sched round %d; forked from replica %d on stream %d"
-              c.rep_index round from_replica stream))
+    match
+      Scheduler.observe ctx.rep_sched ~replica:ctx.rep_index
+        ~temp_index:ts.Spr_anneal.Engine.temp_index
+        ~metric:(best_metric ~rs:s.rs ~sta:s.sta)
+        ~acceptance
+        ~capture:(fun () -> Checkpoint.to_string s.rs)
+    with
+    | Scheduler.Continue -> ()
+    | Scheduler.Adopt r -> adopt_layout ~config s r
+    | Scheduler.Kill (r, stream) ->
+      (* Early-killed: this domain is reallocated to a fork of the
+         round leader. Adopt its layout and continue on a fresh RNG
+         stream — the stream switch IS the perturbation that makes the
+         fork explore differently from its parent. *)
+      adopt_layout ~config s r;
+      Spr_util.Rng.assign rng ~from:(Spr_util.Rng.stream ~seed:config.seed ~index:stream);
+      Log.info (fun m ->
+          m "replica %d killed at round %d; forked from replica %d on stream %d" ctx.rep_index
+            r.Scheduler.round r.Scheduler.leader stream)
   in
   (* Budgets and interruption. The engine polls between moves, so the
      in-flight move always completes; the first tripped condition
-     sticks. In a portfolio, a wall-clock or interrupt stop spreads to
-     the whole fleet so the run directory freezes in one coherent
+     sticks. A wall-clock or interrupt stop spreads to the whole fleet
+     through [rep_stop], so the run directory freezes in one coherent
      state. A move budget does NOT spread: every replica trips its own
-     at a deterministic point of its own trajectory, and the barrier
+     at a deterministic point of its own trajectory, and the scheduler
      drops a stopped replica from the active set, so the survivors'
-     exchange rounds still trip — fleet results under a move budget
-     stay scheduling-independent. *)
+     rounds still trip — fleet results under a move budget stay
+     scheduling-independent. *)
   let watch = Spr_util.Clock.start () in
   let stop_reason = ref None in
   let should_stop ~moves ~accepted =
@@ -722,7 +693,7 @@ let anneal_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~be
     | Some _ -> ()
     | None ->
       stop_reason :=
-        (if interrupt_requested () then Some Interrupt
+        (if interrupt_requested () || Atomic.get ctx.rep_stop then Some Interrupt
          else if (match config.budget.poll with Some f -> f () | None -> false) then
            Some Interrupt
          else
@@ -736,8 +707,8 @@ let anneal_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~be
                | Some k when accepted >= k -> Some Interrupt
                | _ -> None)));
       (match !stop_reason with
-      | Some (Time_budget | Interrupt) when ctx <> None -> request_interrupt ()
-      | Some Move_budget | Some Interrupt | Some Time_budget | None -> ()));
+      | Some (Time_budget | Interrupt) -> Atomic.set ctx.rep_stop true
+      | Some Move_budget | None -> ()));
     !stop_reason <> None
   in
   let track_best =
@@ -762,17 +733,17 @@ let anneal_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~be
       Sta.full_update s.sta;
       let metric = best_metric ~rs:s.rs ~sta:s.sta in
       if metric < fst !best then best := (metric, Some (Checkpoint.to_string s.rs));
-      (* After a fleet interrupt a replica may have been released from an
-         untripped exchange round without the broadcast it would have
-         received uninterrupted, so everything past that point is off the
-         uninterrupted trajectory. Suppressing post-interrupt snapshot
-         FILES (portfolio runs only) makes resume replay from the last
-         faithful boundary — the property that lets a killed fleet
-         reproduce the uninterrupted run exactly. The in-memory best
-         keeps updating: it only feeds this run's reported result, never
-         a resume. *)
+      (* After a fleet stop a replica may have been released from an
+         untripped round without the decision it would have received
+         uninterrupted, so everything past that point is off the
+         uninterrupted trajectory. Suppressing post-stop snapshot FILES
+         makes resume replay from the last faithful boundary — the
+         property that lets a killed fleet reproduce the uninterrupted
+         run exactly. A lone replica meets no rounds, so its snapshots
+         stay faithful after a stop. The in-memory best keeps updating:
+         it only feeds this run's reported result, never a resume. *)
       match ckpt_dir with
-      | Some _ when ctx <> None && interrupt_requested () -> ()
+      | Some _ when replica <> None && Atomic.get ctx.rep_stop -> ()
       | None -> ()
       | Some (dir, seq) ->
         let due =
@@ -806,7 +777,9 @@ let anneal_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~be
         end
     end
   in
-  let resume = Option.map (fun (r : resume) -> r.Checkpoint.V2.data.Checkpoint.V2.engine) resume in
+  let resume =
+    Option.map (fun (r : Checkpoint.V2.loaded) -> r.Checkpoint.V2.data.Checkpoint.V2.engine) resume
+  in
   let anneal_report =
     Spr_anneal.Engine.run ?config:config.anneal ?resume ?start_temperature ~on_temperature
       ~on_checkpoint
@@ -835,19 +808,21 @@ let finalize ~(config : Config.t) rs sta =
   Router.route_all ~config:config.router ~passes:3 rs;
   Sta.full_update sta
 
-let run_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~t_start s =
+(* [t_start] is the process CPU clock and [watch] the wall clock, both
+   read when the replica's set-up began. *)
+let run_session ?resume ?start_temperature ~ctx ~(config : Config.t) ~rng ~t_start ~watch s =
   let nl = P.netlist s.place in
   let best =
     ref
       (match resume with
-      | Some (r : resume) ->
+      | Some (r : Checkpoint.V2.loaded) ->
         ( r.Checkpoint.V2.data.Checkpoint.V2.best_cost,
           Some r.Checkpoint.V2.data.Checkpoint.V2.best_layout )
       | None -> (infinity, None))
   in
   let anneal_report, stop_reason =
     Spr_obs.Obs.span ~name:"anneal" (fun () ->
-        anneal_session ?resume ?ctx ?start_temperature ~config ~rng ~best s)
+        anneal_session ?resume ?start_temperature ~ctx ~config ~rng ~best s)
   in
   let status =
     match stop_reason with None -> Completed | Some reason -> Interrupted reason
@@ -878,9 +853,6 @@ let run_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~t_sta
   let critical_delay = Sta.critical_delay sta in
   let g = Rs.g_count rs and d = Rs.d_count rs in
   let best_cost = best_metric ~rs ~sta in
-  (* A serial run has no separate wall clock: one domain, one replica,
-     so cpu IS wall. The portfolio report overrides this with the
-     fleet-wide elapsed time. *)
   let report =
     {
       Spr_obs.Report.r_label = run_label config;
@@ -898,7 +870,7 @@ let run_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~t_sta
       r_temperatures = anneal_report.Spr_anneal.Engine.n_temperatures;
       r_exchange_rounds = 0;
       r_cpu_seconds = cpu_seconds;
-      r_wall_seconds = cpu_seconds;
+      r_wall_seconds = Spr_util.Clock.elapsed watch;
       r_pipeline = Some (Profile.to_pipeline profile);
       r_route = Some (route_summary rs);
       r_dynamics = List.map Dynamics.to_row dynamics;
@@ -927,11 +899,11 @@ let run_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~t_sta
     events = [];
   }
 
-let run_fresh ?ctx ?seed_place ?start_temperature ~(config : Config.t) arch nl =
+let run_fresh ?seed_place ?start_temperature ~ctx ~(config : Config.t) arch nl =
   let rng = Spr_util.Rng.stream ~seed:config.seed ~index:config.parallel.stream in
   (* A seeded run starts from the caller's placement (plain data, so
-     portfolio replicas never share a mutable layout) instead of the
-     random one; the rng simply skips the shuffle draws. *)
+     fleet replicas never share a mutable layout) instead of the random
+     one; the rng simply skips the shuffle draws. *)
   let initial_place =
     match seed_place with
     | None -> P.create arch nl ~rng
@@ -940,6 +912,7 @@ let run_fresh ?ctx ?seed_place ?start_temperature ~(config : Config.t) arch nl =
   match initial_place with
   | Error e -> Error (Invalid_design e)
   | Ok place ->
+    let watch = Spr_util.Clock.start () in
     let t_start = Sys.time () in
     let rs = Rs.create place in
     (* Start-up transient: give every net a first chance at a (poor)
@@ -971,9 +944,10 @@ let run_fresh ?ctx ?seed_place ?start_temperature ~(config : Config.t) arch nl =
         accepted_since_audit = 0;
       }
     in
-    Ok (run_session ?ctx ?start_temperature ~config ~rng ~t_start s)
+    Ok (run_session ?start_temperature ~ctx ~config ~rng ~t_start ~watch s)
 
-let run_resumed ?ctx ~(config : Config.t) ~(resume : resume) nl =
+let run_resumed ~ctx ~(config : Config.t) ~(resume : Checkpoint.V2.loaded) nl =
+  let watch = Spr_util.Clock.start () in
   let t_start = Sys.time () in
   let data = resume.Checkpoint.V2.data in
   let rs = resume.Checkpoint.V2.route in
@@ -1019,28 +993,32 @@ let run_resumed ?ctx ~(config : Config.t) ~(resume : resume) nl =
        snapshot's percentage fields recover the integer unrouted counts
        exactly (they are < 0.5 ulp from an integer), and the rebuilt
        expression matches [best_metric] operation for operation. *)
-    (match ctx with
-    | None -> ()
-    | Some c ->
-      let nr = float_of_int (max 1 (Rs.n_routable rs)) in
-      Scheduler.preload c.rep_sched ~replica:c.rep_index
-        (List.map
-           (fun (d : Dynamics.sample) ->
-             let g =
-               int_of_float (Float.round (d.Dynamics.pct_nets_globally_unrouted /. 100.0 *. nr))
-             in
-             let dd = int_of_float (Float.round (d.Dynamics.pct_nets_unrouted /. 100.0 *. nr)) in
-             let metric = (float_of_int (g + dd) *. 1e9) +. d.Dynamics.critical_delay in
-             (d.Dynamics.dyn_temp_index, metric, d.Dynamics.acceptance))
-           data.Checkpoint.V2.dyn_samples));
-    Ok (run_session ~resume ?ctx ~config ~rng ~t_start s)
+    let nr = float_of_int (max 1 (Rs.n_routable rs)) in
+    Scheduler.preload ctx.rep_sched ~replica:ctx.rep_index
+      (List.map
+         (fun (d : Dynamics.sample) ->
+           let g =
+             int_of_float (Float.round (d.Dynamics.pct_nets_globally_unrouted /. 100.0 *. nr))
+           in
+           let dd = int_of_float (Float.round (d.Dynamics.pct_nets_unrouted /. 100.0 *. nr)) in
+           let metric = (float_of_int (g + dd) *. 1e9) +. d.Dynamics.critical_delay in
+           (d.Dynamics.dyn_temp_index, metric, d.Dynamics.acceptance))
+         data.Checkpoint.V2.dyn_samples);
+    Ok (run_session ~resume ~ctx ~config ~rng ~t_start ~watch s)
   end
 
-(* --- trace assembly ---
-   One shared assembler produces [run_start :: replica streams ::
-   exchange records :: run_end] for serial and portfolio runs alike, so
-   a one-replica portfolio's trace is bit-identical to the serial
-   one. *)
+(* --- the fleet record and its trace --- *)
+
+type fleet = {
+  p_best_replica : int;
+  p_results : result array;
+  p_profile : Profile.t;
+  p_rounds : Scheduler.round_record list;
+  p_wall_seconds : float;
+  p_report : Spr_obs.Report.t;
+}
+
+let best_result p = p.p_results.(p.p_best_replica)
 
 let replica_end_event ~replica (r : result) =
   {
@@ -1056,72 +1034,72 @@ let replica_end_event ~replica (r : result) =
         };
   }
 
-let assemble_trace ~(config : Config.t) ~nl ~replicas ~streams ~exchanges ~scheds ~status ~g ~d
-    ~delay_ns ~best_cost ~wall_seconds =
-  let fleet ev = { Spr_obs.Trace.ev_replica = -1; ev } in
+(* [run_start], each replica's stream closed by its [replica_end], the
+   recorded rounds, then [run_end]. A round without kills is an
+   exchange; a killing round writes a kill row (the verdict) and a
+   clone row (the domain reallocation) per killed replica. *)
+let trace_events ~(config : Config.t) nl (p : fleet) =
+  let run_event ev = { Spr_obs.Trace.ev_replica = -1; ev } in
   let start =
-    fleet
+    run_event
       (Spr_obs.Trace.Run_start
          {
            label = run_label config;
            seed = config.seed;
-           replicas;
+           replicas = Array.length p.p_results;
            n_cells = Spr_netlist.Netlist.n_cells nl;
            n_nets = Spr_netlist.Netlist.n_nets nl;
          })
   in
-  let rounds =
-    List.map
-      (fun (x : Portfolio.round_result) ->
-        fleet
+  let streams =
+    Array.to_list
+      (Array.mapi (fun k r -> r.events @ [ replica_end_event ~replica:k r ]) p.p_results)
+  in
+  let round_rows (r : Scheduler.round_record) =
+    match r.Scheduler.kills with
+    | [] ->
+      [
+        run_event
           (Spr_obs.Trace.Exchange
-             {
-               round = x.Portfolio.xr_round;
-               from_replica = x.Portfolio.xr_best_replica;
-               metric = x.Portfolio.xr_best_metric;
-             }))
-      exchanges
+             { round = r.Scheduler.round; from_replica = r.Scheduler.leader; metric = r.Scheduler.metric });
+      ]
+    | kills ->
+      List.concat_map
+        (fun (k : Scheduler.kill) ->
+          [
+            run_event
+              (Spr_obs.Trace.Sched_kill
+                 {
+                   round = r.Scheduler.round;
+                   replica = k.Scheduler.k_replica;
+                   leader = r.Scheduler.leader;
+                   metric = r.Scheduler.metric;
+                 });
+            run_event
+              (Spr_obs.Trace.Sched_clone
+                 {
+                   round = r.Scheduler.round;
+                   replica = k.Scheduler.k_replica;
+                   from_replica = r.Scheduler.leader;
+                   stream = k.Scheduler.k_stream;
+                 });
+          ])
+        kills
   in
-  (* Racing decision rounds: a kill row (the verdict) and a clone row
-     (the domain reallocation) per killed replica, in round order. *)
-  let sched_rows =
-    List.concat_map
-      (fun (r : Scheduler.round_record) ->
-        List.concat_map
-          (fun (k : Scheduler.kill) ->
-            [
-              fleet
-                (Spr_obs.Trace.Sched_kill
-                   {
-                     round = r.Scheduler.sr_round;
-                     replica = k.Scheduler.k_replica;
-                     leader = r.Scheduler.sr_leader;
-                     metric = r.Scheduler.sr_metric;
-                   });
-              fleet
-                (Spr_obs.Trace.Sched_clone
-                   {
-                     round = r.Scheduler.sr_round;
-                     replica = k.Scheduler.k_replica;
-                     from_replica = r.Scheduler.sr_leader;
-                     stream = k.Scheduler.k_stream;
-                   });
-            ])
-          r.Scheduler.sr_kills)
-      scheds
-  in
+  let best = best_result p in
   let stop =
-    fleet (Spr_obs.Trace.Run_end { status; g; d; delay_ns; best_cost; wall_seconds })
+    run_event
+      (Spr_obs.Trace.Run_end
+         {
+           status = Outcome.status_to_string best.status;
+           g = best.g;
+           d = best.d;
+           delay_ns = best.critical_delay;
+           best_cost = best.best_cost;
+           wall_seconds = p.p_wall_seconds;
+         })
   in
-  (start :: List.concat streams) @ rounds @ sched_rows @ [ stop ]
-
-let trace_events ~config nl (r : result) =
-  assemble_trace ~config ~nl ~replicas:1
-    ~streams:[ r.events @ [ replica_end_event ~replica:0 r ] ]
-    ~exchanges:[] ~scheds:[]
-    ~status:(Outcome.status_to_string r.status)
-    ~g:r.g ~d:r.d ~delay_ns:r.critical_delay ~best_cost:r.best_cost
-    ~wall_seconds:r.cpu_seconds
+  (start :: List.concat streams) @ List.concat_map round_rows p.p_rounds @ [ stop ]
 
 let write_report_file path report =
   Spr_util.Persist.atomic_write path
@@ -1136,73 +1114,32 @@ let recording_wanted (config : Config.t) =
    streaming sink (buffered copy still feeds trace assembly); plain
    recording buffers in memory; otherwise the null sink keeps every
    instrumentation point a strict no-op. The hook runs on the emitting
-   domain — portfolio replicas share it, so it must do its own
-   locking. *)
+   domain — fleet replicas share it, so it must do its own locking. *)
 let replica_sink (config : Config.t) =
   match config.Config.obs.Config.on_event with
   | Some f when recording_wanted config -> Spr_obs.Sink.stream f
   | _ -> if recording_wanted config then Spr_obs.Sink.memory () else Spr_obs.Sink.null
 
-let run ?(config = Config.default) ?resume ?seed_place ?start_temperature arch nl =
-  match Config.validated config with
-  | Error msg -> Error (Invalid_config msg)
-  | Ok config -> (
-    match Spr_netlist.Levelize.run nl with
-    | Error e -> Error (Invalid_design e)
-    | Ok _ -> (
-      let sink = replica_sink config in
-      let outcome =
-        try
-          Spr_obs.Obs.with_recording ~sink ~replica:0 (fun () ->
-              match resume with
-              | Some resume -> run_resumed ~config ~resume nl
-              | None -> run_fresh ?seed_place ?start_temperature ~config arch nl)
-        with Audit_failure findings -> Error (Audit_failed findings)
-      in
-      match outcome with
-      | Error e -> Error e
-      | Ok r ->
-        let r = { r with events = Spr_obs.Sink.events sink } in
-        (match config.obs.trace_path with
-        | Some path -> Spr_obs.Trace.to_file path (trace_events ~config nl r)
-        | None -> ());
-        (match config.obs.report_path with
-        | Some path -> write_report_file path r.report
-        | None -> ());
-        Ok r))
+(* The predictor looks this many temperature steps past a racing round
+   when it ranks the replicas. *)
+let predictor_horizon = 10
 
-let run_exn ?config ?resume ?seed_place ?start_temperature arch nl =
-  match run ?config ?resume ?seed_place ?start_temperature arch nl with
-  | Ok r -> r
-  | Error e -> raise (Tool_error e)
+let scheduler_policy (config : Config.t) =
+  let sc = config.parallel.scheduler in
+  match sc.Config.kind with
+  | `Barrier -> Scheduler.Exchange config.parallel.exchange
+  | `Racing ->
+    Scheduler.Racing
+      {
+        Scheduler.warmup = sc.Config.race_warmup;
+        every = sc.Config.race_every;
+        (* The configured margin is in unrouted-net units; the metric
+           counts a net as 1e9 (delay breaks ties below that). *)
+        margin = sc.Config.race_margin *. 1e9;
+        horizon = predictor_horizon;
+      }
 
-(* --- parallel portfolio --- *)
-
-type portfolio_result = {
-  p_best_replica : int;
-  p_results : result array;
-  p_profile : Profile.t;
-  p_exchanges : Portfolio.round_result list;
-  p_scheds : Scheduler.round_record list;
-  p_wall_seconds : float;
-  p_report : Spr_obs.Report.t;
-}
-
-let best_result p = p.p_results.(p.p_best_replica)
-
-let portfolio_trace_events ~config nl (p : portfolio_result) =
-  let best = best_result p in
-  assemble_trace ~config ~nl
-    ~replicas:(Array.length p.p_results)
-    ~streams:
-      (Array.to_list
-         (Array.mapi (fun k r -> r.events @ [ replica_end_event ~replica:k r ]) p.p_results))
-    ~exchanges:p.p_exchanges ~scheds:p.p_scheds
-    ~status:(Outcome.status_to_string best.status)
-    ~g:best.g ~d:best.d ~delay_ns:best.critical_delay ~best_cost:best.best_cost
-    ~wall_seconds:p.p_wall_seconds
-
-let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temperature arch nl =
+let run ?(config = Config.default) ?resume_dir ?seed_place ?start_temperature arch nl =
   match Config.validated config with
   | Error msg -> Error (Invalid_config msg)
   | Ok config -> (
@@ -1210,99 +1147,69 @@ let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temp
     | Error e -> Error (Invalid_design e)
     | Ok _ ->
       let replicas = config.parallel.replicas in
-      (* A previous fleet (or fault injection) may have left the stop
-         flag raised; a new fleet starts clean. Signal handlers can
-         re-raise it at any time. *)
-      reset_interrupt ();
       let wall = Spr_util.Clock.start () in
       (* [Sys.time] is process-wide, so each replica's own delta already
          counts every domain; the fleet takes one delta of its own. *)
       let cpu0 = Sys.time () in
+      let stop = Atomic.make false in
       let sched =
-        match config.parallel.scheduler.Config.kind with
-        | `Barrier ->
-          let history =
-            match resume_dir with Some dir -> Checkpoint.Exchange.load_all ~dir | None -> []
-          in
-          let persist =
-            match config.persistence.run_dir with
-            | Some dir when replicas > 1 && config.parallel.exchange <> Portfolio.Independent ->
-              fun r -> ignore (Checkpoint.Exchange.write ~dir r)
-            | _ -> fun _ -> ()
-          in
-          Scheduler.barrier
-            (Portfolio.create ~replicas ~exchange:config.parallel.exchange ~history ~persist
-               ~frozen:interrupt_requested ())
-        | `Racing ->
-          let sc = config.parallel.scheduler in
-          let history =
-            match resume_dir with
-            | Some dir when sc.Config.race_sync -> Checkpoint.Sched.load_all ~dir
-            | _ -> []
-          in
-          let persist =
-            match config.persistence.run_dir with
-            | Some dir when replicas > 1 && sc.Config.race_sync ->
-              fun r -> ignore (Checkpoint.Sched.write ~dir r)
-            | _ -> fun _ -> ()
-          in
-          Scheduler.racing
-            {
-              Scheduler.replicas;
-              warmup = sc.Config.race_warmup;
-              every = sc.Config.race_every;
-              (* CLI margin is in unrouted-net units; the metric counts
-                 a net as 1e9 (delay breaks ties below that). *)
-              margin = sc.Config.race_margin *. 1e9;
-              horizon = sc.Config.race_horizon;
-              sync = sc.Config.race_sync;
-            }
-            ~history ~persist ~frozen:interrupt_requested ()
+        Scheduler.create ~replicas (scheduler_policy config)
+          ~history:
+            (match resume_dir with Some dir -> Checkpoint.Round.load_all ~dir | None -> [])
+          ~persist:
+            (match config.persistence.run_dir with
+            | Some dir -> fun r -> ignore (Checkpoint.Round.write ~dir r)
+            | None -> fun _ -> ())
+          ~frozen:(fun () -> Atomic.get stop)
+          ()
       in
       let sinks = Array.init replicas (fun _ -> replica_sink config) in
       let worker k =
-        (* One replica IS the serial path: no coordination, the
-           configured stream, unprefixed snapshot files — bit-identical
-           to [run]. With more replicas, replica [k] draws stream [k],
-           so the winner can be reproduced standalone via
-           [Config.with_stream k]. *)
-        let config =
-          if replicas = 1 then config
-          else { config with Config.parallel = { config.Config.parallel with Config.stream = k } }
+        let ctx =
+          {
+            rep_index = k;
+            rep_tag = (if replicas > 1 then Some k else None);
+            rep_sched = sched;
+            rep_stop = stop;
+          }
         in
-        let ctx = if replicas = 1 then None else Some { rep_index = k; rep_sched = sched } in
+        (* Replica [k] draws stream [stream + k]: the winner of a fleet
+           reproduces standalone as a one-replica run on its stream. *)
+        let config = Config.with_stream (config.parallel.stream + k) config in
         let body () =
-          Spr_obs.Obs.with_recording ~sink:sinks.(k) ~replica:k (fun () ->
-              try
-                match resume_dir with
-                | Some dir -> (
-                  let replica = if replicas = 1 then None else Some k in
-                  match Checkpoint.V2.load_latest ?replica nl ~dir with
-                  | Ok resume -> run_resumed ?ctx ~config ~resume nl
-                  | Error e ->
-                    (* No loadable snapshot for this replica: restart it
-                       from scratch. Determinism makes the restart replay
-                       the lost trajectory exactly, consuming any recorded
-                       exchange rounds along the way. *)
-                    Log.info (fun m -> m "replica %d: %s; starting fresh" k e);
-                    run_fresh ?ctx ?seed_place ?start_temperature ~config arch nl)
-                | None -> run_fresh ?ctx ?seed_place ?start_temperature ~config arch nl
-              with Audit_failure findings -> Error (Audit_failed findings))
+          try
+            match resume_dir with
+            | Some dir -> (
+              match Checkpoint.V2.load_latest ?replica:ctx.rep_tag nl ~dir with
+              | Ok resume -> run_resumed ~ctx ~config ~resume nl
+              | Error e ->
+                (* No loadable snapshot for this replica: restart it from
+                   scratch. Determinism makes the restart replay the lost
+                   trajectory exactly, consuming any recorded rounds along
+                   the way. *)
+                Log.info (fun m -> m "replica %d: %s; starting fresh" k e);
+                run_fresh ?seed_place ?start_temperature ~ctx ~config arch nl)
+            | None -> run_fresh ?seed_place ?start_temperature ~ctx ~config arch nl
+          with Audit_failure findings -> Error (Audit_failed findings)
         in
-        if replicas = 1 then body ()
-        else Fun.protect ~finally:(fun () -> Scheduler.finished sched ~replica:k) body
+        Fun.protect
+          ~finally:(fun () -> Scheduler.finished sched ~replica:k)
+          (fun () -> Spr_obs.Obs.with_recording ~sink:sinks.(k) ~replica:k body)
       in
       let outcomes = Portfolio.run_replicas ~replicas worker in
       (* An exception escaping a replica is a bug in this layer, not a
          run outcome — re-raise the first. *)
-      Array.iter (function Error e -> raise e | Ok _ -> ()) outcomes;
-      let settled = Array.map (function Ok r -> r | Error _ -> assert false) outcomes in
+      let settled = Array.map (function Ok o -> o | Error e -> raise e) outcomes in
       match Array.find_map (function Error e -> Some e | Ok _ -> None) settled with
       | Some e -> Error e
       | None ->
-        let results = Array.map (function Ok r -> r | Error _ -> assert false) settled in
         let results =
-          Array.mapi (fun k (r : result) -> { r with events = Spr_obs.Sink.events sinks.(k) }) results
+          Array.mapi
+            (fun k o ->
+              match o with
+              | Ok (r : result) -> { r with events = Spr_obs.Sink.events sinks.(k) }
+              | Error _ -> assert false)
+            settled
         in
         let best = ref 0 in
         Array.iteri
@@ -1310,17 +1217,16 @@ let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temp
           results;
         let merged = Profile.create () in
         Array.iter (fun (r : result) -> Profile.absorb merged r.profile) results;
-        let exchanges = Scheduler.exchanges sched in
-        let scheds = Scheduler.rounds sched in
+        let rounds = Scheduler.rounds sched in
         let wall_seconds = Spr_util.Clock.elapsed wall in
         (* The fleet report: the winner's layout-facing numbers, the
-           merged pipeline/metrics, fleet-wide clocks. Under racing,
-           "rounds" counts deciding (killing) rounds. *)
+           merged pipeline/metrics, fleet-wide clocks. "Rounds" counts
+           the recorded rounds. *)
         let p_report =
           {
             results.(!best).report with
             Spr_obs.Report.r_replicas = replicas;
-            r_exchange_rounds = List.length exchanges + List.length scheds;
+            r_exchange_rounds = List.length rounds;
             r_cpu_seconds = Sys.time () -. cpu0;
             r_wall_seconds = wall_seconds;
             r_pipeline = Some (Profile.to_pipeline merged);
@@ -1332,22 +1238,21 @@ let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temp
             p_best_replica = !best;
             p_results = results;
             p_profile = merged;
-            p_exchanges = exchanges;
-            p_scheds = scheds;
+            p_rounds = rounds;
             p_wall_seconds = wall_seconds;
             p_report;
           }
         in
         (match config.obs.trace_path with
-        | Some path -> Spr_obs.Trace.to_file path (portfolio_trace_events ~config nl p)
+        | Some path -> Spr_obs.Trace.to_file path (trace_events ~config nl p)
         | None -> ());
         (match config.obs.report_path with
         | Some path -> write_report_file path p_report
         | None -> ());
         Ok p)
 
-let run_portfolio_exn ?config ?resume_dir ?seed_place ?start_temperature arch nl =
-  match run_portfolio ?config ?resume_dir ?seed_place ?start_temperature arch nl with
+let run_exn ?config ?resume_dir ?seed_place ?start_temperature arch nl =
+  match run ?config ?resume_dir ?seed_place ?start_temperature arch nl with
   | Ok r -> r
   | Error e -> raise (Tool_error e)
 

@@ -17,24 +17,25 @@
     {b Crash safety.} With a run directory set, the run writes an
     atomic, checksummed {!Checkpoint.V2} snapshot at temperature
     boundaries and on interruption, rotating the last [snapshot_keep]
-    files. Feeding the newest loadable snapshot back through [?resume]
-    continues the run mid-schedule, bit-identically to the
+    files. Running again with [?resume_dir] continues from the newest
+    loadable snapshot mid-schedule, bit-identically to the
     uninterrupted run. Budgets and {!request_interrupt} (or the
     SIGINT/SIGTERM handlers from {!install_signal_handlers}) stop the
     run between moves — the in-flight move always completes — write a
     final checkpoint, and return the best layout seen so far tagged
     [Interrupted].
 
-    {b Parallel portfolio.} {!run_portfolio} runs K replicas of the
-    whole anneal on separate OCaml domains, each with its own RNG
+    {b Fleets.} {!run} anneals [config.parallel.replicas] replicas of
+    the whole anneal, one per OCaml domain, each with its own RNG
     stream derived by {!Spr_util.Rng.stream}, its own pipeline, route
-    state and profile. Replicas either run fully independently or
-    periodically adopt the portfolio-best layout
-    ({!Spr_anneal.Portfolio.exchange}); either way each replica's
-    trajectory is a deterministic function of [(seed, replica_index)],
-    a one-replica portfolio is bit-identical to {!run}, and the fleet
-    checkpoints/resumes through the same crash-safety layer
-    (per-replica snapshots plus persisted exchange rounds). *)
+    state and profile. One {!Spr_anneal.Scheduler} coordinates them:
+    replicas run independently, meet at exchange rounds and adopt the
+    fleet-best layout, or race under the predictive early-kill
+    scheduler. Each replica's trajectory is a deterministic function of
+    [(seed, stream)] and the recorded rounds, and the fleet
+    checkpoints and resumes through the same crash-safety layer
+    (per-replica snapshots plus persisted round records). A fleet of
+    one is the plain serial anneal on the calling domain. *)
 
 (** Grouped, validated run configuration.
 
@@ -72,7 +73,7 @@ module Config : sig
     stop_after_accepted : int option;
         (** Fault injection: stop (as [Interrupt]) once this many
             moves have been accepted, cumulative across resumes. In a
-            portfolio, any replica tripping a budget stops the whole
+            fleet, any replica tripping it stops the whole
             fleet. *)
     poll : (unit -> bool) option;
         (** External cancellation hook, polled between moves alongside
@@ -112,8 +113,7 @@ module Config : sig
 
   type scheduler = {
     kind : [ `Barrier | `Racing ];
-        (** [`Barrier] is the historical all-active exchange barrier —
-            bit-identical to the pre-scheduler portfolio. [`Racing]
+        (** [`Barrier] meets only at [exchange] rounds. [`Racing]
             fits an online predictor on each replica's annealing
             dynamics and early-kills replicas whose predicted terminal
             quality trails the fleet leader, reallocating their domains
@@ -129,23 +129,14 @@ module Config : sig
             (default 10). *)
     race_every : int;
         (** Temperature steps between racing decision rounds. Must be
-            >= 1 (default 5). *)
-    race_horizon : int;
-        (** How many temperature steps past the decision round the
-            predictor extrapolates when ranking replicas. Must be >= 1
-            (default 10). *)
-    race_sync : bool;
-        (** [true] (default): decision rounds are synchronous
-            rendezvous on masked trace content — racing is then
-            bit-reproducible and killing rounds persist as
-            [sched-*.rec] records so kill+resume matches the
-            uninterrupted run. [false] ("racing:free"): replicas race
-            asynchronously against the last published predictions —
-            faster, but not reproducible and never persisted. *)
+            >= 1 (default 5). Decision rounds rendezvous on masked
+            trace content, so racing is bit-reproducible, and killing
+            rounds persist as [sched-*.rec] records so kill+resume
+            matches the uninterrupted run. *)
   }
 
   type parallel = {
-    replicas : int;  (** Portfolio width K; must be >= 1. *)
+    replicas : int;  (** Fleet width K; must be >= 1. *)
     exchange : Spr_anneal.Portfolio.exchange;
         (** Cross-replica layout exchange policy; only meaningful when
             [replicas > 1], and only under the [`Barrier] scheduler
@@ -154,11 +145,12 @@ module Config : sig
         (** Which replica scheduler coordinates the fleet; only
             meaningful when [replicas > 1]. *)
     stream : int;
-        (** Which derived RNG stream ({!Spr_util.Rng.stream}) a serial
-            run draws from; stream 0 is exactly [Rng.create seed].
-            {!run_portfolio} overrides this per replica, so re-running
-            the winning replica standalone is just a serial run with
-            [with_stream k]. Must be >= 0. *)
+        (** The derived RNG stream ({!Spr_util.Rng.stream}) replica 0
+            draws from; replica [k] draws [stream + k], and stream 0 is
+            exactly [Rng.create seed]. So the winner [k] of a default
+            fleet reproduces standalone as a one-replica run with
+            [with_stream k]. Racing forks draw fresh streams from
+            [replicas] upward. Must be >= 0. *)
     route_grain : int;
         (** Inert stub, read by nothing: [bench/ledger/traced.ml] still
             passes it to {!Move_pipeline.create}. No [with_*]
@@ -182,7 +174,7 @@ module Config : sig
             handed to the callback synchronously as it is emitted, on
             the emitting replica's domain — this is how the service
             daemon streams [spr-trace-1] events to a client while the
-            job runs. Portfolio replicas share the one callback, so it
+            job runs. Fleet replicas share the one callback, so it
             must lock any shared state; exceptions it raises abort the
             run. *)
   }
@@ -230,12 +222,12 @@ module Config : sig
       [final_checkpoint = true]), serial ([replicas = 1],
       [Independent], [`Barrier] scheduler, [stream = 0]). *)
 
-  val scheduler_to_string : scheduler -> string
-  (** ["barrier"], ["racing"], or ["racing:free"]. *)
+  val scheduler_to_string : [ `Barrier | `Racing ] -> string
+  (** ["barrier"] or ["racing"]. *)
 
-  val scheduler_of_string : string -> ([ `Barrier | `Racing ] * bool, string) Stdlib.result
-  (** Parse a scheduler spelling to its [(kind, race_sync)] pair;
-      rejects unknown names with the valid vocabulary. *)
+  val scheduler_of_string : string -> ([ `Barrier | `Racing ], string) Stdlib.result
+  (** Inverse of {!scheduler_to_string}; rejects any other spelling
+      with a message naming the valid ones. *)
 
   val validated : t -> (t, string) Stdlib.result
   (** The smart constructor: rejects out-of-range fields (move
@@ -295,9 +287,9 @@ module Config : sig
 
   val with_scheduler : scheduler -> t -> t
 
-  val with_scheduler_kind : ?sync:bool -> [ `Barrier | `Racing ] -> t -> t
-  (** Switch the scheduler kind, optionally setting [race_sync]; the
-      racing tuning knobs keep their current values. *)
+  val with_scheduler_kind : [ `Barrier | `Racing ] -> t -> t
+  (** Switch the scheduler kind; the racing tuning knobs keep their
+      current values. *)
 
   val with_race_margin : float -> t -> t
 
@@ -394,9 +386,9 @@ type result = {
           invocation (not carried across resumes). *)
   cpu_seconds : float;
       (** Process CPU seconds ([Sys.time]) over this invocation, not
-          cumulative across resumes. Process-wide: under a portfolio it
-          also counts the other replicas' domains, so replica values do
-          not add up to the fleet's. *)
+          cumulative across resumes. Process-wide: in a fleet it also
+          counts the other replicas' domains, so replica values do not
+          add up to the fleet's. *)
   status : status;
   best_cost : float;
       (** The delivered layout under the weight-independent best-so-far
@@ -406,8 +398,8 @@ type result = {
       (** The unified run report: routing summary, pipeline breakdown,
           dynamics rows and metrics snapshot in one versioned record —
           callers render or export this instead of re-deriving the
-          numbers from the fields above. For a serial run
-          [r_wall_seconds = r_cpu_seconds]. *)
+          numbers from the fields above; its clocks cover this
+          replica alone. *)
   events : Spr_obs.Trace.event list;
       (** This replica's raw observability stream (spans, temperature
           rows, metrics dump), tagged with its replica index; empty
@@ -415,49 +407,7 @@ type result = {
           is added by {!trace_events}. *)
 }
 
-type resume = Checkpoint.V2.loaded
-
-val run :
-  ?config:config ->
-  ?resume:resume ->
-  ?seed_place:Spr_layout.Placement.slot array * int array ->
-  ?start_temperature:float ->
-  Spr_arch.Arch.t ->
-  Spr_netlist.Netlist.t ->
-  (result, error) Stdlib.result
-(** With [?resume] the initial placement and routing are skipped and the
-    run continues from the snapshot's exact mid-schedule state ([arch]
-    is ignored — the restored layout carries its fabric). [config]
-    should match the interrupted run's; the annealing schedule itself
-    always comes from the snapshot.
-
-    [?seed_place] starts the anneal from the given placement — per-cell
-    slots and pinmaps, plain data so callers (and portfolio replicas)
-    never share a mutable layout — instead of a random one; it is
-    materialized through {!Spr_layout.Placement.create_from}, so an
-    inconsistent seed is [Error (Invalid_design _)].
-    [?start_temperature] skips the warmup walk and starts cooling at
-    the given temperature (see {!Spr_anneal.Engine.run}) — the flow
-    layer derives it from the seed placement's cost distribution. Both
-    are ignored under [?resume]. *)
-
-val run_exn :
-  ?config:config ->
-  ?resume:resume ->
-  ?seed_place:Spr_layout.Placement.slot array * int array ->
-  ?start_temperature:float ->
-  Spr_arch.Arch.t ->
-  Spr_netlist.Netlist.t ->
-  result
-
-val trace_events : config:config -> Spr_netlist.Netlist.t -> result -> Spr_obs.Trace.event list
-(** The complete serial-run trace: [run_start], the replica's event
-    stream closed by its [replica_end], then [run_end]. This is exactly
-    what [Config.obs.trace_path] writes. *)
-
-(** {1 Parallel portfolio} *)
-
-type portfolio_result = {
+type fleet = {
   p_best_replica : int;
       (** Replica delivering the lowest [best_cost] (lowest index on
           ties). *)
@@ -466,62 +416,72 @@ type portfolio_result = {
       (** All replicas' pipeline instrumentation merged
           ({!Profile.absorb}); per-replica profiles and dynamics stay
           available on [p_results]. *)
-  p_exchanges : Spr_anneal.Portfolio.round_result list;
-      (** Every exchange round tripped or replayed, ascending. *)
-  p_scheds : Spr_anneal.Scheduler.round_record list;
-      (** Every racing decision round that killed a replica (tripped or
-          replayed), ascending; empty under the [`Barrier] scheduler. *)
+  p_rounds : Spr_anneal.Scheduler.round_record list;
+      (** Every recorded round (tripped or replayed), ascending: each
+          exchange round, and each racing round that killed. *)
   p_wall_seconds : float;  (** Whole-fleet wall clock. *)
   p_report : Spr_obs.Report.t;
       (** The fleet report: the winning replica's layout-facing
-          numbers with the merged pipeline/metrics, summed cpu, the
-          fleet wall clock and the exchange-round count. *)
+          numbers with the merged pipeline/metrics, the fleet's CPU
+          and wall clocks, and the recorded-round count. *)
 }
 
-val best_result : portfolio_result -> result
+val best_result : fleet -> result
 (** [p.p_results.(p.p_best_replica)]. *)
 
-val portfolio_trace_events :
-  config:config -> Spr_netlist.Netlist.t -> portfolio_result -> Spr_obs.Trace.event list
-(** The merged fleet trace: [run_start], each replica's stream (closed
-    by its [replica_end]) in replica order, the exchange rounds, the
-    racing [sched.kill]/[sched.clone] rows, then [run_end]. A one-replica portfolio's trace is bit-identical to the
-    serial {!trace_events} once timestamps are masked. *)
-
-val run_portfolio :
+val run :
   ?config:config ->
   ?resume_dir:string ->
   ?seed_place:Spr_layout.Placement.slot array * int array ->
   ?start_temperature:float ->
   Spr_arch.Arch.t ->
   Spr_netlist.Netlist.t ->
-  (portfolio_result, error) Stdlib.result
-(** Run [config.parallel.replicas] replicas of the anneal
-    concurrently, replica [k] drawing from RNG stream [k] (replica 0
-    on the calling domain). With one replica this {e is} {!run} — no
-    domain is spawned, the configured [stream] is honoured, and the
-    output (including snapshot file names) is bit-identical to the
-    serial path. With more, replica [k] writes
-    [snap-r<k>-NNNNNNNN.ckpt] snapshots into the shared run directory
-    and [Best_exchange] rounds are persisted as [exch-*.rec] records
-    before any replica acts on them; the racing scheduler likewise
-    persists its killing decision rounds as [sched-*.rec] records.
-    [?resume_dir] restores the whole
-    fleet: each replica resumes from its newest loadable snapshot
-    (restarting from scratch deterministically when it has none) and
-    recorded exchange/scheduler rounds are replayed, so a
-    killed-and-resumed portfolio matches the uninterrupted one. Interruption (signals,
-    {!request_interrupt}, any replica's budget) stops every replica
-    gracefully and freezes further exchanges. *)
+  (fleet, error) Stdlib.result
+(** Anneal [config.parallel.replicas] replicas concurrently — replica
+    0 on the calling domain, the rest on spawned domains — and return
+    the fleet record. Replica [k] draws RNG stream [stream + k]. In a
+    fleet of several, replica [k] writes [snap-r<k>-NNNNNNNN.ckpt]
+    snapshots into the shared run directory; a fleet of one writes
+    plain [snap-NNNNNNNN.ckpt] files. Recorded rounds are persisted as
+    [sched-*.rec] records ({!Checkpoint.Round}) before any replica acts
+    on them.
 
-val run_portfolio_exn :
+    [?resume_dir] restores the whole fleet: each replica resumes from
+    its newest loadable snapshot (restarting from scratch
+    deterministically when it has none) and recorded rounds are
+    replayed, so a killed-and-resumed run matches the uninterrupted
+    one. [arch] is ignored for a resumed replica — the restored layout
+    carries its fabric — and the annealing schedule comes from the
+    snapshot. Interruption (signals, {!request_interrupt}, any
+    replica's wall-clock budget, cancel poll or stop injection) stops
+    every replica gracefully and freezes further rounds; a move budget
+    stops only the replica that spent it.
+
+    [?seed_place] starts the anneal from the given placement — per-cell
+    slots and pinmaps, plain data so replicas never share a mutable
+    layout — instead of a random one; it is materialized through
+    {!Spr_layout.Placement.create_from}, so an inconsistent seed is
+    [Error (Invalid_design _)]. [?start_temperature] skips the warmup
+    walk and starts cooling at the given temperature (see
+    {!Spr_anneal.Engine.run}) — the flow layer derives it from the seed
+    placement's cost distribution. Both are ignored by a resumed
+    replica. *)
+
+val run_exn :
   ?config:config ->
   ?resume_dir:string ->
   ?seed_place:Spr_layout.Placement.slot array * int array ->
   ?start_temperature:float ->
   Spr_arch.Arch.t ->
   Spr_netlist.Netlist.t ->
-  portfolio_result
+  fleet
+
+val trace_events : config:config -> Spr_netlist.Netlist.t -> fleet -> Spr_obs.Trace.event list
+(** The fleet trace: [run_start], each replica's stream (closed by its
+    [replica_end]) in replica order, one [exchange] row per recorded
+    round without kills and [sched.kill]/[sched.clone] rows for each
+    killing round, then [run_end]. This is exactly what
+    [Config.obs.trace_path] writes. *)
 
 val audit_result : result -> Spr_check.Finding.t list
 (** Run the full audit subsystem over a finished layout (placement,
@@ -530,8 +490,11 @@ val audit_result : result -> Spr_check.Finding.t list
 
 (** {1 Graceful interruption}
 
-    A process-wide atomic flag polled between moves — by every replica,
-    when a portfolio is running. The CLI installs handlers so Ctrl-C
+    A process-wide atomic flag polled between moves by every replica.
+    Only a signal or {!request_interrupt} raises it — a fleet spreads
+    one replica's own stop through a per-run flag — so it stays raised
+    until {!reset_interrupt}, and a Ctrl-C during an earlier flow stage
+    still stops the anneal. The CLI installs handlers so Ctrl-C
     finishes the in-flight moves, writes final checkpoints and returns
     the best-so-far result instead of dying mid-update. *)
 

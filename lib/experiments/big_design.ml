@@ -15,7 +15,7 @@ let run ?(effort = Profiles.Thorough) ?(seed = 1) ?(tracks = 38) () =
   let nl = Spr_netlist.Circuits.make Spr_netlist.Circuits.big529 in
   let n = Spr_netlist.Netlist.n_cells nl in
   let arch = Profiles.arch_for ~tracks nl in
-  let r = Tool.run_exn ~config:(Profiles.tool_config ~seed effort ~n) arch nl in
+  let r = Tool.best_result (Tool.run_exn ~config:(Profiles.tool_config ~seed effort ~n) arch nl) in
   let routable = max 1 (Rs.n_routable r.Tool.route) in
   {
     n_cells = n;

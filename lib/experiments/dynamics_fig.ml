@@ -10,7 +10,9 @@ let run ?(effort = Profiles.Standard) ?(seed = 1) ?(circuit = "s1") () =
   let nl = Spr_netlist.Circuits.make_by_name circuit in
   let n = Spr_netlist.Netlist.n_cells nl in
   let arch = Profiles.arch_for ~tracks:28 nl in
-  let r = Spr_core.Tool.run_exn ~config:(Profiles.tool_config ~seed effort ~n) arch nl in
+  let r =
+    Spr_core.Tool.(best_result (run_exn ~config:(Profiles.tool_config ~seed effort ~n) arch nl))
+  in
   { circuit; samples = r.Spr_core.Tool.dynamics; fully_routed = r.Spr_core.Tool.fully_routed }
 
 let render t =

@@ -13,9 +13,10 @@ let run ?(effort = Profiles.Quick) ?(seed = 1) ?(circuit = "cse") ?(tracks = 28)
   let n = Spr_netlist.Netlist.n_cells nl in
   let arch = Profiles.arch_for ~tracks nl in
   let base = Profiles.tool_config ~seed effort ~n in
-  let plain = Tool.run_exn ~config:base arch nl in
+  let plain = Tool.best_result (Tool.run_exn ~config:base arch nl) in
   let crit =
-    Tool.run_exn ~config:(Tool.Config.with_timing_driven_routing true base) arch nl
+    Tool.best_result
+      (Tool.run_exn ~config:(Tool.Config.with_timing_driven_routing true base) arch nl)
   in
   {
     circuit;

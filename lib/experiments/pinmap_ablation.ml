@@ -13,9 +13,9 @@ let run ?(effort = Profiles.Standard) ?(seed = 1) ?(circuit = "s1") ?(tracks = 2
   let n = Spr_netlist.Netlist.n_cells nl in
   let arch = Profiles.arch_for ~tracks nl in
   let base = Profiles.tool_config ~seed effort ~n in
-  let with_pm = Tool.run_exn ~config:base arch nl in
+  let with_pm = Tool.best_result (Tool.run_exn ~config:base arch nl) in
   let without_pm =
-    Tool.run_exn ~config:(Tool.Config.with_pinmap_moves false base) arch nl
+    Tool.best_result (Tool.run_exn ~config:(Tool.Config.with_pinmap_moves false base) arch nl)
   in
   {
     circuit;

@@ -20,7 +20,9 @@ let run ?(effort = Profiles.Quick) ?(seed = 1) ?(circuit = "cse") ?(tracks = 24)
   List.map
     (fun scheme ->
       let arch = Profiles.arch_for ~tracks ~hscheme:scheme nl in
-      let sim = Tool.run_exn ~config:(Profiles.tool_config ~seed effort ~n) arch nl in
+      let sim =
+        Tool.best_result (Tool.run_exn ~config:(Profiles.tool_config ~seed effort ~n) arch nl)
+      in
       let seq = Spr_flow.run_exn ~config:(Profiles.seq_flow_config ~seed effort ~n) arch nl in
       {
         scheme;

@@ -37,7 +37,8 @@ let run_circuit ?(effort = Profiles.Quick) ?(seed = 1) ?(start_tracks = 28) spec
   let sim_routes ~alt_seed ~tracks =
     let seed = if alt_seed then seed + 77 else seed in
     let arch = Profiles.arch_for ~tracks nl in
-    (Tool.run_exn ~config:(Profiles.tool_config ~seed effort ~n) arch nl).Tool.fully_routed
+    (Tool.best_result (Tool.run_exn ~config:(Profiles.tool_config ~seed effort ~n) arch nl))
+      .Tool.fully_routed
   in
   let seq_start = first_feasible ~routes:seq_routes ~tracks:start_tracks ~limit:48 in
   let sim_start = first_feasible ~routes:sim_routes ~tracks:start_tracks ~limit:48 in

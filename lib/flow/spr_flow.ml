@@ -24,8 +24,7 @@ type result = {
   f_fully_routed : bool;
   f_stages : stage_record list;
   f_seed_temperature : float option;
-  f_tool : Tool.result option;
-  f_portfolio : Tool.portfolio_result option;
+  f_fleet : Tool.fleet option;
 }
 
 let preset_names = C.flow_preset_names
@@ -47,8 +46,7 @@ type st = {
   mutable rs : Rs.t option;
   mutable sta : Sta.t option;
   mutable seed_temp : float option;
-  mutable tool : Tool.result option;
-  mutable portfolio : Tool.portfolio_result option;
+  mutable fleet : Tool.fleet option;
   mutable stages : stage_record list;  (* reversed *)
   mutable flow_events : Trace.event list;
   mutable completed : string list;  (* reversed *)
@@ -60,8 +58,7 @@ let fresh_st () =
     rs = None;
     sta = None;
     seed_temp = None;
-    tool = None;
-    portfolio = None;
+    fleet = None;
     stages = [];
     flow_events = [];
     completed = [];
@@ -96,7 +93,7 @@ let stage_deadline (config : C.t) name =
    the probed seed temperature (bit-exact hex); each completed stage
    leaves a v1 layout checkpoint next to it. The in-flight sa stage
    additionally rides the existing V2 snapshot machinery through
-   [Tool.run_portfolio ~resume_dir]. *)
+   [Tool.run ~resume_dir]. *)
 
 let flow_schema = "spr-flow-1"
 
@@ -406,49 +403,22 @@ let run_sa st ~(config : C.t) ~(orig : C.t) ?resume_dir ~multi_stage arch nl =
     else config
   in
   let watch = Spr_util.Clock.start () in
-  let adopt_result (r : Tool.result) =
+  match Tool.run ~config:sa_config ?resume_dir ?seed_place ?start_temperature arch nl with
+  | Error e -> Error e
+  | Ok p ->
+    let r = Tool.best_result p in
+    st.fleet <- Some p;
     st.place <- Some r.Tool.place;
     st.rs <- Some r.Tool.route;
-    st.sta <- Some r.Tool.sta
-  in
-  let out =
-    if (not multi_stage) && sa_config.C.parallel.C.replicas = 1 && resume_dir = None then
-      (* The legacy single-stage path, bit-identical to [Tool.run]. *)
-      match Tool.run ~config:sa_config arch nl with
-      | Error e -> Error e
-      | Ok r ->
-        st.tool <- Some r;
-        adopt_result r;
-        Ok ()
-    else
-      match
-        Tool.run_portfolio ~config:sa_config ?resume_dir ?seed_place ?start_temperature arch nl
-      with
-      | Error e -> Error e
-      | Ok p ->
-        st.portfolio <- Some p;
-        adopt_result (Tool.best_result p);
-        Ok ()
-  in
-  match out with
-  | Error e -> Error e
-  | Ok () ->
+    st.sta <- Some r.Tool.sta;
     let detail =
-      match st.tool, st.portfolio with
-      | Some r, _ ->
-        Printf.sprintf "%d moves%s" r.Tool.anneal_report.Spr_anneal.Engine.n_moves
-          (match start_temperature with
-          | Some t -> Printf.sprintf ", seeded T0=%.4g" t
-          | None -> "")
-      | None, Some p ->
-        let r = Tool.best_result p in
-        Printf.sprintf "%d moves (best of %d)%s"
-          r.Tool.anneal_report.Spr_anneal.Engine.n_moves
-          (Array.length p.Tool.p_results)
-          (match start_temperature with
-          | Some t -> Printf.sprintf ", seeded T0=%.4g" t
-          | None -> "")
-      | None, None -> ""
+      Printf.sprintf "%d moves%s%s" r.Tool.anneal_report.Spr_anneal.Engine.n_moves
+        (match Array.length p.Tool.p_results with
+        | 1 -> ""
+        | k -> Printf.sprintf " (best of %d)" k)
+        (match start_temperature with
+        | Some t -> Printf.sprintf ", seeded T0=%.4g" t
+        | None -> "")
     in
     push_stage st ~name:"sa" ~seconds:(Spr_util.Clock.elapsed watch) ~detail;
     Ok ()
@@ -457,8 +427,7 @@ let run_sa st ~(config : C.t) ~(orig : C.t) ?resume_dir ~multi_stage arch nl =
 
 (* Skip the longest prefix of [stages] that a previous run completed,
    restoring the last completed stage's layout. Unloadable state means
-   a fresh start (mirroring [Tool.run_portfolio]'s per-replica
-   fallback): determinism replays the lost trajectory. *)
+   a fresh start (mirroring [Tool.run]'s per-replica fallback): determinism replays the lost trajectory. *)
 let restore ~resume_dir ~preset ~stages st nl =
   match read_flow_state ~dir:resume_dir ~preset with
   | Error _ -> 0
@@ -490,19 +459,13 @@ let restore ~resume_dir ~preset ~stages st nl =
 let fleet ev = { Trace.ev_replica = -1; ev }
 
 let write_flow_trace ~(orig : C.t) ~path st nl wall_seconds =
-  match st.tool, st.portfolio with
-  | Some r, _ ->
-    let r = { r with Tool.events = st.flow_events @ r.Tool.events } in
-    Trace.to_file path (Tool.trace_events ~config:orig nl r)
-  | None, Some p ->
-    let k = 0 in
-    p.Tool.p_results.(k) <-
-      {
-        (p.Tool.p_results.(k)) with
-        Tool.events = st.flow_events @ p.Tool.p_results.(k).Tool.events;
-      };
-    Trace.to_file path (Tool.portfolio_trace_events ~config:orig nl p)
-  | None, None ->
+  match st.fleet with
+  | Some p ->
+    (* The stage spans lead replica 0's stream. *)
+    let results = Array.copy p.Tool.p_results in
+    results.(0) <- { (results.(0)) with Tool.events = st.flow_events @ results.(0).Tool.events };
+    Trace.to_file path (Tool.trace_events ~config:orig nl { p with Tool.p_results = results })
+  | None ->
     (* No sa stage ran: frame the stage spans by hand. *)
     let rs = Option.get st.rs in
     let sta = Option.get st.sta in
@@ -579,10 +542,9 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
             let stage_complete =
               stage <> "sa"
               ||
-              match st.tool, st.portfolio with
-              | Some r, _ -> r.Tool.status = Tool.Completed
-              | None, Some p -> (Tool.best_result p).Tool.status = Tool.Completed
-              | None, None -> true
+              match st.fleet with
+              | Some p -> (Tool.best_result p).Tool.status = Tool.Completed
+              | None -> true
             in
             if idx >= skip && stage_complete then begin
               st.completed <- stage :: st.completed;
@@ -617,17 +579,15 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
             f_fully_routed = Rs.fully_routed rs;
             f_stages = List.rev st.stages;
             f_seed_temperature = st.seed_temp;
-            f_tool = st.tool;
-            f_portfolio = st.portfolio;
+            f_fleet = st.fleet;
           }))
 
 let stage_seconds r = List.fold_left (fun acc s -> acc +. s.sg_seconds) 0.0 r.f_stages
 
 let sa_moves r =
-  match r.f_tool, r.f_portfolio with
-  | Some t, _ -> t.Tool.anneal_report.Spr_anneal.Engine.n_moves
-  | None, Some p -> (Tool.best_result p).Tool.anneal_report.Spr_anneal.Engine.n_moves
-  | None, None -> 0
+  match r.f_fleet with
+  | Some p -> (Tool.best_result p).Tool.anneal_report.Spr_anneal.Engine.n_moves
+  | None -> 0
 
 let run_exn ?config ?resume_dir arch nl =
   match run ?config ?resume_dir arch nl with

@@ -19,8 +19,8 @@
     [ap+greedy+route], [seq]) and the validation rules live in
     {!Spr_core.Tool.Config} (the [flow] sub-record) so every entry
     point rejects bad flows up front; this module is the interpreter.
-    Preset [sa] with one replica and no resume delegates verbatim to
-    [Tool.run], keeping the legacy CLI path bit-identical.
+    The [sa] stage is one {!Spr_core.Tool.run} over the configured
+    fleet, so preset [sa] is exactly that run.
 
     Per-stage wall-clock budgets ([Config.flow.stage_budgets]) bound
     each stage; completed stage boundaries are persisted under
@@ -50,12 +50,9 @@ type result = {
   f_seed_temperature : float option;
       (** The probed reduced starting temperature, when a seeded [sa]
           stage ran. *)
-  f_tool : Spr_core.Tool.result option;
-      (** The underlying serial result when the flow was the plain
-          single-stage [sa] delegation. *)
-  f_portfolio : Spr_core.Tool.portfolio_result option;
-      (** The underlying portfolio result when [sa] ran as (or inside)
-          a fleet. *)
+  f_fleet : Spr_core.Tool.fleet option;
+      (** The [sa] stage's fleet record; [None] for flows without an
+          [sa] stage. *)
 }
 
 val preset_names : string list
@@ -73,7 +70,7 @@ val stage_seconds : result -> float
 
 val sa_moves : result -> int
 (** Annealing moves the [sa] stage spent (best replica's, under a
-    portfolio); [0] for flows without an [sa] stage. *)
+    fleet); [0] for flows without an [sa] stage. *)
 
 val run :
   ?config:Spr_core.Tool.config ->

@@ -1,7 +1,7 @@
 (** The unified, versioned run report: one record holding what
     [Route_stats], [Profile], and [Dynamics] used to expose through
-    three ad-hoc channels. [Tool.run] and [Tool.run_portfolio] return
-    one of these; the CLI writes it as [report.json] (the machine twin
+    three ad-hoc channels. Every [Tool.run] replica and the fleet
+    return one of these; the CLI writes it as [report.json] (the machine twin
     of the ASCII tables) and every ASCII table is re-rendered from it
     with the shared renderers below. *)
 

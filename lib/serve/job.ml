@@ -33,6 +33,32 @@ let default_spec =
     max_moves = None;
   }
 
+(* The one decoding of a spec into the tool configuration it runs:
+   admission validates through it and the worker runs what it returns.
+   [n] sizes the annealing schedule (the design's cell count). *)
+let tool_config s ~n =
+  let module C = Spr_core.Tool.Config in
+  let effort =
+    match Spr_experiments.Profiles.effort_of_string s.effort with
+    | Some e -> Ok e
+    | None -> Error (Printf.sprintf "effort must be quick|standard|thorough (got %s)" s.effort)
+  in
+  let exchange = Spr_anneal.Portfolio.exchange_of_string s.exchange in
+  let kind = C.scheduler_of_string s.scheduler in
+  match (effort, exchange, kind) with
+  | Ok effort, Ok exchange, Ok kind ->
+    Spr_experiments.Profiles.tool_config ~seed:s.seed effort ~n
+    |> C.with_flow_preset s.flow
+    |> (match s.time_budget with Some b -> C.with_time_budget b | None -> Fun.id)
+    |> (match s.max_moves with Some m -> C.with_max_moves m | None -> Fun.id)
+    |> C.with_replicas ~exchange s.replicas
+    |> C.with_scheduler_kind kind
+    |> C.with_run_label s.label
+    |> C.validated
+  | _ ->
+    let error = function Ok _ -> [] | Error e -> [ e ] in
+    Error (String.concat "; " (error effort @ error exchange @ error kind))
+
 let validate_spec s =
   let errors = ref [] in
   let reject fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
@@ -43,55 +69,13 @@ let validate_spec s =
     if Spr_netlist.Circuits.find name = None then reject "unknown circuit %s" name
   | None, Some _ -> ());
   if s.tracks < 1 then reject "tracks must be >= 1 (got %d)" s.tracks;
-  if s.replicas < 1 then reject "replicas must be >= 1 (got %d)" s.replicas;
-  if Spr_experiments.Profiles.effort_of_string s.effort = None then
-    reject "effort must be quick|standard|thorough (got %s)" s.effort;
   if Spr_arch.Segmentation.scheme_of_string s.scheme = None then
     reject "unknown segmentation scheme %s" s.scheme;
-  (match Spr_anneal.Portfolio.exchange_of_string s.exchange with
-  | Ok _ -> ()
-  | Error e -> reject "%s" e);
-  (match Spr_core.Tool.Config.scheduler_of_string s.scheduler with
-  | Ok _ -> ()
-  | Error e -> reject "%s" e);
-  (match s.time_budget with
-  | Some b when not (Float.is_finite b && b > 0.0) ->
-    reject "time_budget must be positive seconds (got %g)" b
-  | _ -> ());
-  (match s.max_moves with
-  | Some m when m < 0 -> reject "max_moves must be >= 0 (got %d)" m
-  | _ -> ());
-  (* Admission-time config validation: decode the spec into the same
-     tool config the worker will build and run it through the smart
-     constructor, so a bad flow preset (or any other config-level
-     problem) is a clear protocol error now, not a forked worker dying
-     later. Skipped when field-level checks already failed — the config
-     could not be built meaningfully. *)
-  (if !errors = [] then
-     let effort =
-       match Spr_experiments.Profiles.effort_of_string s.effort with
-       | Some e -> e
-       | None -> Spr_experiments.Profiles.Quick
-     in
-     let exchange =
-       match Spr_anneal.Portfolio.exchange_of_string s.exchange with
-       | Ok e -> e
-       | Error _ -> Spr_anneal.Portfolio.Independent
-     in
-     let kind, sync =
-       match Spr_core.Tool.Config.scheduler_of_string s.scheduler with
-       | Ok ks -> ks
-       | Error _ -> (`Barrier, true)
-     in
-     let config =
-       Spr_experiments.Profiles.tool_config ~seed:s.seed effort ~n:100
-       |> Spr_core.Tool.Config.with_flow_preset s.flow
-       |> Spr_core.Tool.Config.with_replicas ~exchange s.replicas
-       |> Spr_core.Tool.Config.with_scheduler_kind ~sync kind
-     in
-     match Spr_core.Tool.Config.validated config with
-     | Ok _ -> ()
-     | Error e -> reject "%s" e);
+  (* Admission-time config validation: the config the worker will run
+     goes through the smart constructor now, so a bad flow preset (or
+     any other config-level problem) is a clear protocol error, not a
+     forked worker dying later. *)
+  (match tool_config s ~n:100 with Ok _ -> () | Error e -> reject "%s" e);
   match !errors with
   | [] -> Ok s
   | errs -> Error (String.concat "; " (List.rev errs))

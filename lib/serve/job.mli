@@ -10,7 +10,7 @@
     design.blif   the submitted BLIF bytes (byte-exact, so re-parsing
                   reproduces the original net ids)
     run/          the Tool run directory: rotated V2 snapshots and
-                  exchange records — the resume substrate
+                  round records — the resume substrate
     outcome.json  written by the worker itself when the run finishes
                   (durable), so a result survives even if the daemon
                   dies before reading the worker's result frame
@@ -40,8 +40,8 @@ type spec = {
   replicas : int;
   exchange : string;  (** Portfolio exchange policy spelling. *)
   scheduler : string;
-      (** Fleet scheduler spelling ([barrier], [racing], [racing:free]
-          — the {!Spr_core.Tool.Config.scheduler_of_string} vocabulary).
+      (** Fleet scheduler spelling ([barrier] or [racing] — the
+          {!Spr_core.Tool.Config.scheduler_of_string} vocabulary).
           Specs written before this field existed decode as ["barrier"],
           the pre-racing behavior. *)
   time_budget : float option;
@@ -56,13 +56,19 @@ val default_spec : spec
 (** s1-shaped defaults: 28 tracks, actel scheme, seed 1, quick effort,
     serial, no budgets. *)
 
+val tool_config : spec -> n:int -> (Spr_core.Tool.config, string) result
+(** The tool configuration a job runs — effort profile sized for an
+    [n]-cell design, flow preset, budgets, fleet, scheduler and label —
+    run through {!Spr_core.Tool.Config.validated}. Bad effort, exchange
+    or scheduler spellings are errors naming the valid values, never
+    silent fallbacks. Admission and the worker both build the config
+    here. *)
+
 val validate_spec : spec -> (spec, string) result
-(** Admission-side sanity: exactly one design source, a known effort /
-    scheme / exchange / scheduler spelling, positive tracks/replicas,
-    positive finite budgets — then the decoded tool config (including
-    the flow preset, replica fleet and scheduler, so e.g. racing with a
-    [best:N] exchange is refused here) is run through
-    {!Spr_core.Tool.Config.validated}, so a
+(** Admission-side sanity: exactly one design source, positive tracks,
+    a known segmentation scheme, and a {!tool_config} that decodes and
+    validates (so e.g. racing with a [best:N] exchange or an unknown
+    scheduler is refused here), every problem named in one message. A
     spec the worker could not run is a clear protocol error at submit
     time instead of a forked worker failing later. The daemon rejects
     invalid specs before a job id is ever allocated. *)

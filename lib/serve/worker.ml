@@ -44,7 +44,7 @@ let write_outcome ~state_dir ~job json =
     (Job.outcome_file ~state_dir job)
     (J.to_string ~indent:true json ^ "\n")
 
-(* Serialize pipe writes: with a portfolio running, [on_event] fires on
+(* Serialize pipe writes: with a fleet running, [on_event] fires on
    whichever replica domain emitted the event. After the first EPIPE
    (daemon gone) streaming stops for good but the run carries on — the
    durable outcome file is what recovery reads. *)
@@ -81,34 +81,17 @@ let build_netlist (spec : Job.spec) ~state_dir ~job =
     | Error e -> Error ("design.blif: " ^ e)
     | Ok text -> Spr_netlist.Blif.parse_string text)
 
+(* The job's own config plus where this invocation writes: the run
+   directory, trace, report, and the live event stream. *)
 let job_config (spec : Job.spec) ~state_dir ~job ~n ~stream =
   let open Spr_core.Tool.Config in
-  let effort =
-    match Spr_experiments.Profiles.effort_of_string spec.Job.effort with
-    | Some e -> e
-    | None -> Spr_experiments.Profiles.Quick
-  in
-  let exchange =
-    match Spr_anneal.Portfolio.exchange_of_string spec.Job.exchange with
-    | Ok e -> e
-    | Error _ -> Spr_anneal.Portfolio.Independent
-  in
-  let sched_kind, sched_sync =
-    match scheduler_of_string spec.Job.scheduler with
-    | Ok ks -> ks
-    | Error _ -> (`Barrier, true)
-  in
-  Spr_experiments.Profiles.tool_config ~seed:spec.Job.seed effort ~n
-  |> with_flow_preset spec.Job.flow
-  |> (match spec.Job.time_budget with Some b -> with_time_budget b | None -> Fun.id)
-  |> (match spec.Job.max_moves with Some m -> with_max_moves m | None -> Fun.id)
-  |> with_run_dir (Job.run_dir ~state_dir job)
-  |> with_replicas ~exchange spec.Job.replicas
-  |> with_scheduler_kind ~sync:sched_sync sched_kind
-  |> with_run_label spec.Job.label
-  |> with_trace_file (Job.trace_file ~state_dir job)
-  |> with_report_file (Job.report_file ~state_dir job)
-  |> with_on_event (fun ev -> stream (Protocol.W_event ev))
+  Job.tool_config spec ~n
+  |> Result.map (fun config ->
+         config
+         |> with_run_dir (Job.run_dir ~state_dir job)
+         |> with_trace_file (Job.trace_file ~state_dir job)
+         |> with_report_file (Job.report_file ~state_dir job)
+         |> with_on_event (fun ev -> stream (Protocol.W_event ev)))
 
 let finish_error ~state_dir ~job ~stream msg =
   write_outcome ~state_dir ~job (outcome_to_json ~ok:false ~status:None ~error:(Some msg) ~report:None);
@@ -123,47 +106,45 @@ let main ~state_dir ~job ~pipe =
   match build_netlist spec ~state_dir ~job with
   | Error e -> finish_error ~state_dir ~job ~stream ("netlist: " ^ e)
   | Ok nl -> (
-    let n = Spr_netlist.Netlist.n_cells nl in
-    let hscheme =
-      match Spr_arch.Segmentation.scheme_of_string spec.Job.scheme with
-      | Some s -> s
-      | None -> Spr_arch.Segmentation.Actel_like
-    in
-    let arch = Spr_arch.Arch.size_for ~tracks:spec.Job.tracks ~hscheme nl in
-    let run_dir = Job.run_dir ~state_dir job in
-    Spr_util.Persist.ensure_dir run_dir;
-    let config = job_config spec ~state_dir ~job ~n ~stream in
-    match
-      (* Resume-or-fresh is one call: a multi-stage flow restarts at
-         its last persisted stage boundary, and sa replicas with V2
-         snapshots in the run dir pick up where they stopped; anything
-         without usable state starts deterministically from scratch.
-         SIGTERM lands in Tool's handler and stops the run gracefully
-         between moves. *)
-      Spr_core.Tool.with_signal_handlers (fun () ->
-          Spr_flow.run ~config ~resume_dir:run_dir arch nl)
-    with
-    | Ok r ->
-      Spr_core.Checkpoint.save r.Spr_flow.f_route (Job.layout_file ~state_dir job);
-      (* Flows without an sa stage have no Tool run report; their
-         outcome carries the status alone. *)
-      let status, report =
-        match r.Spr_flow.f_portfolio, r.Spr_flow.f_tool with
-        | Some p, _ ->
-          ( Spr_core.Outcome.status_to_string
-              (Spr_core.Tool.best_result p).Spr_core.Tool.status,
-            Some (Spr_obs.Report.to_json p.Spr_core.Tool.p_report) )
-        | None, Some t ->
-          ( Spr_core.Outcome.status_to_string t.Spr_core.Tool.status,
-            Some (Spr_obs.Report.to_json t.Spr_core.Tool.report) )
-        | None, None -> ("completed", None)
+    match job_config spec ~state_dir ~job ~n:(Spr_netlist.Netlist.n_cells nl) ~stream with
+    | Error e -> finish_error ~state_dir ~job ~stream ("config: " ^ e)
+    | Ok config -> (
+      let hscheme =
+        match Spr_arch.Segmentation.scheme_of_string spec.Job.scheme with
+        | Some s -> s
+        | None -> Spr_arch.Segmentation.Actel_like
       in
-      (* Outcome before result frame: if the daemon dies between the
-         two, restart recovery still finds the result on disk. *)
-      write_outcome ~state_dir ~job
-        (outcome_to_json ~ok:true ~status:(Some status) ~error:None ~report);
-      stream (Protocol.W_result { status; report });
-      exit 0
-    | Error e -> finish_error ~state_dir ~job ~stream (Spr_core.Tool.error_to_string e)
-    | exception exn ->
-      finish_error ~state_dir ~job ~stream ("worker raised: " ^ Printexc.to_string exn))
+      let arch = Spr_arch.Arch.size_for ~tracks:spec.Job.tracks ~hscheme nl in
+      let run_dir = Job.run_dir ~state_dir job in
+      Spr_util.Persist.ensure_dir run_dir;
+      match
+        (* Resume-or-fresh is one call: a multi-stage flow restarts at
+           its last persisted stage boundary, and sa replicas with V2
+           snapshots in the run dir pick up where they stopped; anything
+           without usable state starts deterministically from scratch.
+           SIGTERM lands in Tool's handler and stops the run gracefully
+           between moves. *)
+        Spr_core.Tool.with_signal_handlers (fun () ->
+            Spr_flow.run ~config ~resume_dir:run_dir arch nl)
+      with
+      | Ok r ->
+        Spr_core.Checkpoint.save r.Spr_flow.f_route (Job.layout_file ~state_dir job);
+        (* Flows without an sa stage have no Tool run report; their
+           outcome carries the status alone. *)
+        let status, report =
+          match r.Spr_flow.f_fleet with
+          | Some p ->
+            ( Spr_core.Outcome.status_to_string
+                (Spr_core.Tool.best_result p).Spr_core.Tool.status,
+              Some (Spr_obs.Report.to_json p.Spr_core.Tool.p_report) )
+          | None -> ("completed", None)
+        in
+        (* Outcome before result frame: if the daemon dies between the
+           two, restart recovery still finds the result on disk. *)
+        write_outcome ~state_dir ~job
+          (outcome_to_json ~ok:true ~status:(Some status) ~error:None ~report);
+        stream (Protocol.W_result { status; report });
+        exit 0
+      | Error e -> finish_error ~state_dir ~job ~stream (Spr_core.Tool.error_to_string e)
+      | exception exn ->
+        finish_error ~state_dir ~job ~stream ("worker raised: " ^ Printexc.to_string exn)))

@@ -7,7 +7,7 @@
     and the result pipe going quiet.
 
     The worker owns its job directory: it redirects stdout/stderr to
-    [log.txt], always runs {!Spr_core.Tool.run_portfolio} with
+    [log.txt], always runs the flow engine ({!Spr_flow.run}) with
     [~resume_dir] pointing at the job's run directory (so a re-run
     after a crash resumes from the newest snapshots and a first run
     starts fresh — same call either way), streams every trace event to

@@ -43,17 +43,17 @@ let trace name =
   | "serial-sa" -> traced (fun config -> ignore (Tool.run_exn ~config arch nl)) config
   | "fleet-best4" ->
     traced
-      (fun config -> ignore (Tool.run_portfolio_exn ~config arch nl))
+      (fun config -> ignore (Tool.run_exn ~config arch nl))
       (Config.with_replicas ~exchange:(Spr_anneal.Portfolio.Best_exchange 4) 2 config)
   | "fleet-indep" ->
     traced
-      (fun config -> ignore (Tool.run_portfolio_exn ~config arch nl))
+      (fun config -> ignore (Tool.run_exn ~config arch nl))
       (Config.with_replicas ~exchange:Spr_anneal.Portfolio.Independent 2 config)
   | "fleet-racing" ->
     (* Zero margin and a short warmup, so the fleet records a kill. *)
     let events =
       traced
-        (fun config -> ignore (Tool.run_portfolio_exn ~config arch nl))
+        (fun config -> ignore (Tool.run_exn ~config arch nl))
         Config.(
           config |> with_replicas 2 |> with_scheduler_kind `Racing |> with_race_margin 0.0
           |> with_race_warmup 2 |> with_race_every 2)

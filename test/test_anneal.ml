@@ -167,9 +167,10 @@ let test_weights_normalized_invariant =
       Weights.adapt w;
       Float.abs ((Weights.wt w *. d1) -. 1.0) < 1e-9)
 
-(* --- Portfolio coordination (synthetic workers) --- *)
+(* --- fleet coordination (synthetic workers) --- *)
 
 module Portfolio = Spr_anneal.Portfolio
+module Scheduler = Spr_anneal.Scheduler
 
 let test_exchange_strings () =
   List.iter
@@ -185,130 +186,143 @@ let test_exchange_strings () =
       | Error _ -> ())
     [ ""; "best"; "best:"; "best:0"; "best:-2"; "best:x"; "worst:3" ]
 
+let exchange ?history ?persist ?frozen ~replicas n =
+  Scheduler.create ~replicas (Scheduler.Exchange (Portfolio.Best_exchange n)) ?history ?persist
+    ?frozen ()
+
+let racing_policy = Scheduler.Racing { Scheduler.warmup = 2; every = 2; margin = 0.5; horizon = 4 }
+
 let test_round_of () =
-  let indep = Portfolio.create ~replicas:2 ~exchange:Portfolio.Independent () in
-  Alcotest.(check (option int)) "independent never" None (Portfolio.round_of indep ~temp_index:4);
-  let t = Portfolio.create ~replicas:2 ~exchange:(Portfolio.Best_exchange 2) () in
-  Alcotest.(check (option int)) "boundary 0" None (Portfolio.round_of t ~temp_index:0);
-  Alcotest.(check (option int)) "boundary 1" None (Portfolio.round_of t ~temp_index:1);
-  Alcotest.(check (option int)) "boundary 2" (Some 1) (Portfolio.round_of t ~temp_index:2);
-  Alcotest.(check (option int)) "boundary 3" None (Portfolio.round_of t ~temp_index:3);
-  Alcotest.(check (option int)) "boundary 6" (Some 3) (Portfolio.round_of t ~temp_index:6)
+  let indep = Scheduler.create ~replicas:2 (Scheduler.Exchange Portfolio.Independent) () in
+  Alcotest.(check (option int)) "independent never" None (Scheduler.round_of indep ~temp_index:4);
+  let t = exchange ~replicas:2 2 in
+  Alcotest.(check (option int)) "boundary 0" None (Scheduler.round_of t ~temp_index:0);
+  Alcotest.(check (option int)) "boundary 1" None (Scheduler.round_of t ~temp_index:1);
+  Alcotest.(check (option int)) "boundary 2" (Some 1) (Scheduler.round_of t ~temp_index:2);
+  Alcotest.(check (option int)) "boundary 3" None (Scheduler.round_of t ~temp_index:3);
+  Alcotest.(check (option int)) "boundary 6" (Some 3) (Scheduler.round_of t ~temp_index:6);
+  let racing = Scheduler.create ~replicas:2 racing_policy () in
+  Alcotest.(check (option int)) "racing warmup" None (Scheduler.round_of racing ~temp_index:2);
+  Alcotest.(check (option int)) "racing past warmup" (Some 2)
+    (Scheduler.round_of racing ~temp_index:4);
+  let lone = exchange ~replicas:1 2 in
+  Alcotest.(check (option int)) "a lone replica never meets" None
+    (Scheduler.round_of lone ~temp_index:2)
 
 (* Each synthetic replica walks six temperature boundaries with a fixed
-   metric table; the barrier must pick the same winner on every run, no
-   matter how the domains are scheduled. *)
+   metric table; the exchange must pick the same leader on every run,
+   no matter how the domains are scheduled. *)
 let synthetic_metric ~replica ~round = float_of_int (((replica * 7) + (round * 3)) mod 5)
 
-let run_synthetic_portfolio () =
-  let t = Portfolio.create ~replicas:3 ~exchange:(Portfolio.Best_exchange 2) () in
+let run_synthetic_exchange () =
+  let t = exchange ~replicas:3 2 in
   let adoptions = Array.make 3 [] in
   let worker k =
     for temp_index = 1 to 6 do
-      match Portfolio.round_of t ~temp_index with
-      | None -> ()
-      | Some round -> (
-        match
-          Portfolio.sync t ~replica:k ~temp_index
-            ~metric:(synthetic_metric ~replica:k ~round)
-            ~capture:(fun () -> Printf.sprintf "layout-%d-%d" k round)
-        with
-        | None -> ()
-        | Some r ->
-          adoptions.(k) <- (round, r.Portfolio.xr_best_replica) :: adoptions.(k))
+      let round = Option.value (Scheduler.round_of t ~temp_index) ~default:0 in
+      match
+        Scheduler.observe t ~replica:k ~temp_index
+          ~metric:(synthetic_metric ~replica:k ~round)
+          ~acceptance:0.0
+          ~capture:(fun () -> Printf.sprintf "layout-%d-%d" k round)
+      with
+      | Scheduler.Continue -> ()
+      | Scheduler.Adopt r -> adoptions.(k) <- (round, r.Scheduler.leader) :: adoptions.(k)
+      | Scheduler.Kill _ -> Alcotest.fail "exchange never kills"
     done;
-    Portfolio.finished t ~replica:k
+    Scheduler.finished t ~replica:k
   in
   let outcomes = Portfolio.run_replicas ~replicas:3 worker in
   Array.iter (function Error e -> raise e | Ok () -> ()) outcomes;
-  (Portfolio.history t, adoptions)
+  (Scheduler.rounds t, adoptions)
 
 let test_portfolio_barrier_deterministic () =
-  let history, adoptions = run_synthetic_portfolio () in
+  let history, adoptions = run_synthetic_exchange () in
   Alcotest.(check int) "three rounds tripped" 3 (List.length history);
   List.iter
-    (fun (r : Portfolio.round_result) ->
-      (* The recorded winner is the true minimum (ties to the lowest
-         replica index), with its own layout as payload. *)
-      let metrics = List.init 3 (fun k -> synthetic_metric ~replica:k ~round:r.Portfolio.xr_round) in
+    (fun (r : Scheduler.round_record) ->
+      (* The recorded leader is the true minimum (ties to the lowest
+         replica index), with its own layout as payload, and kills
+         nobody. *)
+      let metrics = List.init 3 (fun k -> synthetic_metric ~replica:k ~round:r.round) in
       let best = List.fold_left min infinity metrics in
-      Alcotest.(check (float 0.0)) "winner metric" best r.Portfolio.xr_best_metric;
-      Alcotest.(check int) "winner index"
+      Alcotest.(check (float 0.0)) "leader metric" best r.metric;
+      Alcotest.(check int) "leader index"
         (fst (List.fold_left
                 (fun (bi, i) m -> if m = best && bi < 0 then (i, i + 1) else (bi, i + 1))
                 (-1, 0) metrics))
-        r.Portfolio.xr_best_replica;
-      Alcotest.(check string) "payload is winner's"
-        (Printf.sprintf "layout-%d-%d" r.Portfolio.xr_best_replica r.Portfolio.xr_round)
-        r.Portfolio.xr_payload;
+        r.leader;
+      Alcotest.(check string) "payload is leader's"
+        (Printf.sprintf "layout-%d-%d" r.leader r.round)
+        r.payload;
+      Alcotest.(check bool) "no kills" true (r.kills = []);
       (* Exactly the strictly-worse replicas adopted. *)
       for k = 0 to 2 do
-        let adopted = List.mem_assoc r.Portfolio.xr_round adoptions.(k) in
-        let should = synthetic_metric ~replica:k ~round:r.Portfolio.xr_round > best in
+        let adopted = List.mem_assoc r.round adoptions.(k) in
+        let should = synthetic_metric ~replica:k ~round:r.round > best in
         if adopted <> should then
-          Alcotest.failf "replica %d round %d: adopted=%b expected %b" k r.Portfolio.xr_round
-            adopted should
+          Alcotest.failf "replica %d round %d: adopted=%b expected %b" k r.round adopted should
       done)
     history;
   (* Scheduling independence: a second run reproduces everything. *)
-  let history2, adoptions2 = run_synthetic_portfolio () in
+  let history2, adoptions2 = run_synthetic_exchange () in
   Alcotest.(check bool) "history reproducible" true (history = history2);
   Alcotest.(check bool) "adoptions reproducible" true (adoptions = adoptions2)
 
 let test_portfolio_history_replay () =
-  let history, _ = run_synthetic_portfolio () in
-  (* A resumed coordinator serves recorded rounds immediately: one
+  let history, _ = run_synthetic_exchange () in
+  (* A resumed scheduler serves recorded rounds immediately: one
      replica alone (the other two never arrive) cannot deadlock. *)
-  let t = Portfolio.create ~replicas:3 ~exchange:(Portfolio.Best_exchange 2) ~history () in
+  let t = exchange ~history ~replicas:3 2 in
   for temp_index = 1 to 6 do
-    match Portfolio.round_of t ~temp_index with
+    match Scheduler.round_of t ~temp_index with
     | None -> ()
     | Some round -> (
       let metric = synthetic_metric ~replica:2 ~round in
       match
-        Portfolio.sync t ~replica:2 ~temp_index ~metric ~capture:(fun () -> "fresh")
+        Scheduler.observe t ~replica:2 ~temp_index ~metric ~acceptance:0.0
+          ~capture:(fun () -> "fresh")
       with
-      | Some r when r.Portfolio.xr_best_metric < metric -> ()
-      | Some r ->
-        Alcotest.failf "round %d: served a non-improving result (%g)" round
-          r.Portfolio.xr_best_metric
-      | None ->
-        let recorded = List.find (fun r -> r.Portfolio.xr_round = round) history in
-        if recorded.Portfolio.xr_best_replica <> 2
-           && recorded.Portfolio.xr_best_metric < metric
-        then Alcotest.failf "round %d: improving record not served" round)
+      | Scheduler.Adopt r when r.Scheduler.metric < metric -> ()
+      | Scheduler.Adopt r ->
+        Alcotest.failf "round %d: served a non-improving result (%g)" round r.Scheduler.metric
+      | Scheduler.Kill _ -> Alcotest.fail "exchange never kills"
+      | Scheduler.Continue ->
+        let recorded = List.find (fun (r : Scheduler.round_record) -> r.round = round) history in
+        if recorded.leader <> 2 && recorded.metric < metric then
+          Alcotest.failf "round %d: improving record not served" round)
   done;
-  Portfolio.finished t ~replica:2;
-  Alcotest.(check bool) "history preserved" true (Portfolio.history t = history)
+  Scheduler.finished t ~replica:2;
+  Alcotest.(check bool) "history preserved" true (Scheduler.rounds t = history)
 
 let test_portfolio_finished_unblocks () =
   let persisted = ref [] in
-  let t =
-    Portfolio.create ~replicas:2 ~exchange:(Portfolio.Best_exchange 1)
-      ~persist:(fun r -> persisted := r :: !persisted)
-      ()
-  in
+  let t = exchange ~persist:(fun r -> persisted := r :: !persisted) ~replicas:2 1 in
   (* Replica 1 never reaches a boundary; once it is done, replica 0 must
      trip rounds alone instead of waiting forever. *)
-  Portfolio.finished t ~replica:1;
-  (match Portfolio.sync t ~replica:0 ~temp_index:1 ~metric:3.0 ~capture:(fun () -> "solo") with
-  | None -> ()
-  | Some _ -> Alcotest.fail "sole participant adopted its own layout");
-  Alcotest.(check int) "round recorded" 1 (List.length (Portfolio.history t));
+  Scheduler.finished t ~replica:1;
+  (match
+     Scheduler.observe t ~replica:0 ~temp_index:1 ~metric:3.0 ~acceptance:0.0
+       ~capture:(fun () -> "solo")
+   with
+  | Scheduler.Continue -> ()
+  | _ -> Alcotest.fail "sole participant acted on its own round");
+  Alcotest.(check int) "round recorded" 1 (List.length (Scheduler.rounds t));
   Alcotest.(check int) "round persisted" 1 (List.length !persisted)
 
 let test_portfolio_frozen () =
   let persisted = ref [] in
   let t =
-    Portfolio.create ~replicas:2 ~exchange:(Portfolio.Best_exchange 1)
-      ~persist:(fun r -> persisted := r :: !persisted)
-      ~frozen:(fun () -> true)
-      ()
+    exchange ~persist:(fun r -> persisted := r :: !persisted) ~frozen:(fun () -> true)
+      ~replicas:2 1
   in
-  (match Portfolio.sync t ~replica:0 ~temp_index:1 ~metric:1.0 ~capture:(fun () -> "x") with
-  | None -> ()
-  | Some _ -> Alcotest.fail "frozen coordinator served a round");
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Portfolio.history t));
+  (match
+     Scheduler.observe t ~replica:0 ~temp_index:1 ~metric:1.0 ~acceptance:0.0
+       ~capture:(fun () -> "x")
+   with
+  | Scheduler.Continue -> ()
+  | _ -> Alcotest.fail "frozen scheduler served a round");
+  Alcotest.(check int) "nothing recorded" 0 (List.length (Scheduler.rounds t));
   Alcotest.(check int) "nothing persisted" 0 (List.length !persisted)
 
 let test_run_replicas () =
@@ -325,9 +339,7 @@ let test_run_replicas () =
       | _ -> Alcotest.failf "unexpected outcome at %d" k)
     outcomes
 
-(* --- scheduler --- *)
-
-module Scheduler = Spr_anneal.Scheduler
+(* --- racing --- *)
 
 let test_predictor_fit () =
   (* monotone: an exact line fits with zero residual and extrapolates *)
@@ -357,9 +369,6 @@ let test_predictor_fit () =
   Alcotest.(check bool) "degenerate x" true
     (Scheduler.Predictor.fit [ (3, 1.0); (3, 2.0); (3, 5.0) ] = None)
 
-let racing_cfg =
-  { Scheduler.replicas = 2; warmup = 2; every = 2; margin = 0.5; horizon = 4; sync = true }
-
 (* Replica 0 improves ten times faster than replica 1, and both run
    cold (acceptance 0.2), so nothing shields the trailing replica from
    the predictor. *)
@@ -368,7 +377,7 @@ let slow_fast_metric ~replica ~temp_index =
   else 100.0 -. float_of_int temp_index
 
 let run_synthetic_racing ?history ?persist () =
-  let t = Scheduler.racing racing_cfg ?history ?persist () in
+  let t = Scheduler.create ~replicas:2 racing_policy ?history ?persist () in
   let decisions = Array.make 2 [] in
   let worker k =
     for temp_index = 1 to 8 do
@@ -401,8 +410,8 @@ let test_racing_kills_trailing () =
   Alcotest.(check int) "leader undisturbed" 0 (List.length decisions.(0));
   (match List.rev decisions.(1) with
   | [
-   (4, Scheduler.Kill { round = 2; from_replica = 0; metric = m1; payload = p1; stream = 2 });
-   (8, Scheduler.Kill { round = 4; from_replica = 0; payload = p2; stream = 3; _ });
+   (4, Scheduler.Kill ({ round = 2; leader = 0; metric = m1; payload = p1; _ }, 2));
+   (8, Scheduler.Kill ({ round = 4; leader = 0; payload = p2; _ }, 3));
   ] ->
     Alcotest.(check (float 1e-9)) "leader metric at the first kill" 60.0 m1;
     Alcotest.(check string) "leader layout adopted" "layout-0-4" p1;
@@ -410,14 +419,14 @@ let test_racing_kills_trailing () =
   | _ -> Alcotest.fail "replica 1 was not killed at boundaries 4 and 8");
   (* Only killing rounds are reported and persisted, in round order. *)
   Alcotest.(check (list int)) "killing rounds" [ 2; 4 ]
-    (List.map (fun r -> r.Scheduler.sr_round) rounds);
+    (List.map (fun (r : Scheduler.round_record) -> r.round) rounds);
   List.iter
     (fun (r : Scheduler.round_record) ->
-      Alcotest.(check int) "leader recorded" 0 r.sr_leader;
-      match r.sr_kills with
+      Alcotest.(check int) "leader recorded" 0 r.leader;
+      match r.kills with
       | [ { Scheduler.k_replica = 1; k_stream } ] ->
-        Alcotest.(check int) "streams allocated past the fleet" (r.sr_round / 2 + 1) k_stream
-      | _ -> Alcotest.failf "round %d: unexpected kill set" r.sr_round)
+        Alcotest.(check int) "streams allocated past the fleet" ((r.round / 2) + 1) k_stream
+      | _ -> Alcotest.failf "round %d: unexpected kill set" r.round)
     rounds;
   Alcotest.(check bool) "persisted exactly the killing rounds" true
     (List.rev !persisted = rounds);
@@ -431,7 +440,7 @@ let test_racing_kills_trailing () =
    and the solo survivor never deadlocks. *)
 let test_racing_replay () =
   let history, _ = run_synthetic_racing () in
-  let t = Scheduler.racing racing_cfg ~history () in
+  let t = Scheduler.create ~replicas:2 racing_policy ~history () in
   Scheduler.finished t ~replica:0;
   let kills = ref [] in
   for temp_index = 1 to 8 do
@@ -441,8 +450,7 @@ let test_racing_replay () =
         ~acceptance:0.2
         ~capture:(fun () -> "fresh")
     with
-    | Scheduler.Kill { round; stream; payload; _ } ->
-      kills := (temp_index, round, stream, payload) :: !kills
+    | Scheduler.Kill (r, stream) -> kills := (temp_index, r.round, stream, r.payload) :: !kills
     | Scheduler.Continue -> ()
     | Scheduler.Adopt _ -> Alcotest.fail "racing never adopts"
   done;
@@ -451,41 +459,12 @@ let test_racing_replay () =
     ([ (4, 2, 2, "layout-0-4"); (8, 4, 3, "layout-0-8") ] = List.rev !kills);
   Alcotest.(check bool) "history preserved" true (Scheduler.rounds t = history)
 
-(* Barrier mode is the untouched portfolio: same adoptions, exchange
-   history exposed, and no racing rounds ever. *)
-let test_scheduler_barrier_wraps_portfolio () =
-  let p = Portfolio.create ~replicas:3 ~exchange:(Portfolio.Best_exchange 2) () in
-  let t = Scheduler.barrier p in
-  let adoptions = Array.make 3 [] in
-  let worker k =
-    for temp_index = 1 to 6 do
-      let round = Option.value (Portfolio.round_of p ~temp_index) ~default:0 in
-      match
-        Scheduler.observe t ~replica:k ~temp_index
-          ~metric:(synthetic_metric ~replica:k ~round)
-          ~acceptance:0.0
-          ~capture:(fun () -> Printf.sprintf "layout-%d-%d" k round)
-      with
-      | Scheduler.Continue -> ()
-      | Scheduler.Adopt { round; from_replica; _ } ->
-        adoptions.(k) <- (round, from_replica) :: adoptions.(k)
-      | Scheduler.Kill _ -> Alcotest.fail "barrier never kills"
-    done;
-    Scheduler.finished t ~replica:k
-  in
-  let outcomes = Portfolio.run_replicas ~replicas:3 worker in
-  Array.iter (function Error e -> raise e | Ok () -> ()) outcomes;
-  let _, direct = run_synthetic_portfolio () in
-  Alcotest.(check bool) "adoptions identical to the bare barrier" true (adoptions = direct);
-  Alcotest.(check int) "exchange history exposed" 3 (List.length (Scheduler.exchanges t));
-  Alcotest.(check bool) "no racing rounds" true (Scheduler.rounds t = [])
-
 (* A resumed replica preloads its checkpointed dynamics series, so the
    first post-resume decision round fits exactly the series the
    uninterrupted run would have: the kill still happens at boundary 4
    even though only the last sample arrives live. *)
 let test_racing_preload () =
-  let t = Scheduler.racing racing_cfg () in
+  let t = Scheduler.create ~replicas:2 racing_policy () in
   for k = 0 to 1 do
     Scheduler.preload t ~replica:k
       (List.init 3 (fun i ->
@@ -507,7 +486,7 @@ let test_racing_preload () =
   let outcomes = Portfolio.run_replicas ~replicas:2 worker in
   Array.iter (function Error e -> raise e | Ok () -> ()) outcomes;
   (match decisions.(1) with
-  | [ Scheduler.Kill { round = 2; from_replica = 0; stream = 2; _ } ] -> ()
+  | [ Scheduler.Kill ({ round = 2; leader = 0; _ }, 2) ] -> ()
   | _ -> Alcotest.fail "preloaded series did not reproduce the uninterrupted kill");
   Alcotest.(check int) "leader undisturbed" 0 (List.length decisions.(0))
 
@@ -546,8 +525,6 @@ let () =
           Alcotest.test_case "racing kills the trailing replica" `Quick
             test_racing_kills_trailing;
           Alcotest.test_case "recorded rounds replay" `Quick test_racing_replay;
-          Alcotest.test_case "barrier wraps the portfolio" `Quick
-            test_scheduler_barrier_wraps_portfolio;
           Alcotest.test_case "preloaded series resumes the fit" `Quick test_racing_preload;
         ] );
     ]

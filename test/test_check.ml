@@ -335,8 +335,8 @@ let test_run_deterministic_state () =
   let nl = Gen.generate (Gen.default ~n_cells:60) ~seed:9 in
   let arch = Arch.size_for ~tracks:20 nl in
   let cfg = quick_config (Nl.n_cells nl) in
-  let a = Tool.run_exn ~config:cfg arch nl in
-  let b = Tool.run_exn ~config:cfg arch nl in
+  let a = Tool.best_result (Tool.run_exn ~config:cfg arch nl) in
+  let b = Tool.best_result (Tool.run_exn ~config:cfg arch nl) in
   Alcotest.(check bool) "identical final cost (delay)" true
     (a.Tool.critical_delay = b.Tool.critical_delay);
   Alcotest.(check int) "identical G" a.Tool.g b.Tool.g;
@@ -360,7 +360,7 @@ let test_tool_validated_200_cells () =
   in
   (* validate=true fail-fasts on any finding mid-anneal; reaching the
      result at all means every periodic audit passed. *)
-  let r = Tool.run_exn ~config:cfg arch nl in
+  let r = Tool.best_result (Tool.run_exn ~config:cfg arch nl) in
   check_findings "final 200-cell layout" (Tool.audit_result r);
   Alcotest.(check bool) "made routing progress" true (r.Tool.d < Rs.n_routable r.Tool.route)
 
@@ -377,7 +377,8 @@ let rec rmrf path =
     end
     else Sys.remove path
 
-let outcome_of (r : Tool.result) =
+let outcome_of (p : Tool.fleet) =
+  let r = Tool.best_result p in
   {
     Crash.o_layout = Rs.snapshot r.Tool.route;
     o_g = r.Tool.g;
@@ -419,7 +420,7 @@ let crash_runner ~name ~arch ~nl ~config =
       Crash.reference = (fun () -> Lazy.force reference);
       crashed =
         (fun ~kill_after ->
-          let r =
+          let p =
             Tool.run_exn
               ~config:
                 Tool.Config.(
@@ -427,20 +428,14 @@ let crash_runner ~name ~arch ~nl ~config =
                   |> with_stop_after_accepted kill_after)
               arch nl
           in
-          r.Tool.status <> Tool.Completed);
+          (Tool.best_result p).Tool.status <> Tool.Completed);
       resume =
         (fun () ->
-          match V2.load_latest nl ~dir with
-          | Ok loaded -> (
-            match Tool.run ~config:resume_config ~resume:loaded arch nl with
-            | Ok r -> Ok (outcome_of r)
-            | Error e -> Error (Tool.error_to_string e))
-          | Error _ -> (
-            (* Crashed before the first snapshot existed: recovery is a
-               fresh start, which must still match by determinism. *)
-            match Tool.run ~config:resume_config arch nl with
-            | Ok r -> Ok (outcome_of r)
-            | Error e -> Error (Tool.error_to_string e)));
+          (* A crash before the first snapshot existed resumes as a
+             fresh start, which must still match by determinism. *)
+          match Tool.run ~config:resume_config ~resume_dir:dir arch nl with
+          | Ok p -> Ok (outcome_of p)
+          | Error e -> Error (Tool.error_to_string e));
       reset = (fun () -> rmrf dir);
     }
   in
@@ -482,11 +477,11 @@ let test_portfolio_kill_resume () =
       rmrf ref_dir;
       rmrf dir;
       let reference =
-        Tool.run_portfolio_exn ~config:(Tool.Config.with_run_dir ref_dir config) arch nl
+        Tool.run_exn ~config:(Tool.Config.with_run_dir ref_dir config) arch nl
       in
       let run_config = Tool.Config.with_run_dir dir config in
       let stopped =
-        Tool.run_portfolio_exn
+        Tool.run_exn
           ~config:(Tool.Config.with_stop_after_accepted 60 run_config)
           arch nl
       in
@@ -496,7 +491,7 @@ let test_portfolio_kill_resume () =
           stopped.Tool.p_results
       in
       if not interrupted then Alcotest.failf "%s: fleet was not interrupted" policy_name;
-      let resumed = Tool.run_portfolio_exn ~config:run_config ~resume_dir:dir arch nl in
+      let resumed = Tool.run_exn ~config:run_config ~resume_dir:dir arch nl in
       Array.iteri
         (fun k (r : Tool.result) ->
           (match r.Tool.status with
@@ -510,7 +505,7 @@ let test_portfolio_kill_resume () =
       Alcotest.(check int) (policy_name ^ ": same winner") reference.Tool.p_best_replica
         resumed.Tool.p_best_replica;
       Alcotest.(check bool) (policy_name ^ ": same exchange history") true
-        (reference.Tool.p_exchanges = resumed.Tool.p_exchanges);
+        (reference.Tool.p_rounds = resumed.Tool.p_rounds);
       rmrf ref_dir;
       rmrf dir)
     [ ("indep", Spr_anneal.Portfolio.Independent); ("best2", Spr_anneal.Portfolio.Best_exchange 2) ]
@@ -521,9 +516,7 @@ module Trace = Spr_obs.Trace
 module Report = Spr_obs.Report
 
 (* Masked traces (every wall-clock-derived field zeroed) from a fixed
-   seed must be bit-identical as strings: across repeated runs, and
-   between the serial runner and a one-replica portfolio, whose merge
-   path is the one --parallel uses. *)
+   seed must be bit-identical as strings across repeated runs. *)
 let masked_lines events =
   String.concat "\n" (List.map (fun e -> Trace.encode_line (Trace.mask_times e)) events)
 
@@ -543,31 +536,18 @@ let test_trace_deterministic () =
   Alcotest.(check bool) "non-trivial trace" true (String.length a > 0);
   Alcotest.(check bool) "masked traces bit-identical across runs" true (a = b)
 
-let test_trace_serial_matches_portfolio_of_one () =
-  let arch, nl, config = trace_preset 13 in
-  let serial =
-    let r = Tool.run_exn ~config arch nl in
-    masked_lines (Tool.trace_events ~config nl r)
-  in
-  let fleet =
-    let config = Tool.Config.with_replicas ~exchange:Spr_anneal.Portfolio.Independent 1 config in
-    let p = Tool.run_portfolio_exn ~config arch nl in
-    masked_lines (Tool.portfolio_trace_events ~config nl p)
-  in
-  Alcotest.(check bool) "serial trace == one-replica portfolio trace" true (serial = fleet)
-
 let test_trace_portfolio_deterministic () =
   let arch, nl, config = trace_preset 14 in
   let config = Tool.Config.with_replicas ~exchange:Spr_anneal.Portfolio.Independent 2 config in
   let run () =
-    let p = Tool.run_portfolio_exn ~config arch nl in
-    masked_lines (Tool.portfolio_trace_events ~config nl p)
+    let p = Tool.run_exn ~config arch nl in
+    masked_lines (Tool.trace_events ~config nl p)
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "masked K=2 traces bit-identical across runs" true (a = b);
   (* The merged stream carries both replicas and validates structurally. *)
-  let p = Tool.run_portfolio_exn ~config arch nl in
-  let events = Tool.portfolio_trace_events ~config nl p in
+  let p = Tool.run_exn ~config arch nl in
+  let events = Tool.trace_events ~config nl p in
   (match Trace.validate events with
   | Ok () -> ()
   | Error e -> Alcotest.failf "merged trace invalid: %s" e);
@@ -581,8 +561,8 @@ let test_trace_portfolio_deterministic () =
 
 let test_trace_roundtrip () =
   let arch, nl, config = trace_preset 15 in
-  let r = Tool.run_exn ~config arch nl in
-  let events = Tool.trace_events ~config nl r in
+  let p = Tool.run_exn ~config arch nl in
+  let events = Tool.trace_events ~config nl p in
   (match Trace.validate events with
   | Ok () -> ()
   | Error e -> Alcotest.failf "trace invalid: %s" e);
@@ -596,7 +576,7 @@ let test_trace_roundtrip () =
         Alcotest.(check string) "re-encoded line identical" line (Trace.encode_line e2))
     events;
   (* The report round-trips through its JSON twin the same way. *)
-  let j = Report.to_json r.Tool.report in
+  let j = Report.to_json p.Tool.p_report in
   match Report.of_json j with
   | Error e -> Alcotest.failf "report decode failed: %s" e
   | Ok rep2 ->
@@ -620,16 +600,16 @@ let test_graceful_stop_resume () =
       ~config:Tool.Config.(config |> with_run_dir dir |> with_max_moves 171)
       arch nl
   in
-  (match stopped.Tool.status with
+  (match (Tool.best_result stopped).Tool.status with
   | Tool.Interrupted Tool.Move_budget -> ()
   | _ -> Alcotest.fail "expected a move-budget interruption");
   match V2.load_latest nl ~dir with
   | Error e -> Alcotest.failf "no resumable snapshot after graceful stop: %s" e
-  | Ok loaded -> (
-    match Tool.run ~config:(Tool.Config.with_run_dir dir config) ~resume:loaded arch nl with
+  | Ok _ -> (
+    match Tool.run ~config:(Tool.Config.with_run_dir dir config) ~resume_dir:dir arch nl with
     | Error e -> Alcotest.fail (Tool.error_to_string e)
     | Ok resumed ->
-      (match resumed.Tool.status with
+      (match (Tool.best_result resumed).Tool.status with
       | Tool.Completed -> ()
       | Tool.Interrupted _ -> Alcotest.fail "resumed run did not complete");
       (match Crash.compare_outcomes ~reference (outcome_of resumed) with
@@ -679,8 +659,6 @@ let () =
         [
           Alcotest.test_case "fixed-seed masked trace is bit-identical" `Slow
             test_trace_deterministic;
-          Alcotest.test_case "serial trace == --parallel 1 trace" `Slow
-            test_trace_serial_matches_portfolio_of_one;
           Alcotest.test_case "K=2 merged trace deterministic and valid" `Slow
             test_trace_portfolio_deterministic;
           Alcotest.test_case "trace encode -> decode -> re-encode fixpoint" `Slow

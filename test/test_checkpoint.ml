@@ -152,7 +152,7 @@ let interrupted_run_dir name =
            }
       |> with_run_dir dir |> with_max_moves 400)
   in
-  let r = Tool.run_exn ~config arch nl in
+  let r = Tool.best_result (Tool.run_exn ~config arch nl) in
   (match r.Tool.status with
   | Tool.Interrupted _ -> ()
   | Tool.Completed -> Alcotest.fail "setup run unexpectedly completed");
@@ -288,39 +288,56 @@ let test_v2_replica_isolation () =
   Alcotest.(check int) "unseen replica next_seq" 1 (Cp.V2.next_seq ~replica:7 dir);
   rmrf dir
 
-(* --- exchange records --- *)
+(* --- round records --- *)
 
-let sample_round =
+module Sc = Spr_anneal.Scheduler
+
+(* An exchange round is a record without kills; a racing round that
+   killed carries its kill lines. *)
+let exchange_round =
   {
-    Spr_anneal.Portfolio.xr_round = 4;
-    xr_best_replica = 2;
-    xr_best_metric = 17.25e9 +. 0.125;
-    xr_payload = "line one\nline two\n\x00binary\xff";
+    Sc.round = 4;
+    leader = 2;
+    metric = 17.25e9 +. 0.125;
+    payload = "line one\nline two\n\x00binary\xff";
+    kills = [];
+  }
+
+let killing_round =
+  {
+    exchange_round with
+    Sc.round = 6;
+    leader = 0;
+    kills = [ { Sc.k_replica = 1; k_stream = 3 }; { Sc.k_replica = 2; k_stream = 4 } ];
   }
 
 let test_exchange_roundtrip () =
-  let text = Cp.Exchange.encode sample_round in
-  (match Cp.Exchange.decode text with
-  | Error e -> Alcotest.failf "decode failed: %s" e
-  | Ok r -> Alcotest.(check bool) "identity" true (r = sample_round));
-  let dir = "exch-rt" in
+  List.iter
+    (fun r ->
+      match Cp.Round.decode (Cp.Round.encode r) with
+      | Error e -> Alcotest.failf "decode failed: %s" e
+      | Ok r' -> Alcotest.(check bool) "identity" true (r' = r))
+    [ exchange_round; killing_round ];
+  let dir = "round-rt" in
   rmrf dir;
   Spr_util.Persist.ensure_dir dir;
-  let path = Cp.Exchange.write ~dir sample_round in
-  Alcotest.(check string) "round-numbered file" (Cp.Exchange.record_path dir 4) path;
-  let earlier = { sample_round with Spr_anneal.Portfolio.xr_round = 2; xr_payload = "p2" } in
-  ignore (Cp.Exchange.write ~dir earlier);
+  let path = Cp.Round.write ~dir exchange_round in
+  Alcotest.(check string) "round-numbered file" (Cp.Round.record_path dir 4) path;
+  Alcotest.(check string) "sched file name" "sched-00000004.rec" (Filename.basename path);
+  let earlier = { exchange_round with Sc.round = 2; payload = "p2" } in
+  ignore (Cp.Round.write ~dir earlier);
+  ignore (Cp.Round.write ~dir killing_round);
   Alcotest.(check bool) "load_all sorted ascending" true
-    (Cp.Exchange.load_all ~dir = [ earlier; sample_round ]);
+    (Cp.Round.load_all ~dir = [ earlier; exchange_round; killing_round ]);
   rmrf dir
 
 let test_exchange_corruption () =
-  let text = Cp.Exchange.encode sample_round in
+  let text = Cp.Round.encode exchange_round in
   (* truncation, checksum damage, garbage: errors, never exceptions;
      load_all just skips the bad record *)
   List.iter
     (fun (label, bad) ->
-      match Cp.Exchange.decode bad with
+      match Cp.Round.decode bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s accepted" label)
     [
@@ -329,14 +346,94 @@ let test_exchange_corruption () =
       ("garbage", "not a record at all");
       ("empty", "");
     ];
-  let dir = "exch-corrupt" in
+  let dir = "round-corrupt" in
   rmrf dir;
   Spr_util.Persist.ensure_dir dir;
-  ignore (Cp.Exchange.write ~dir sample_round);
-  let victim = Cp.Exchange.record_path dir 4 in
+  ignore (Cp.Round.write ~dir exchange_round);
+  let victim = Cp.Round.record_path dir 4 in
   Crash.truncate_file victim ~keep:20;
-  Alcotest.(check bool) "torn record skipped" true (Cp.Exchange.load_all ~dir = []);
+  Alcotest.(check bool) "torn record skipped" true (Cp.Round.load_all ~dir = []);
   rmrf dir
+
+(* The decoder property: on any input it returns [Error] or a record
+   whose round, leader, kill replicas and streams are in range, and it
+   never raises. Each mutation is tried as is and re-framed under a
+   header with the right length and checksum, so the body parser sees
+   it too. *)
+let reframe text =
+  match String.index_opt text '\n' with
+  | None -> text
+  | Some i ->
+    let body = String.sub text (i + 1) (String.length text - i - 1) in
+    Printf.sprintf "spr-sched 1 %s %d\n%s" (Spr_util.Persist.checksum_hex body)
+      (String.length body) body
+
+let decodes_in_range text =
+  List.for_all
+    (fun t ->
+      match Cp.Round.decode t with
+      | Error _ -> true
+      | Ok r ->
+        r.Sc.round >= 1 && r.Sc.leader >= 0
+        && List.for_all (fun k -> k.Sc.k_replica >= 0 && k.Sc.k_stream >= 0) r.Sc.kills
+      | exception e -> QCheck.Test.fail_reportf "decode raised %s" (Printexc.to_string e))
+    [ text; reframe text ]
+
+let splice text ~at ~len garbage =
+  String.sub text 0 at ^ garbage ^ String.sub text (at + len) (String.length text - at - len)
+
+(* Every truncation, every single-byte flip, and every numeric field
+   replaced by an out-of-range or malformed value. *)
+let systematic_mutations text =
+  let n = String.length text in
+  let truncations = List.init (n + 1) (fun k -> String.sub text 0 k) in
+  let flips =
+    List.concat_map
+      (fun i ->
+        List.map
+          (fun c -> String.mapi (fun j x -> if j = i then c else x) text)
+          [ Char.chr (Char.code text.[i] lxor 0xff); '-'; '0'; ' '; '\n' ])
+      (List.init n Fun.id)
+  in
+  let fields =
+    let rec scan i acc =
+      if i >= n then List.rev acc
+      else if text.[i] >= '0' && text.[i] <= '9' then begin
+        let j = ref i in
+        while !j < n && text.[!j] >= '0' && text.[!j] <= '9' do incr j done;
+        scan !j ((i, !j - i) :: acc)
+      end
+      else scan (i + 1) acc
+    in
+    scan 0 []
+  in
+  let splices =
+    List.concat_map
+      (fun (at, len) ->
+        List.map (splice text ~at ~len)
+          [ "-3"; "0"; "-1"; "1"; "3"; "x"; ""; "99999999999999999999"; "1 2" ])
+      fields
+  in
+  truncations @ flips @ splices
+
+let test_round_record_mutations () =
+  List.iter
+    (fun r ->
+      List.iter
+        (fun text ->
+          if not (decodes_in_range text) then
+            Alcotest.failf "mutated record decoded out of range:\n%S" text)
+        (systematic_mutations (Cp.Round.encode r)))
+    [ exchange_round; killing_round ]
+
+let test_round_record_garbage =
+  QCheck.Test.make ~name:"random garbage splices decode in range" ~count:500
+    QCheck.(quad bool small_nat small_nat (string_of_size (Gen.int_range 0 12)))
+    (fun (kills, at, len, garbage) ->
+      let text = Cp.Round.encode (if kills then killing_round else exchange_round) in
+      let at = at mod (String.length text + 1) in
+      let len = min len (String.length text - at) in
+      decodes_in_range (splice text ~at ~len garbage))
 
 (* --- Eco --- *)
 
@@ -488,6 +585,12 @@ let () =
         [
           Alcotest.test_case "record roundtrip" `Quick test_exchange_roundtrip;
           Alcotest.test_case "corruption detected" `Quick test_exchange_corruption;
+        ] );
+      ( "round-record",
+        [
+          Alcotest.test_case "truncations, flips and field splices decode in range" `Quick
+            test_round_record_mutations;
+          qtest test_round_record_garbage;
         ] );
       ( "eco",
         [

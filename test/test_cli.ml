@@ -114,9 +114,9 @@ let test_move_budget_then_resume () =
   let status, out = run_cli [ "route"; "--run-resume"; dir ] in
   check_exit_zero "resumed run" status;
   Alcotest.(check bool)
-    (Printf.sprintf "resume announces its snapshot (got: %s)" out)
+    (Printf.sprintf "resume announces the fleet it continues (got: %s)" out)
     true
-    (has_substring ~sub:"resuming from" out);
+    (has_substring ~sub:"resuming flow sa with 1 replica from cli-move-budget" out);
   Alcotest.(check bool)
     (Printf.sprintf "resumed run completes (got: %s)" out)
     true
@@ -150,6 +150,8 @@ let test_parallel_smoke () =
     (Spr_core.Checkpoint.V2.snapshot_files ~replica:1 dir <> []);
   Alcotest.(check (list (pair int string))) "no serial snapshots" []
     (Spr_core.Checkpoint.V2.snapshot_files dir);
+  Alcotest.(check bool) "exchange rounds recorded" true
+    (Spr_core.Checkpoint.Round.load_all ~dir <> []);
   (* the meta records the fleet shape for --run-resume *)
   let meta =
     match Spr_util.Persist.read_file (Filename.concat dir "meta") with
@@ -165,7 +167,7 @@ let test_parallel_smoke () =
   Alcotest.(check bool)
     (Printf.sprintf "resume rebuilds the fleet (got: %s)" out)
     true
-    (has_substring ~sub:"resuming portfolio of 2 replicas" out);
+    (has_substring ~sub:"resuming flow sa with 2 replicas from cli-parallel" out);
   rmrf dir
 
 (* --trace/--report leave artifacts behind that spr report validates
@@ -215,9 +217,19 @@ let test_bad_parallel_flags () =
   let status, _ =
     run_cli [ "route"; "--circuit"; "s1"; "--parallel"; "2"; "--exchange"; "best:0" ]
   in
-  match status with
+  (match status with
   | Unix.WEXITED 0 -> Alcotest.fail "--exchange best:0 accepted"
-  | _ -> ()
+  | _ -> ());
+  (* the free-running racing spelling was deleted *)
+  let removed = String.concat ":" [ "racing"; "free" ] in
+  let status, out = run_cli [ "route"; "--circuit"; "s1"; "--scheduler"; removed ] in
+  (match status with
+  | Unix.WEXITED 0 -> Alcotest.failf "--scheduler %s accepted" removed
+  | _ -> ());
+  Alcotest.(check bool)
+    (Printf.sprintf "the error names the valid schedulers (got: %s)" out)
+    true
+    (has_substring ~sub:"want barrier" out && has_substring ~sub:"racing)" out)
 
 (* SIGINT mid-anneal: the handler finishes the in-flight move, writes a
    final checkpoint, and the process exits 0 with the best-so-far

@@ -19,6 +19,9 @@ let quick_config ?(seed = 1) n =
            max_temperatures = 25;
          })
 
+(* The best replica of a fleet; a fleet of one is the plain anneal. *)
+let run1 ~config arch nl = Tool.best_result (Tool.run_exn ~config arch nl)
+
 let small_case ?(n_cells = 60) ?(seed = 7) ?(tracks = 20) () =
   let nl = Gen.generate (Gen.default ~n_cells) ~seed in
   let arch = Arch.size_for ~tracks nl in
@@ -26,7 +29,7 @@ let small_case ?(n_cells = 60) ?(seed = 7) ?(tracks = 20) () =
 
 let test_run_routes_small_circuit () =
   let arch, nl = small_case () in
-  let r = Tool.run_exn ~config:(quick_config (Nl.n_cells nl)) arch nl in
+  let r = run1 ~config:(quick_config (Nl.n_cells nl)) arch nl in
   Alcotest.(check bool) "fully routed" true r.Tool.fully_routed;
   Alcotest.(check int) "g zero" 0 r.Tool.g;
   Alcotest.(check int) "d zero" 0 r.Tool.d;
@@ -43,23 +46,23 @@ let test_run_routes_small_circuit () =
 let test_run_deterministic () =
   let arch, nl = small_case () in
   let cfg = quick_config (Nl.n_cells nl) in
-  let a = Tool.run_exn ~config:cfg arch nl in
-  let b = Tool.run_exn ~config:cfg arch nl in
+  let a = run1 ~config:cfg arch nl in
+  let b = run1 ~config:cfg arch nl in
   Alcotest.(check (float 1e-9)) "same final delay" a.Tool.critical_delay b.Tool.critical_delay;
   Alcotest.(check int) "same move count" a.Tool.anneal_report.Engine.n_moves
     b.Tool.anneal_report.Engine.n_moves
 
 let test_run_seed_matters () =
   let arch, nl = small_case () in
-  let a = Tool.run_exn ~config:(quick_config ~seed:1 (Nl.n_cells nl)) arch nl in
-  let b = Tool.run_exn ~config:(quick_config ~seed:2 (Nl.n_cells nl)) arch nl in
+  let a = run1 ~config:(quick_config ~seed:1 (Nl.n_cells nl)) arch nl in
+  let b = run1 ~config:(quick_config ~seed:2 (Nl.n_cells nl)) arch nl in
   (* different seeds explore different layouts; delays should differ *)
   Alcotest.(check bool) "different outcomes" true
     (Float.abs (a.Tool.critical_delay -. b.Tool.critical_delay) > 1e-9)
 
 let test_dynamics_recorded () =
   let arch, nl = small_case () in
-  let r = Tool.run_exn ~config:(quick_config (Nl.n_cells nl)) arch nl in
+  let r = run1 ~config:(quick_config (Nl.n_cells nl)) arch nl in
   let samples = r.Tool.dynamics in
   Alcotest.(check bool) "samples recorded" true (List.length samples >= 3);
   List.iter
@@ -82,14 +85,14 @@ let test_dynamics_recorded () =
 
 let test_cost_improves () =
   let arch, nl = small_case () in
-  let r = Tool.run_exn ~config:(quick_config (Nl.n_cells nl)) arch nl in
+  let r = run1 ~config:(quick_config (Nl.n_cells nl)) arch nl in
   Alcotest.(check bool) "final cost below initial" true
     (r.Tool.anneal_report.Engine.final_cost < r.Tool.anneal_report.Engine.initial_cost)
 
 let test_pinmap_moves_can_be_disabled () =
   let arch, nl = small_case () in
   let cfg = Tool.Config.with_pinmap_moves false (quick_config (Nl.n_cells nl)) in
-  let r = Tool.run_exn ~config:cfg arch nl in
+  let r = run1 ~config:cfg arch nl in
   Alcotest.(check bool) "still completes" true (r.Tool.critical_delay > 0.0);
   (* all pinmaps stay at palette entry 0 *)
   for c = 0 to Nl.n_cells nl - 1 do
@@ -99,7 +102,7 @@ let test_pinmap_moves_can_be_disabled () =
 let test_timing_driven_routing () =
   let arch, nl = small_case () in
   let cfg = Tool.Config.with_timing_driven_routing true (quick_config (Nl.n_cells nl)) in
-  let r = Tool.run_exn ~config:cfg arch nl in
+  let r = run1 ~config:cfg arch nl in
   Alcotest.(check bool) "routes with criticality ordering" true r.Tool.fully_routed;
   (match Rs.check r.Tool.route with
   | Ok () -> ()
@@ -107,7 +110,7 @@ let test_timing_driven_routing () =
 
 let test_profile_coverage () =
   let arch, nl = small_case () in
-  let r = Tool.run_exn ~config:(quick_config (Nl.n_cells nl)) arch nl in
+  let r = run1 ~config:(quick_config (Nl.n_cells nl)) arch nl in
   let p = r.Tool.profile in
   let module Profile = Spr_core.Profile in
   Alcotest.(check bool) "moves were profiled" true
@@ -165,6 +168,11 @@ let test_run_rejects_overflow () =
 
 (* --- configuration validation --- *)
 
+let has_substring ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let expect_invalid_config label config =
   let arch, nl = small_case () in
   match Tool.run ~config arch nl with
@@ -199,14 +207,20 @@ let test_config_validation () =
       |> with_scheduler_kind `Racing);
   (* scheduler spelling vocabulary round-trips *)
   List.iter
-    (fun (s, want) ->
+    (fun kind ->
+      let s = Tool.Config.scheduler_to_string kind in
       match Tool.Config.scheduler_of_string s with
-      | Ok ks when ks = want -> ()
+      | Ok k when k = kind -> ()
       | _ -> Alcotest.failf "scheduler spelling %s" s)
-    [ ("barrier", (`Barrier, true)); ("racing", (`Racing, true)); ("racing:free", (`Racing, false)) ];
-  (match Tool.Config.scheduler_of_string "greedy" with
-  | Ok _ -> Alcotest.fail "accepted an unknown scheduler"
-  | Error _ -> ());
+    [ `Barrier; `Racing ];
+  List.iter
+    (fun s ->
+      match Tool.Config.scheduler_of_string s with
+      | Ok _ -> Alcotest.failf "accepted scheduler %s" s
+      | Error e ->
+        Alcotest.(check bool) ("error names the valid schedulers: " ^ e) true
+          (has_substring ~sub:"barrier" e && has_substring ~sub:"racing" e))
+    [ "greedy"; String.concat ":" [ "racing"; "free" ] ];
   (* every problem is named in one structured message *)
   (match
      Tool.Config.validated
@@ -239,26 +253,16 @@ let check_same_result label (a : Tool.result) (b : Tool.result) =
   Alcotest.(check int) (label ^ ": identical moves") a.Tool.anneal_report.Engine.n_moves
     b.Tool.anneal_report.Engine.n_moves
 
-(* A one-replica portfolio takes the exact serial code path. *)
-let test_portfolio_one_is_serial () =
-  let arch, nl = small_case () in
-  let n = Nl.n_cells nl in
-  let serial = Tool.run_exn ~config:(quick_config n) arch nl in
-  let p = Tool.run_portfolio_exn ~config:(portfolio_config ~replicas:1 n) arch nl in
-  Alcotest.(check int) "one result" 1 (Array.length p.Tool.p_results);
-  Alcotest.(check int) "no exchanges" 0 (List.length p.Tool.p_exchanges);
-  check_same_result "k=1" serial (Tool.best_result p)
-
-(* Under [Independent] exchange, replica k is exactly the serial run on
-   RNG stream k — so the portfolio winner is reproducible standalone. *)
+(* Under [Independent] exchange, replica k is exactly a one-replica run
+   on RNG stream k — so the fleet winner is reproducible standalone. *)
 let test_portfolio_winner_reproducible () =
   let arch, nl = small_case () in
   let n = Nl.n_cells nl in
-  let p = Tool.run_portfolio_exn ~config:(portfolio_config ~replicas:3 n) arch nl in
+  let p = Tool.run_exn ~config:(portfolio_config ~replicas:3 n) arch nl in
   Alcotest.(check int) "three results" 3 (Array.length p.Tool.p_results);
   let k = p.Tool.p_best_replica in
   let standalone =
-    Tool.run_exn ~config:(Tool.Config.with_stream k (quick_config n)) arch nl
+    run1 ~config:(Tool.Config.with_stream k (quick_config n)) arch nl
   in
   check_same_result "winner" (Tool.best_result p) standalone;
   (* replicas genuinely explored different trajectories *)
@@ -280,10 +284,13 @@ let test_portfolio_exchange_deterministic () =
   let config =
     portfolio_config ~seed:2 ~exchange:(Spr_anneal.Portfolio.Best_exchange 3) ~replicas:3 n
   in
-  let a = Tool.run_portfolio_exn ~config arch nl in
-  let b = Tool.run_portfolio_exn ~config arch nl in
+  let a = Tool.run_exn ~config arch nl in
+  let b = Tool.run_exn ~config arch nl in
   Alcotest.(check int) "same winner" a.Tool.p_best_replica b.Tool.p_best_replica;
-  Alcotest.(check bool) "same exchange history" true (a.Tool.p_exchanges = b.Tool.p_exchanges);
+  Alcotest.(check bool) "same exchange history" true (a.Tool.p_rounds = b.Tool.p_rounds);
+  Alcotest.(check bool) "exchange rounds recorded, none kill" true
+    (a.Tool.p_rounds <> []
+    && List.for_all (fun (r : Spr_anneal.Scheduler.round_record) -> r.kills = []) a.Tool.p_rounds);
   Array.iteri
     (fun i (ra : Tool.result) ->
       check_same_result (Printf.sprintf "replica %d" i) ra b.Tool.p_results.(i))
@@ -301,12 +308,56 @@ let test_portfolio_exchange_deterministic () =
 let test_portfolio_cpu_within_wall () =
   let arch, nl = small_case () in
   let k = 2 in
-  let p = Tool.run_portfolio_exn ~config:(portfolio_config ~replicas:k (Nl.n_cells nl)) arch nl in
+  let p = Tool.run_exn ~config:(portfolio_config ~replicas:k (Nl.n_cells nl)) arch nl in
   let r = p.Tool.p_report in
   let bound = (1.1 *. float_of_int k *. r.Spr_obs.Report.r_wall_seconds) +. 0.05 in
   if r.Spr_obs.Report.r_cpu_seconds > bound then
     Alcotest.failf "fleet cpu %.3f s exceeds %d x wall %.3f s" r.Spr_obs.Report.r_cpu_seconds k
       r.Spr_obs.Report.r_wall_seconds
+
+(* A fleet spreads one replica's stop through its own flag, so the
+   process-wide interrupt flag stays down and the next run in the same
+   process anneals normally. *)
+let test_fleet_stop_does_not_leak () =
+  let arch, nl = small_case () in
+  let n = Nl.n_cells nl in
+  let stopped =
+    Tool.run_exn
+      ~config:(Tool.Config.with_stop_after_accepted 50 (portfolio_config ~replicas:2 n))
+      arch nl
+  in
+  Alcotest.(check bool) "every replica stopped" true
+    (Array.for_all
+       (fun (r : Tool.result) -> r.Tool.status = Tool.Interrupted Tool.Interrupt)
+       stopped.Tool.p_results);
+  Alcotest.(check bool) "interrupt flag still down" false (Tool.interrupt_requested ());
+  let next = run1 ~config:(quick_config n) arch nl in
+  Alcotest.(check bool) "next run completes" true (next.Tool.status = Tool.Completed);
+  Alcotest.(check bool) "next run anneals" true (next.Tool.anneal_report.Engine.n_moves > 100)
+
+(* A fleet of one reports wall-clock seconds as its wall time: a cancel
+   poll that sleeps between moves shows up in wall time, not in CPU. *)
+let test_wall_seconds_are_wall () =
+  let arch, nl = small_case () in
+  let slept = ref 0.0 in
+  let poll () =
+    let t0 = Unix.gettimeofday () in
+    Unix.sleepf 0.002;
+    slept := !slept +. (Unix.gettimeofday () -. t0);
+    false
+  in
+  let config =
+    Tool.Config.(
+      quick_config (Nl.n_cells nl) |> with_validate false |> with_max_moves 150
+      |> with_cancel_poll poll)
+  in
+  let r = (Tool.run_exn ~config arch nl).Tool.p_report in
+  if r.Spr_obs.Report.r_wall_seconds < !slept then
+    Alcotest.failf "wall %.3f s is below the %.3f s the poll slept" r.Spr_obs.Report.r_wall_seconds
+      !slept;
+  if r.Spr_obs.Report.r_cpu_seconds >= !slept then
+    Alcotest.failf "cpu %.3f s counts the %.3f s the poll slept" r.Spr_obs.Report.r_cpu_seconds
+      !slept
 
 (* --- racing scheduler --- *)
 
@@ -332,12 +383,13 @@ let test_portfolio_racing_deterministic () =
   let arch, nl = small_case () in
   let n = Nl.n_cells nl in
   let config = racing_config ~replicas:3 n in
-  let a = Tool.run_portfolio_exn ~config arch nl in
-  let b = Tool.run_portfolio_exn ~config arch nl in
-  Alcotest.(check bool) "racing killed something" true (a.Tool.p_scheds <> []);
+  let a = Tool.run_exn ~config arch nl in
+  let b = Tool.run_exn ~config arch nl in
+  Alcotest.(check bool) "racing killed something" true (a.Tool.p_rounds <> []);
   Alcotest.(check int) "same winner" a.Tool.p_best_replica b.Tool.p_best_replica;
-  Alcotest.(check bool) "same decision rounds" true (a.Tool.p_scheds = b.Tool.p_scheds);
-  Alcotest.(check bool) "no exchange rounds under racing" true (a.Tool.p_exchanges = []);
+  Alcotest.(check bool) "same decision rounds" true (a.Tool.p_rounds = b.Tool.p_rounds);
+  Alcotest.(check bool) "only killing rounds recorded under racing" true
+    (List.for_all (fun (r : Spr_anneal.Scheduler.round_record) -> r.kills <> []) a.Tool.p_rounds);
   Array.iteri
     (fun i (ra : Tool.result) ->
       check_same_result (Printf.sprintf "replica %d" i) ra b.Tool.p_results.(i))
@@ -354,11 +406,11 @@ let test_portfolio_racing_resume_matches () =
   rmrf dir_cut;
   let with_dir dir c = Tool.Config.with_run_dir ~snapshot_every:1 dir c in
   let base = racing_config ~replicas:2 n in
-  let full = Tool.run_portfolio_exn ~config:(with_dir dir_full base) arch nl in
-  Alcotest.(check bool) "baseline killed something" true (full.Tool.p_scheds <> []);
+  let full = Tool.run_exn ~config:(with_dir dir_full base) arch nl in
+  Alcotest.(check bool) "baseline killed something" true (full.Tool.p_rounds <> []);
   let moves0 = full.Tool.p_results.(0).Tool.anneal_report.Engine.n_moves in
   let cut =
-    Tool.run_portfolio_exn
+    Tool.run_exn
       ~config:(with_dir dir_cut (Tool.Config.with_max_moves (moves0 / 2) base))
       arch nl
   in
@@ -367,10 +419,10 @@ let test_portfolio_racing_resume_matches () =
        (fun (r : Tool.result) -> r.Tool.status <> Tool.Completed)
        cut.Tool.p_results);
   let resumed =
-    Tool.run_portfolio_exn ~config:(with_dir dir_cut base) ~resume_dir:dir_cut arch nl
+    Tool.run_exn ~config:(with_dir dir_cut base) ~resume_dir:dir_cut arch nl
   in
   Alcotest.(check int) "same winner" full.Tool.p_best_replica resumed.Tool.p_best_replica;
-  Alcotest.(check bool) "same decision rounds" true (full.Tool.p_scheds = resumed.Tool.p_scheds);
+  Alcotest.(check bool) "same decision rounds" true (full.Tool.p_rounds = resumed.Tool.p_rounds);
   Array.iteri
     (fun i (ra : Tool.result) ->
       check_same_result (Printf.sprintf "replica %d" i) ra resumed.Tool.p_results.(i))
@@ -416,12 +468,14 @@ let () =
         [ Alcotest.test_case "smart constructor rejects nonsense" `Quick test_config_validation ] );
       ( "portfolio",
         [
-          Alcotest.test_case "one replica is the serial path" `Slow test_portfolio_one_is_serial;
           Alcotest.test_case "winner reproducible standalone" `Slow
             test_portfolio_winner_reproducible;
           Alcotest.test_case "best-exchange deterministic" `Slow
             test_portfolio_exchange_deterministic;
           Alcotest.test_case "fleet cpu within K x wall" `Slow test_portfolio_cpu_within_wall;
+          Alcotest.test_case "a fleet's stop leaves the interrupt flag down" `Slow
+            test_fleet_stop_does_not_leak;
+          Alcotest.test_case "wall seconds are wall-clock time" `Slow test_wall_seconds_are_wall;
           Alcotest.test_case "racing deterministic" `Slow test_portfolio_racing_deterministic;
           Alcotest.test_case "racing kill+resume matches uninterrupted" `Slow
             test_portfolio_racing_resume_matches;

@@ -1,5 +1,5 @@
 (* The composable flow engine: preset validation, analytical-seed
-   determinism, bit-compat of the [sa] preset with the plain tool run,
+   determinism, bit-compat of the [sa] preset with a plain tool run,
    worker-count independence of the seeded anneal, and stage-boundary
    crash + resume. *)
 
@@ -112,7 +112,7 @@ let test_ap_deterministic () =
 
 let test_sa_preset_matches_tool () =
   let arch, nl, config = preset ~seed:7 () in
-  let direct = Tool.run_exn ~config arch nl in
+  let direct = Tool.best_result (Tool.run_exn ~config arch nl) in
   let via_flow = Flow.run_exn ~config:(Config.with_flow_preset "sa" config) arch nl in
   Alcotest.(check string) "identical layout" (Rs.snapshot direct.Tool.route)
     (Rs.snapshot via_flow.Flow.f_route);
@@ -132,7 +132,7 @@ let test_seq_preset_deterministic () =
   let b = Flow.run_exn ~config arch nl in
   Alcotest.(check string) "identical layout" (Rs.snapshot a.Flow.f_route)
     (Rs.snapshot b.Flow.f_route);
-  Alcotest.(check bool) "no sa stage ran" true (a.Flow.f_tool = None);
+  Alcotest.(check bool) "no sa stage ran" true (a.Flow.f_fleet = None);
   let names = List.map (fun s -> s.Flow.sg_name) a.Flow.f_stages in
   Alcotest.(check (list string)) "stage order" [ "greedy"; "route"; "sta" ] names
 
@@ -179,6 +179,21 @@ let test_ap_sa_kill_resume () =
       Alcotest.(check bool) "same seed temperature" true
         (reference.Flow.f_seed_temperature = resumed.Flow.f_seed_temperature))
 
+(* A Ctrl-C that lands during an earlier stage is still pending when
+   the sa stage starts, so the anneal stops after its first move. *)
+let test_interrupt_survives_earlier_stage () =
+  let arch, nl, config = preset ~seed:5 () in
+  Fun.protect ~finally:Tool.reset_interrupt (fun () ->
+      Tool.request_interrupt ();
+      let r = Flow.run_exn ~config:(Config.with_flow_preset "ap+sa" config) arch nl in
+      match r.Flow.f_fleet with
+      | None -> Alcotest.fail "no sa stage ran"
+      | Some p ->
+        let sa = Tool.best_result p in
+        Alcotest.(check bool) "sa interrupted" true
+          (sa.Tool.status = Tool.Interrupted Tool.Interrupt);
+        Alcotest.(check int) "sa stopped after its first move" 1 (Flow.sa_moves r))
+
 (* --- serve admission --- *)
 
 let test_job_spec_flow_validation () =
@@ -201,6 +216,18 @@ let test_job_spec_flow_validation () =
   | Ok spec -> Alcotest.(check string) "old specs default to sa" "sa" spec.Job.flow
   | Error e -> Alcotest.failf "old spec rejected: %s" e
 
+(* The free-running racing spelling was deleted; specs naming it are
+   refused at admission with the valid vocabulary. *)
+let test_job_spec_rejects_removed_scheduler () =
+  let removed = String.concat ":" [ "racing"; "free" ] in
+  let spec = { Job.default_spec with Job.circuit = Some "s1"; scheduler = removed } in
+  match Job.validate_spec spec with
+  | Ok _ -> Alcotest.failf "scheduler %s admitted" removed
+  | Error e ->
+    Alcotest.(check bool) ("error names the valid schedulers: " ^ e) true
+      (contains ~needle:removed e && contains ~needle:"barrier" e
+      && contains ~needle:"racing)" e)
+
 let () =
   Alcotest.run "spr_flow"
     [
@@ -222,11 +249,16 @@ let () =
           Alcotest.test_case "seq deterministic" `Quick test_seq_preset_deterministic;
         ] );
       ( "resume",
-        [ Alcotest.test_case "ap+sa kill mid-sa and resume" `Quick test_ap_sa_kill_resume ]
-      );
+        [
+          Alcotest.test_case "ap+sa kill mid-sa and resume" `Quick test_ap_sa_kill_resume;
+          Alcotest.test_case "an interrupt during ap still stops sa" `Quick
+            test_interrupt_survives_earlier_stage;
+        ] );
       ( "serve",
         [
           Alcotest.test_case "job admission validates flow" `Quick
             test_job_spec_flow_validation;
+          Alcotest.test_case "job admission rejects the deleted racing spelling" `Quick
+            test_job_spec_rejects_removed_scheduler;
         ] );
     ]

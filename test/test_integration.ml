@@ -23,6 +23,9 @@ let quick_tool n seed =
            max_temperatures = 45;
          })
 
+(* The best replica of a fleet; a fleet of one is the plain anneal. *)
+let run1 ~config arch nl = Tool.best_result (Tool.run_exn ~config arch nl)
+
 let quick_flow n seed = Tool.Config.with_flow_preset "seq" (quick_tool n seed)
 
 let test_both_flows_route_and_sim_wins () =
@@ -30,7 +33,7 @@ let test_both_flows_route_and_sim_wins () =
   let n = Nl.n_cells nl in
   let arch = Arch.size_for ~tracks:28 nl in
   let seq = Flow.run_exn ~config:(quick_flow n 5) arch nl in
-  let sim = Tool.run_exn ~config:(quick_tool n 5) arch nl in
+  let sim = run1 ~config:(quick_tool n 5) arch nl in
   Alcotest.(check bool) "seq routed" true seq.Flow.f_fully_routed;
   Alcotest.(check bool) "sim routed" true sim.Tool.fully_routed;
   (* The headline claim in miniature: the simultaneous tool should beat
@@ -49,7 +52,7 @@ let test_post_layout_sta_agrees_with_internal () =
   let nl = Gen.generate (Gen.default ~n_cells:70) ~seed:3 in
   let n = Nl.n_cells nl in
   let arch = Arch.size_for ~tracks:24 nl in
-  let sim = Tool.run_exn ~config:(quick_tool n 2) arch nl in
+  let sim = run1 ~config:(quick_tool n 2) arch nl in
   let fresh = Sta.create Spr_timing.Delay_model.default sim.Tool.route in
   Alcotest.(check (float 1e-6)) "post-layout STA matches" sim.Tool.critical_delay
     (Sta.critical_delay fresh)
@@ -76,7 +79,7 @@ let test_blif_through_full_flow () =
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok nl ->
     let arch = Arch.create ~rows:3 ~cols:6 ~tracks:10 () in
-    let r = Tool.run_exn ~config:(quick_tool (Nl.n_cells nl) 1) arch nl in
+    let r = run1 ~config:(quick_tool (Nl.n_cells nl) 1) arch nl in
     Alcotest.(check bool) "blif circuit routed" true r.Tool.fully_routed;
     Alcotest.(check bool) "delay positive" true (r.Tool.critical_delay > 0.0)
 
@@ -85,7 +88,7 @@ let test_presets_route_under_sim () =
   let nl = Circuits.make_by_name "cse" in
   let n = Nl.n_cells nl in
   let arch = Arch.size_for ~tracks:28 nl in
-  let r = Tool.run_exn ~config:(quick_tool n 1) arch nl in
+  let r = run1 ~config:(quick_tool n 1) arch nl in
   Alcotest.(check bool) "cse routed" true r.Tool.fully_routed
 
 let test_sim_needs_fewer_tracks () =
@@ -107,7 +110,7 @@ let test_sim_needs_fewer_tracks () =
     min_tracks (fun arch -> (Flow.run_exn ~config:(quick_flow n 9) arch nl).Flow.f_fully_routed)
   in
   let sim_min =
-    min_tracks (fun arch -> (Tool.run_exn ~config:(quick_tool n 9) arch nl).Tool.fully_routed)
+    min_tracks (fun arch -> (run1 ~config:(quick_tool n 9) arch nl).Tool.fully_routed)
   in
   Alcotest.(check bool)
     (Printf.sprintf "sim min %d <= seq min %d" sim_min seq_min)
