@@ -65,6 +65,8 @@ let read_file path =
       Error (Printexc.to_string e))
 
 let ensure_dir path =
-  if not (Sys.file_exists path) then Sys.mkdir path 0o755
-  else if not (Sys.is_directory path) then
+  (* Fleet replicas create their shared run directory concurrently, so
+     losing the race to another creator is success. *)
+  (try Sys.mkdir path 0o755 with Sys_error _ when Sys.file_exists path -> ());
+  if not (Sys.is_directory path) then
     invalid_arg (Printf.sprintf "Persist.ensure_dir: %s exists and is not a directory" path)

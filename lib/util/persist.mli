@@ -49,5 +49,6 @@ val read_file : string -> (string, string) Stdlib.result
     exception when the file is missing or unreadable. *)
 
 val ensure_dir : string -> unit
-(** Create a directory if it does not exist (single level). Raises
-    [Invalid_argument] if the path exists and is not a directory. *)
+(** Create a directory if it does not exist (single level). Safe to
+    call concurrently for the same path. Raises [Invalid_argument] if
+    the path exists and is not a directory. *)

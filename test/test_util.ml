@@ -392,6 +392,29 @@ let test_table_render () =
   | _ -> Alcotest.fail "too few lines");
   Alcotest.(check int) "line count: header+rule+2 rows+trailing" 5 (List.length lines)
 
+(* --- persistence helpers --- *)
+
+(* Fleet replicas create their shared run directory concurrently; a
+   creator that loses the race must find the directory, not an error. *)
+let test_ensure_dir_concurrent () =
+  let path = "util-ensure-dir" in
+  for _ = 1 to 50 do
+    if Sys.file_exists path then Sys.rmdir path;
+    let go = Atomic.make false in
+    let creators =
+      List.init 3 (fun _ ->
+          Domain.spawn (fun () ->
+              while not (Atomic.get go) do
+                Domain.cpu_relax ()
+              done;
+              Spr_util.Persist.ensure_dir path))
+    in
+    Atomic.set go true;
+    List.iter Domain.join creators;
+    Alcotest.(check bool) "directory exists" true (Sys.is_directory path)
+  done;
+  Sys.rmdir path
+
 let () =
   Alcotest.run "spr_util"
     [
@@ -451,4 +474,9 @@ let () =
           qtest test_iqueue_rollback;
         ] );
       ("table", [ Alcotest.test_case "render" `Quick test_table_render ]);
+      ( "persist",
+        [
+          Alcotest.test_case "ensure_dir tolerates concurrent creators" `Quick
+            test_ensure_dir_concurrent;
+        ] );
     ]
