@@ -666,7 +666,9 @@ let route_cmd =
       | Ok v -> Ok v
       | Error e -> Error (`Msg e)
     in
-    let print ppf kind = Format.pp_print_string ppf (Spr_core.Tool.Config.scheduler_to_string kind) in
+    let print ppf kind =
+      Format.pp_print_string ppf (Spr_core.Tool.Config.scheduler_to_string kind)
+    in
     Arg.(
       value
       & opt (conv (parse, print)) `Barrier

@@ -1061,7 +1061,11 @@ let trace_events ~(config : Config.t) nl (p : fleet) =
       [
         run_event
           (Spr_obs.Trace.Exchange
-             { round = r.Scheduler.round; from_replica = r.Scheduler.leader; metric = r.Scheduler.metric });
+             {
+               round = r.Scheduler.round;
+               from_replica = r.Scheduler.leader;
+               metric = r.Scheduler.metric;
+             });
       ]
     | kills ->
       List.concat_map

@@ -427,7 +427,8 @@ let run_sa st ~(config : C.t) ~(orig : C.t) ?resume_dir ~multi_stage arch nl =
 
 (* Skip the longest prefix of [stages] that a previous run completed,
    restoring the last completed stage's layout. Unloadable state means
-   a fresh start (mirroring [Tool.run]'s per-replica fallback): determinism replays the lost trajectory. *)
+   a fresh start (mirroring [Tool.run]'s per-replica fallback):
+   determinism replays the lost trajectory. *)
 let restore ~resume_dir ~preset ~stages st nl =
   match read_flow_state ~dir:resume_dir ~preset with
   | Error _ -> 0
