@@ -4,7 +4,11 @@
    file during `dune runtest`; after an intended behaviour change,
    `dune promote` takes the new traces.
 
-     golden.exe serial-sa | fleet-best4 | fleet-indep | fleet-racing | ap-sa | seq *)
+     golden.exe serial-sa | fleet-best4 | fleet-indep | fleet-racing | ap-sa | seq
+     golden.exe cli-racing | cli-ap-sa SPR
+
+   The cli-* configurations drive the spr binary at path SPR instead of
+   the library, so they pin what the command line maps its flags to. *)
 
 module Config = Spr_core.Tool.Config
 module Tool = Spr_core.Tool
@@ -72,12 +76,44 @@ let trace name =
       (Config.with_flow_preset "seq" config)
   | other -> failwith ("unknown configuration " ^ other)
 
+(* One [spr route] run on a generated 50-cell design, read back from
+   its --trace file. The design keeps a fixed file name in a fresh
+   directory, because the run's label is the file's basename. *)
+let cli_trace ~spr name =
+  let flags =
+    match name with
+    | "cli-racing" ->
+      [ "--parallel"; "2"; "--scheduler"; "racing"; "--race-margin"; "0"; "--race-warmup"; "2";
+        "--race-every"; "2"; "--max-moves"; "3000" ]
+    | "cli-ap-sa" -> [ "--flow"; "ap+sa"; "--max-moves"; "1500" ]
+    | other -> failwith ("unknown configuration " ^ other)
+  in
+  let dir = Filename.temp_dir "golden" "" in
+  let blif = Filename.concat dir "gen50.blif" and path = Filename.concat dir "trace.jsonl" in
+  let spr_run args =
+    let cmd = Filename.quote_command spr ~stdout:Filename.null args in
+    if Sys.command cmd <> 0 then failwith ("failed: " ^ cmd)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      spr_run [ "generate"; "--cells"; "50"; "--seed"; "3"; "-o"; blif ];
+      spr_run
+        ([ "route"; blif; "--tracks"; "16"; "--effort"; "quick"; "--seed"; "7"; "--trace"; path ]
+        @ flags);
+      match Trace.of_file path with Ok events -> events | Error e -> failwith e)
+
 let () =
-  match Sys.argv with
-  | [| _; name |] ->
-    List.iter
-      (fun e -> print_endline (Trace.encode_line (Trace.mask_times e)))
-      (trace name)
-  | _ ->
-    prerr_endline "usage: golden.exe serial-sa|fleet-best4|fleet-indep|fleet-racing|ap-sa|seq";
-    exit 2
+  let events =
+    match Sys.argv with
+    | [| _; name |] -> trace name
+    | [| _; name; spr |] -> cli_trace ~spr name
+    | _ ->
+      prerr_endline
+        "usage: golden.exe serial-sa|fleet-best4|fleet-indep|fleet-racing|ap-sa|seq\n\
+        \       golden.exe cli-racing|cli-ap-sa SPR";
+      exit 2
+  in
+  List.iter (fun e -> print_endline (Trace.encode_line (Trace.mask_times e))) events

@@ -170,6 +170,50 @@ let test_parallel_smoke () =
     (has_substring ~sub:"resuming flow sa with 2 replicas from cli-parallel" out);
   rmrf dir
 
+(* The replica table with cpu seconds stripped: what must match between
+   a cut-and-resumed fleet and an uninterrupted one. *)
+let replica_lines out =
+  let strip_cpu l =
+    let rec cut i =
+      if i + 6 > String.length l then None
+      else if String.sub l i 6 = "  cpu=" then Some (String.sub l 0 i)
+      else cut (i + 1)
+    in
+    cut 0
+  in
+  String.split_on_char '\n' out
+  |> List.filter (fun l -> has_substring ~sub:"replica" l)
+  |> List.filter_map strip_cpu
+
+(* A racing fleet on a BLIF design, cut by a move budget and resumed
+   with a larger one, ends exactly where the uninterrupted run ends:
+   the run directory keeps the design and the racing knobs (with the
+   default knobs the kill disappears and the replica lines differ). *)
+let test_racing_blif_resume () =
+  let blif = "cli-race50.blif" and dir = "cli-race-resume" in
+  rmrf dir;
+  let status, _ = run_cli [ "generate"; "--cells"; "50"; "--seed"; "3"; "-o"; blif ] in
+  check_exit_zero "generate" status;
+  let race =
+    [ "route"; blif; "--tracks"; "16"; "--effort"; "quick"; "--seed"; "7"; "--parallel"; "2";
+      "--scheduler"; "racing"; "--race-margin"; "0"; "--race-warmup"; "2"; "--race-every"; "2" ]
+  in
+  let status, full = run_cli (race @ [ "--max-moves"; "3000" ]) in
+  check_exit_zero "uninterrupted run" status;
+  Alcotest.(check bool)
+    (Printf.sprintf "the uninterrupted fleet kills a replica (got: %s)" full)
+    true
+    (has_substring ~sub:"racing kills" full);
+  let status, _ = run_cli (race @ [ "--max-moves"; "1500"; "--run-dir"; dir ]) in
+  check_exit_zero "cut run" status;
+  let status, resumed = run_cli [ "route"; "--run-resume"; dir; "--max-moves"; "3000" ] in
+  check_exit_zero "resumed run" status;
+  Alcotest.(check (list string)) "resumed replica lines == uninterrupted" (replica_lines full)
+    (replica_lines resumed);
+  Alcotest.(check bool) "replica lines present" true (replica_lines full <> []);
+  rmrf dir;
+  Sys.remove blif
+
 (* --trace/--report leave artifacts behind that spr report validates
    against the trace schema and re-renders as the dynamics table. *)
 let test_trace_report_artifacts () =
@@ -297,6 +341,8 @@ let () =
         [
           Alcotest.test_case "two-replica portfolio end to end" `Slow test_parallel_smoke;
           Alcotest.test_case "bad flags rejected" `Quick test_bad_parallel_flags;
+          Alcotest.test_case "racing knobs and a BLIF design survive --run-resume" `Slow
+            test_racing_blif_resume;
         ] );
       ( "obs",
         [
