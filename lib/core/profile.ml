@@ -24,19 +24,14 @@ let phase_name = function
 
 (* The profile is a facade over a metrics registry: every tally and
    phase clock lives in a registry cell (one store per update, same
-   hot-path cost as the mutable record it replaces), so a registry
-   snapshot is the whole pipeline breakdown. The router attempt/success
-   tallies stay in the raw [Router.counters] record the routers mutate;
-   they are mirrored into registry counters at snapshot time. *)
+   hot-path cost as a mutable record field), so a registry snapshot is
+   the whole pipeline breakdown. The router attempt/success tallies are
+   cells of the same registry that the routers increment themselves. *)
 type t = {
   reg : Metrics.t;
   phase_times : Metrics.gauge array;  (* cumulative seconds per phase *)
   phase_calls : Metrics.counter array;  (* timed brackets per phase *)
   counters : Spr_route.Router.counters;
-  m_global_attempts : Metrics.counter;
-  m_global_routed : Metrics.counter;
-  m_detail_attempts : Metrics.counter;
-  m_detail_routed : Metrics.counter;
   m_moves : Metrics.counter;  (* proposals that formed a transaction *)
   m_null_moves : Metrics.counter;  (* proposals that found no legal move *)
   m_ripped : Metrics.counter;
@@ -56,55 +51,37 @@ let create () =
     Array.of_list
       (List.map (fun p -> Metrics.counter reg ("pipeline.phase." ^ phase_name p ^ ".calls")) phases)
   in
+  (* A snapshot lists cells in registration order, which the golden
+     traces pin. *)
+  let m_total = Metrics.gauge reg "pipeline.total_seconds" in
+  let m_rejects = Metrics.counter reg "pipeline.rejects" in
+  let m_accepts = Metrics.counter reg "pipeline.accepts" in
+  let m_retimed = Metrics.counter reg "pipeline.retimed_nets" in
+  let m_ripped = Metrics.counter reg "pipeline.ripped_nets" in
+  let m_null_moves = Metrics.counter reg "pipeline.null_moves" in
+  let m_moves = Metrics.counter reg "pipeline.moves" in
+  let counters = Spr_route.Router.counters reg in
   {
     reg;
     phase_times;
     phase_calls;
-    counters = Spr_route.Router.fresh_counters ();
-    m_moves = Metrics.counter reg "pipeline.moves";
-    m_null_moves = Metrics.counter reg "pipeline.null_moves";
-    m_accepts = Metrics.counter reg "pipeline.accepts";
-    m_rejects = Metrics.counter reg "pipeline.rejects";
-    m_ripped = Metrics.counter reg "pipeline.ripped_nets";
-    m_retimed = Metrics.counter reg "pipeline.retimed_nets";
-    m_total = Metrics.gauge reg "pipeline.total_seconds";
-    m_global_attempts = Metrics.counter reg "router.global.attempts";
-    m_global_routed = Metrics.counter reg "router.global.routed";
-    m_detail_attempts = Metrics.counter reg "router.detail.attempts";
-    m_detail_routed = Metrics.counter reg "router.detail.routed";
+    counters;
+    m_moves;
+    m_null_moves;
+    m_accepts;
+    m_rejects;
+    m_ripped;
+    m_retimed;
+    m_total;
   }
 
 let registry t = t.reg
 
-(* Refresh the router-counter mirrors from the raw record the routers
-   mutate; called before any registry export. *)
-let sync_mirrors t =
-  let c = t.counters in
-  Metrics.counter_set t.m_global_attempts c.Spr_route.Router.c_global_attempts;
-  Metrics.counter_set t.m_global_routed c.Spr_route.Router.c_global_routed;
-  Metrics.counter_set t.m_detail_attempts c.Spr_route.Router.c_detail_attempts;
-  Metrics.counter_set t.m_detail_routed c.Spr_route.Router.c_detail_routed
-
-let metrics_snapshot t =
-  sync_mirrors t;
-  Metrics.snapshot t.reg
+let metrics_snapshot t = Metrics.snapshot t.reg
 
 (* Fold another profile into this one; a fleet merges per-replica
-   profiles into a fleet-wide breakdown this way. The mirrors are
-   rebuilt from the merged raw record at the next export, so absorbing
-   their stale registry values is harmless. *)
-let absorb t other =
-  Metrics.absorb t.reg other.reg;
-  let c = t.counters and oc = other.counters in
-  c.Spr_route.Router.c_global_attempts <-
-    c.Spr_route.Router.c_global_attempts + oc.Spr_route.Router.c_global_attempts;
-  c.Spr_route.Router.c_global_routed <-
-    c.Spr_route.Router.c_global_routed + oc.Spr_route.Router.c_global_routed;
-  c.Spr_route.Router.c_detail_attempts <-
-    c.Spr_route.Router.c_detail_attempts + oc.Spr_route.Router.c_detail_attempts;
-  c.Spr_route.Router.c_detail_routed <-
-    c.Spr_route.Router.c_detail_routed + oc.Spr_route.Router.c_detail_routed;
-  sync_mirrors t
+   profiles into a fleet-wide breakdown this way. *)
+let absorb t other = Metrics.absorb t.reg other.reg
 
 let record t phase dt =
   let i = phase_index phase in
@@ -165,6 +142,7 @@ let since t m =
 
 let to_pipeline t =
   let c = t.counters in
+  let v = Metrics.counter_value in
   {
     Spr_obs.Report.pl_moves = t_moves t;
     pl_null_moves = t_null_moves t;
@@ -182,14 +160,15 @@ let to_pipeline t =
             ph_calls = phase_calls t p;
           })
         phases;
-    pl_global_attempts = c.Spr_route.Router.c_global_attempts;
-    pl_global_routed = c.Spr_route.Router.c_global_routed;
-    pl_detail_attempts = c.Spr_route.Router.c_detail_attempts;
-    pl_detail_routed = c.Spr_route.Router.c_detail_routed;
+    pl_global_attempts = v c.Spr_route.Router.global_attempts;
+    pl_global_routed = v c.Spr_route.Router.global_routed;
+    pl_detail_attempts = v c.Spr_route.Router.detail_attempts;
+    pl_detail_routed = v c.Spr_route.Router.detail_routed;
   }
 
 let pp ppf t =
   let c = t.counters in
+  let v = Metrics.counter_value in
   let moves = t_moves t in
   Format.fprintf ppf "move pipeline: %d moves (%d null proposals), %d accepted, %d rejected@."
     moves (t_null_moves t) (t_accepts t) (t_rejects t);
@@ -206,8 +185,8 @@ let pp ppf t =
   Format.fprintf ppf "phase coverage: %.1f%% of bracketed move time@." (100.0 *. coverage t);
   Format.fprintf ppf
     "counters: ripped %d nets, global %d/%d routed/attempted, detail %d/%d, retimed %d nets@."
-    (t_ripped_nets t) c.Spr_route.Router.c_global_routed c.Spr_route.Router.c_global_attempts
-    c.Spr_route.Router.c_detail_routed c.Spr_route.Router.c_detail_attempts (t_retimed_nets t)
+    (t_ripped_nets t) (v c.Spr_route.Router.global_routed) (v c.Spr_route.Router.global_attempts)
+    (v c.Spr_route.Router.detail_routed) (v c.Spr_route.Router.detail_attempts) (t_retimed_nets t)
 
 let note_move t = Metrics.incr t.m_moves
 

@@ -49,8 +49,8 @@ val add_total : t -> float -> unit
     {!coverage}). *)
 
 val counters : t -> Spr_route.Router.counters
-(** The router attempt/success tallies; thread this record through
-    {!Spr_route.Router.reroute_global}/[reroute_detail]. *)
+(** The router attempt/success cells of this profile's registry; thread
+    this record through {!Spr_route.Router.reroute_global}/[reroute_detail]. *)
 
 val phase_seconds : t -> phase -> float
 
@@ -83,8 +83,7 @@ val registry : t -> Spr_obs.Metrics.t
     own, so one snapshot carries everything. *)
 
 val metrics_snapshot : t -> (string * Spr_obs.Metrics.value) list
-(** Registry snapshot, with the router attempt/success mirrors
-    refreshed from the raw {!counters} record first. *)
+(** Registry snapshot: every pipeline and router cell. *)
 
 val to_pipeline : t -> Spr_obs.Report.pipeline
 (** The move-pipeline summary block of the unified run report. *)

@@ -65,8 +65,6 @@ let add c n = c.c <- c.c + n
 
 let counter_value c = c.c
 
-let counter_set c n = c.c <- n
-
 let gauge_add g dv = g.g <- g.g +. dv
 
 let gauge_set g v = g.g <- v

@@ -46,10 +46,6 @@ val add : counter -> int -> unit
 
 val counter_value : counter -> int
 
-val counter_set : counter -> int -> unit
-(** Overwrite — for mirroring an externally-maintained tally into the
-    registry at export time. *)
-
 val gauge_add : gauge -> float -> unit
 
 val gauge_set : gauge -> float -> unit

@@ -15,15 +15,25 @@ let default_config =
     criticality = None;
   }
 
+module Metrics = Spr_obs.Metrics
+
 type counters = {
-  mutable c_global_attempts : int;
-  mutable c_global_routed : int;
-  mutable c_detail_attempts : int;
-  mutable c_detail_routed : int;
+  global_attempts : Metrics.counter;
+  global_routed : Metrics.counter;
+  detail_attempts : Metrics.counter;
+  detail_routed : Metrics.counter;
 }
 
-let fresh_counters () =
-  { c_global_attempts = 0; c_global_routed = 0; c_detail_attempts = 0; c_detail_routed = 0 }
+(* Detail first: a registry dumps its cells in registration order, and
+   the golden traces pin that order. *)
+let counters reg =
+  let detail_routed = Metrics.counter reg "router.detail.routed" in
+  let detail_attempts = Metrics.counter reg "router.detail.attempts" in
+  let global_routed = Metrics.counter reg "router.global.routed" in
+  let global_attempts = Metrics.counter reg "router.global.attempts" in
+  { global_attempts; global_routed; detail_attempts; detail_routed }
+
+let tally counters cell = match counters with Some c -> Metrics.incr (cell c) | None -> ()
 
 (* Criticality ordering: (criticality, estimated length) descending, net
    id as the deterministic tie-break. The length-only order needs no
@@ -96,16 +106,12 @@ let reroute_global ?(config = default_config) ?counters st j =
   let changed = ref [] in
   List.iter
     (fun net ->
-      (match counters with
-      | Some c -> c.c_global_attempts <- c.c_global_attempts + 1
-      | None -> ());
+      tally counters (fun c -> c.global_attempts);
       if
         Global_router.attempt ~margin:config.spine_margin
           ~max_candidates:config.spine_candidates st j net
       then begin
-        (match counters with
-        | Some c -> c.c_global_routed <- c.c_global_routed + 1
-        | None -> ());
+        tally counters (fun c -> c.global_routed);
         changed := net :: !changed
       end
       else Route_state.note_global_failure st net)
@@ -119,14 +125,10 @@ let reroute_detail ?(config = default_config) ?counters st j =
   for channel = 0 to arch.Spr_arch.Arch.n_channels - 1 do
     List.iter
       (fun net ->
-        (match counters with
-        | Some c -> c.c_detail_attempts <- c.c_detail_attempts + 1
-        | None -> ());
+        tally counters (fun c -> c.detail_attempts);
         if Detail_router.attempt ~antifuse_weight:config.antifuse_weight st j ~net ~channel
         then begin
-          (match counters with
-          | Some c -> c.c_detail_routed <- c.c_detail_routed + 1
-          | None -> ());
+          tally counters (fun c -> c.detail_routed);
           changed := net :: !changed
         end
         else Route_state.note_detail_failure st net ~channel)

@@ -27,16 +27,18 @@ type config = {
 val default_config : config
 
 type counters = {
-  mutable c_global_attempts : int;
-  mutable c_global_routed : int;
-  mutable c_detail_attempts : int;
-  mutable c_detail_routed : int;
+  global_attempts : Spr_obs.Metrics.counter;
+  global_routed : Spr_obs.Metrics.counter;
+  detail_attempts : Spr_obs.Metrics.counter;
+  detail_routed : Spr_obs.Metrics.counter;
 }
-(** Per-phase attempt/success tallies, accumulated across passes when
-    the same record is threaded through several calls (the move
-    pipeline's profile does exactly that). *)
+(** Per-phase attempt/success tallies: registry cells the routers
+    increment directly, accumulated across every pass the record is
+    threaded through (the move pipeline's profile does exactly that). *)
 
-val fresh_counters : unit -> counters
+val counters : Spr_obs.Metrics.t -> counters
+(** Get-or-create the four cells [router.{global,detail}.{attempts,routed}]
+    in the registry. *)
 
 val rip_up_cell : Route_state.t -> Spr_util.Journal.t -> int -> int list
 (** Rip up and queue every net attached to the cell; returns the ripped
