@@ -517,11 +517,11 @@ let serve () =
     (fun () ->
       wait_ready 0;
       let spec seed =
-        { Spr_serve.Job.default_spec with
-          Spr_serve.Job.circuit = Some "s1";
+        { Spr_serve.Spec.default with
+          Spr_serve.Spec.design = Circuit "s1";
           label = Printf.sprintf "bench-%d" seed;
           seed;
-          effort = "quick";
+          effort = Spr_experiments.Profiles.Quick;
           max_moves = Some moves
         }
       in

@@ -16,24 +16,19 @@
    The route flag surface is grouped: observability under
    --obs-*/--trace/--report, persistence under --run-*, flow selection
    under --flow/--stage-budget, fleet scheduling under
-   --parallel/--exchange/--scheduler/--race-*; [route] below is the
-   single place they merge into a Tool.Config. *)
+   --parallel/--exchange/--scheduler/--race-*. The flags that decide a
+   run build one Spr_serve.Spec, shared by route and submit; the spec
+   alone maps to the run's configuration. *)
 
 open Cmdliner
+module Spec = Spr_serve.Spec
 
+(* The design partition and stats read: a BLIF file or a built-in
+   circuit. *)
 let load_netlist ~file ~circuit =
   match file, circuit with
   | Some path, _ -> Spr_netlist.Blif.parse_file path
-  | None, Some name -> (
-    match Spr_netlist.Circuits.find name with
-    | Some spec -> Ok (Spr_netlist.Circuits.make spec)
-    | None ->
-      Error
-        (Printf.sprintf "unknown circuit %s (try: %s)" name
-           (String.concat ", "
-              (List.map
-                 (fun s -> s.Spr_netlist.Circuits.spec_name)
-                 Spr_netlist.Circuits.all))))
+  | None, Some name -> Spec.netlist { Spec.default with design = Circuit name }
   | None, None -> Error "provide a BLIF file or --circuit NAME"
 
 let file_arg =
@@ -46,9 +41,12 @@ let circuit_arg =
     & info [ "circuit" ] ~docv:"NAME" ~doc:"Built-in benchmark circuit (s1, cse, ex1, bw, s1a, big529).")
 
 let tracks_arg =
-  Arg.(value & opt int 28 & info [ "tracks" ] ~docv:"N" ~doc:"Horizontal tracks per channel.")
+  Arg.(
+    value & opt int Spec.default.tracks
+    & info [ "tracks" ] ~docv:"N" ~doc:"Horizontal tracks per channel.")
 
-let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
+let seed_arg =
+  Arg.(value & opt int Spec.default.seed & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
 
 let scheme_arg =
   let parse s =
@@ -59,7 +57,7 @@ let scheme_arg =
   let print ppf s = Format.pp_print_string ppf (Spr_arch.Segmentation.scheme_to_string s) in
   Arg.(
     value
-    & opt (conv (parse, print)) Spr_arch.Segmentation.Actel_like
+    & opt (conv (parse, print)) Spec.default.scheme
     & info [ "segmentation" ] ~docv:"SCHEME" ~doc:"Channel segmentation scheme.")
 
 let effort_arg =
@@ -68,14 +66,10 @@ let effort_arg =
     | Some e -> Ok e
     | None -> Error (`Msg "effort is quick|standard|thorough")
   in
-  let print ppf = function
-    | Spr_experiments.Profiles.Quick -> Format.pp_print_string ppf "quick"
-    | Spr_experiments.Profiles.Standard -> Format.pp_print_string ppf "standard"
-    | Spr_experiments.Profiles.Thorough -> Format.pp_print_string ppf "thorough"
-  in
+  let print ppf e = Format.pp_print_string ppf (Spr_experiments.Profiles.effort_to_string e) in
   Arg.(
     value
-    & opt (conv (parse, print)) Spr_experiments.Profiles.Standard
+    & opt (conv (parse, print)) Spec.default.effort
     & info [ "effort" ] ~docv:"LEVEL" ~doc:"Annealing effort: quick, standard or thorough.")
 
 (* --- generate --- *)
@@ -104,191 +98,141 @@ let generate_cmd =
     (Cmd.info "generate" ~doc:"Generate a synthetic MCNC-like circuit as BLIF.")
     Term.(ret (const generate $ cells $ seed_arg $ output))
 
+(* --- the run spec: route and submit read one set of flags --- *)
+
+let sched_docs = "FLEET SCHEDULING OPTIONS"
+
+(* Every spec flag but the design, defaulting to [Spec.default]; the
+   design the command line names, if any, comes alongside. *)
+let spec_term =
+  let d = Spec.default in
+  let flow =
+    Arg.(value & opt string d.flow
+         & info [ "flow" ] ~docv:"FLOW"
+             ~doc:"Flow preset: $(b,sa) (the simultaneous anneal), $(b,ap+sa) (analytical seed \
+                   placement, then the anneal at reduced temperature), $(b,ap+greedy+route), \
+                   $(b,seq) (the sequential baseline), or any +-joined chain of stages \
+                   (ap, sa, greedy, route, sta).")
+  in
+  let stage_budgets =
+    Arg.(value & opt_all (pair ~sep:'=' string float) d.stage_budgets
+         & info [ "stage-budget" ] ~docv:"STAGE=SECONDS"
+             ~doc:"Wall-clock budget for one flow stage (repeatable), e.g. --stage-budget ap=5 \
+                   --stage-budget sa=60.")
+  in
+  let time_budget =
+    Arg.(value & opt (some float) d.time_budget
+         & info [ "time-budget" ] ~docv:"SECS"
+             ~doc:"Stop gracefully after $(docv) wall seconds and keep the best layout so far.")
+  in
+  let max_moves =
+    Arg.(value & opt (some int) d.max_moves
+         & info [ "max-moves" ] ~docv:"N"
+             ~doc:"Stop gracefully after $(docv) annealing moves (cumulative across resumes).")
+  in
+  let replicas =
+    Arg.(value & opt int d.replicas
+         & info [ "parallel" ] ~docv:"K"
+             ~doc:"Anneal $(docv) independent replicas in parallel (one per domain) and keep \
+                   the best result. $(docv)=1 is the plain serial run.")
+  in
+  let exchange =
+    let parse s = Result.map_error (fun e -> `Msg e) (Spr_anneal.Portfolio.exchange_of_string s) in
+    let print ppf x = Format.pp_print_string ppf (Spr_anneal.Portfolio.exchange_to_string x) in
+    Arg.(
+      value
+      & opt (conv (parse, print)) d.exchange
+      & info [ "exchange" ] ~docv:"POLICY" ~docs:sched_docs
+          ~doc:"Portfolio exchange policy: $(b,independent), or $(b,best:N) to broadcast the \
+                portfolio-best layout to lagging replicas every N temperature boundaries \
+                ($(b,barrier) scheduler only).")
+  in
+  let kind =
+    let parse s = Result.map_error (fun e -> `Msg e) (Spr_core.Config.scheduler_of_string s) in
+    let print ppf kind = Format.pp_print_string ppf (Spr_core.Config.scheduler_to_string kind) in
+    Arg.(
+      value
+      & opt (conv (parse, print)) d.scheduler.kind
+      & info [ "scheduler" ] ~docv:"POLICY" ~docs:sched_docs
+          ~doc:"Replica scheduler for $(b,--parallel) fleets: $(b,barrier) (every replica runs \
+                to completion, coordinated only by $(b,--exchange)), $(b,racing) (fit an online \
+                predictor on each replica's annealing dynamics and early-kill replicas whose \
+                predicted final quality trails the fleet leader, reallocating their domains to \
+                perturbed forks of the leader; deterministic and resumable).")
+  in
+  let race_margin =
+    Arg.(value & opt float d.scheduler.race_margin
+         & info [ "race-margin" ] ~docv:"NETS" ~docs:sched_docs
+             ~doc:"Racing kill threshold, in unrouted-net units: a replica is killed only when \
+                   its predicted final quality trails the leader's by more than $(docv) plus \
+                   both predictions' uncertainties.")
+  in
+  let race_warmup =
+    Arg.(value & opt int d.scheduler.race_warmup
+         & info [ "race-warmup" ] ~docv:"N" ~docs:sched_docs
+             ~doc:"Temperature steps before the first racing decision round.")
+  in
+  let race_every =
+    Arg.(value & opt int d.scheduler.race_every
+         & info [ "race-every" ] ~docv:"N" ~docs:sched_docs
+             ~doc:"Temperature steps between racing decision rounds.")
+  in
+  let make file circuit tracks scheme seed effort flow stage_budgets replicas exchange kind
+      race_margin race_warmup race_every time_budget max_moves =
+    let source =
+      match file, circuit with
+      | Some path, _ -> Some (`File path)
+      | None, Some name -> Some (`Circuit name)
+      | None, None -> None
+    in
+    let scheduler = { Spr_core.Config.kind; race_margin; race_warmup; race_every } in
+    ( source,
+      { d with tracks; scheme; seed; effort; flow; stage_budgets; replicas; exchange; scheduler;
+               time_budget; max_moves } )
+  in
+  Term.(
+    const make $ file_arg $ circuit_arg $ tracks_arg $ scheme_arg $ seed_arg $ effort_arg $ flow
+    $ stage_budgets $ replicas $ exchange $ kind $ race_margin $ race_warmup $ race_every
+    $ time_budget $ max_moves)
+
+(* A new run's spec: the flags plus the design the command line names,
+   a built-in circuit by name or a BLIF file's bytes labelled with its
+   basename. *)
+let fresh_spec (source, (settings : Spec.t)) =
+  match source with
+  | None -> Error "provide a BLIF file or --circuit NAME"
+  | Some (`Circuit name) -> Ok { settings with design = Circuit name; label = name }
+  | Some (`File path) ->
+    Spr_util.Persist.read_file path
+    |> Result.map (fun text ->
+           { settings with
+             design = Blif text;
+             label = Filename.remove_extension (Filename.basename path) })
+
 (* --- route --- *)
 
-let report_sim nl (r : Spr_core.Tool.result) =
-  Printf.printf "simultaneous: routed=%b (G=%d D=%d)  critical=%.2f ns  cpu=%.1f s\n"
-    r.Spr_core.Tool.fully_routed r.Spr_core.Tool.g r.Spr_core.Tool.d
-    r.Spr_core.Tool.critical_delay r.Spr_core.Tool.cpu_seconds;
-  let path = Spr_timing.Sta.critical_path r.Spr_core.Tool.sta in
-  Printf.printf "critical path: %s\n"
-    (String.concat " -> "
-       (List.map (fun c -> (Spr_netlist.Netlist.cell nl c).Spr_netlist.Netlist.cell_name) path))
-
-let report_flow ~flow nl (r : Spr_flow.result) =
-  List.iter
-    (fun s ->
-      Printf.printf "  stage %-7s %7.1f s  %s\n" s.Spr_flow.sg_name s.Spr_flow.sg_seconds
-        s.Spr_flow.sg_detail)
-    r.Spr_flow.f_stages;
-  (match r.Spr_flow.f_seed_temperature with
-  | Some t -> Printf.printf "  seeded anneal start temperature %.4g\n" t
-  | None -> ());
-  Printf.printf "flow %-16s routed=%b (G=%d D=%d)  critical=%.2f ns  %.1f s\n" flow
-    r.Spr_flow.f_fully_routed r.Spr_flow.f_g r.Spr_flow.f_d r.Spr_flow.f_critical_delay
-    (Spr_flow.stage_seconds r);
-  let path = Spr_timing.Sta.critical_path r.Spr_flow.f_sta in
-  Printf.printf "critical path: %s\n"
-    (String.concat " -> "
-       (List.map (fun c -> (Spr_netlist.Netlist.cell nl c).Spr_netlist.Netlist.cell_name) path))
-
-(* Layout-facing outputs shared by every flow: stats, SVG, checkpoint,
-   ASCII die plot and the worst-endpoints table need only the routed
-   state and its STA, whatever produced them. *)
-let post_layout nl ~route ~sta ~svg ~checkpoint ~ascii ~stats ~report_k ~clock =
-  if stats then
-    Format.printf "%a" Spr_route.Route_stats.pp (Spr_route.Route_stats.collect route);
-  (match svg with
-  | None -> ()
-  | Some path ->
-    let hot = Spr_render.Die_plot.critical_nets sta route in
-    Spr_render.Die_plot.save_svg ~highlight:hot route path;
-    Printf.printf "die plot written to %s\n" path);
-  (match checkpoint with
-  | None -> ()
-  | Some path ->
-    Spr_core.Checkpoint.save route path;
-    Printf.printf "checkpoint written to %s\n" path);
-  if ascii then print_string (Spr_render.Die_plot.to_ascii route);
-  match report_k with
-  | None -> ()
-  | Some k ->
-    let paths = Spr_timing.Path_report.worst_paths ~k ?clock_period:clock sta in
-    Printf.printf "\nworst %d endpoints:\n%s" k (Spr_timing.Path_report.render nl paths)
-
-(* A run directory holds everything needed to continue an interrupted
-   run: the design itself, the fabric/config parameters, and the rotated
-   v2 snapshots the tool writes as it goes. *)
-
-let meta_file dir = Filename.concat dir "meta"
-
-let design_file dir = Filename.concat dir "design.blif"
-
-(* Snapshots reference nets by id, and net ids come from netlist
-   construction order, so resuming must rebuild the exact same netlist.
-   A BLIF input is copied into the run dir byte-for-byte (re-parsing
-   identical bytes is deterministic); a built-in circuit is recorded by
-   name and rebuilt from its spec, because re-parsing a re-serialization
-   can permute net ids. *)
-type run_meta = {
-  m_tracks : int;
-  m_scheme : Spr_arch.Segmentation.scheme;
-  m_seed : int;
-  m_effort : Spr_experiments.Profiles.effort;
-  m_parallel : int;
-  m_exchange : Spr_anneal.Portfolio.exchange;
-  m_scheduler : Spr_core.Tool.Config.scheduler;
-  m_flow : string;
-  m_circuit : string option;
+type run_flags = {
+  run_dir : string option;
+  resume : string option;
+  snapshot_every : int;
+  snapshot_keep : int;
 }
 
-let write_run_dir ~dir ~tracks ~scheme ~seed ~effort ~parallel ~exchange
-    ~(scheduler : Spr_core.Tool.Config.scheduler) ~flow ~source nl =
-  Spr_util.Persist.ensure_dir dir;
-  (match source with
-  | `File path ->
-    (match Spr_util.Persist.read_file path with
-    | Ok text -> Spr_util.Persist.atomic_write (design_file dir) text
-    | Error _ ->
-      Spr_util.Persist.atomic_write (design_file dir)
-        (Spr_netlist.Blif.to_string ~model_name:"run" nl))
-  | `Circuit _ ->
-    Spr_util.Persist.atomic_write (design_file dir)
-      (Spr_netlist.Blif.to_string ~model_name:"run" nl));
-  let circuit_line = match source with `Circuit name -> "circuit " ^ name ^ "\n" | `File _ -> "" in
-  Spr_util.Persist.atomic_write (meta_file dir)
-    (Printf.sprintf
-       "spr-run-meta 1\ntracks %d\nscheme %s\nseed %d\neffort %s\nparallel %d\nexchange %s\n\
-        scheduler %s\nrace-margin %h\nrace-warmup %d\nrace-every %d\nflow %s\n%s"
-       tracks
-       (Spr_arch.Segmentation.scheme_to_string scheme)
-       seed
-       (Spr_experiments.Profiles.effort_to_string effort)
-       parallel
-       (Spr_anneal.Portfolio.exchange_to_string exchange)
-       (Spr_core.Tool.Config.scheduler_to_string scheduler.kind)
-       scheduler.race_margin scheduler.race_warmup scheduler.race_every flow circuit_line)
-
-let read_run_meta dir =
-  match Spr_util.Persist.read_file (meta_file dir) with
-  | Error e -> Error (Printf.sprintf "%s: %s" (meta_file dir) e)
-  | Ok text ->
-    let fail fmt = Printf.ksprintf (fun m -> Error (meta_file dir ^ ": " ^ m)) fmt in
-    let lines =
-      String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
-      |> List.map (fun l -> String.split_on_char ' ' (String.trim l))
-    in
-    (match lines with
-    | [ "spr-run-meta"; "1" ] :: fields ->
-      let find key =
-        List.find_map (function [ k; v ] when k = key -> Some v | _ -> None) fields
-      in
-      (match find "tracks", find "scheme", find "seed", find "effort" with
-      | Some tracks, Some scheme, Some seed, Some effort -> (
-        match
-          ( int_of_string_opt tracks,
-            Spr_arch.Segmentation.scheme_of_string scheme,
-            int_of_string_opt seed,
-            Spr_experiments.Profiles.effort_of_string effort )
-        with
-        | Some tracks, Some scheme, Some seed, Some effort -> (
-          (* Run dirs written before the portfolio existed have no
-             parallel/exchange lines: a fleet of one, no exchange. *)
-          let parallel =
-            match find "parallel" with
-            | None -> Some 1
-            | Some p -> int_of_string_opt p
-          in
-          let exchange =
-            match find "exchange" with
-            | None -> Some Spr_anneal.Portfolio.Independent
-            | Some x -> Result.to_option (Spr_anneal.Portfolio.exchange_of_string x)
-          in
-          match parallel, exchange with
-          | Some parallel, Some exchange -> (
-            (* Run dirs written before the flow engine existed carry no
-               flow line: the plain simultaneous anneal. Ones written
-               before the racing scheduler carry no scheduler lines: the
-               barrier. *)
-            let flow = Option.value (find "flow") ~default:"sa" in
-            let d = Spr_core.Tool.Config.default.parallel.scheduler in
-            let kind =
-              match find "scheduler" with
-              | None -> Ok `Barrier
-              | Some s -> Spr_core.Tool.Config.scheduler_of_string s
-            in
-            match kind with
-            | Error e -> fail "%s" e
-            | Ok kind ->
-              let num key of_string default =
-                match find key with None -> Some default | Some v -> of_string v
-              in
-              (match
-                 ( num "race-margin" float_of_string_opt d.race_margin,
-                   num "race-warmup" int_of_string_opt d.race_warmup,
-                   num "race-every" int_of_string_opt d.race_every )
-               with
-              | Some race_margin, Some race_warmup, Some race_every ->
-                Ok
-                  {
-                    m_tracks = tracks;
-                    m_scheme = scheme;
-                    m_seed = seed;
-                    m_effort = effort;
-                    m_parallel = parallel;
-                    m_exchange = exchange;
-                    m_scheduler = { kind; race_margin; race_warmup; race_every };
-                    m_flow = flow;
-                    m_circuit = find "circuit";
-                  }
-              | _ -> fail "malformed race-* field"))
-          | _ -> fail "malformed parallel/exchange field")
-        | _ -> fail "malformed field value")
-      | _ -> fail "missing tracks/scheme/seed/effort field")
-    | _ -> fail "not a version-1 spr run-meta file")
+type outputs = {
+  svg : string option;
+  checkpoint : string option;
+  ascii : bool;
+  stats : bool;
+  report : string option;
+  endpoints : int option;
+  clock : float option;
+  trace : string option;
+  profile : bool;
+  selfcheck : bool;
+}
 
 (* The per-replica table and the fleet verdict; a fleet of one prints
-   neither, its replica line being [report_sim]'s. *)
+   neither. *)
 let report_fleet (p : Spr_core.Tool.fleet) =
   let module T = Spr_core.Tool in
   if Array.length p.T.p_results > 1 then begin
@@ -310,254 +254,148 @@ let report_fleet (p : Spr_core.Tool.fleet) =
       p.T.p_wall_seconds
   end
 
-let run_sim ~(config : Spr_core.Tool.config) ?resume_dir ~selfcheck ~profile arch nl ~run_dir
-    ~svg ~checkpoint ~ascii ~stats ~report_k ~clock =
-  Spr_core.Tool.install_signal_handlers ();
-  match Spr_core.Tool.run ~config ?resume_dir arch nl with
-  | Error e -> Error ("simultaneous flow failed: " ^ Spr_core.Tool.error_to_string e)
-  | Ok p ->
-    report_fleet p;
-    let r = Spr_core.Tool.best_result p in
-    (match r.Spr_core.Tool.status with
-    | Spr_core.Tool.Completed -> ()
-    | Spr_core.Tool.Interrupted reason ->
-      Printf.printf "interrupted (%s): best-so-far layout follows%s\n"
-        (Spr_core.Tool.stop_reason_to_string reason)
-        (match run_dir with
-        | Some dir -> Printf.sprintf "; continue with: spr route --run-resume %s" dir
-        | None -> ""));
-    report_sim nl r;
-    (match config.obs.trace_path with
-    | Some path -> Printf.printf "trace written to %s\n" path
-    | None -> ());
-    (match config.obs.report_path with
-    | Some path -> Printf.printf "report written to %s\n" path
-    | None -> ());
-    if profile then begin
-      Format.printf "%a" Spr_core.Profile.pp r.Spr_core.Tool.profile;
-      Format.printf "per-temperature phase times:@.%a" Spr_core.Dynamics.pp_phase_series
-        r.Spr_core.Tool.dynamics
-    end;
-    let audit_ok =
-      if not selfcheck then true
-      else begin
-        match Spr_core.Tool.audit_result r with
-        | [] ->
-          Printf.printf "selfcheck: zero audit findings\n";
-          true
-        | findings ->
-          Printf.printf "selfcheck FAILED:\n%s\n" (Spr_check.Finding.summarize findings);
-          false
-      end
+(* Layout-facing outputs shared by every flow: stats, SVG, checkpoint,
+   ASCII die plot and the worst-endpoints table need only the routed
+   state and its STA, whatever produced them. *)
+let post_layout nl ~route ~sta (o : outputs) =
+  if o.stats then
+    Format.printf "%a" Spr_route.Route_stats.pp (Spr_route.Route_stats.collect route);
+  (match o.svg with
+  | None -> ()
+  | Some path ->
+    let hot = Spr_render.Die_plot.critical_nets sta route in
+    Spr_render.Die_plot.save_svg ~highlight:hot route path;
+    Printf.printf "die plot written to %s\n" path);
+  (match o.checkpoint with
+  | None -> ()
+  | Some path ->
+    Spr_core.Checkpoint.save route path;
+    Printf.printf "checkpoint written to %s\n" path);
+  if o.ascii then print_string (Spr_render.Die_plot.to_ascii route);
+  match o.endpoints with
+  | None -> ()
+  | Some k ->
+    let paths = Spr_timing.Path_report.worst_paths ~k ?clock_period:o.clock sta in
+    Printf.printf "\nworst %d endpoints:\n%s" k (Spr_timing.Path_report.render nl paths)
+
+(* One printer for every flow, fresh or resumed, one replica or a fleet:
+   the fleet table, an early stop of the sa stage, the stage table and
+   verdict, the artifacts, the sa winner's profile, then the audit of
+   the final layout. *)
+let print_result ~(spec : Spec.t) ~(config : Spr_core.Config.t) ~run_dir (o : outputs) nl
+    (r : Spr_flow.result) =
+  let module T = Spr_core.Tool in
+  let sa = Option.map T.best_result r.Spr_flow.f_fleet in
+  Option.iter report_fleet r.Spr_flow.f_fleet;
+  (match sa with
+  | Some { T.status = T.Interrupted reason; _ } ->
+    Printf.printf "interrupted (%s): best-so-far layout follows%s\n"
+      (T.stop_reason_to_string reason)
+      (match run_dir with
+      | Some dir -> Printf.sprintf "; continue with: spr route --run-resume %s" dir
+      | None -> "")
+  | Some _ | None -> ());
+  List.iter
+    (fun s ->
+      Printf.printf "  stage %-7s %7.1f s  %s\n" s.Spr_flow.sg_name s.Spr_flow.sg_seconds
+        s.Spr_flow.sg_detail)
+    r.Spr_flow.f_stages;
+  Option.iter (Printf.printf "  seeded anneal start temperature %.4g\n")
+    r.Spr_flow.f_seed_temperature;
+  Printf.printf "flow %-16s routed=%b (G=%d D=%d)  critical=%.2f ns  %.1f s\n" spec.flow
+    r.Spr_flow.f_fully_routed r.Spr_flow.f_g r.Spr_flow.f_d r.Spr_flow.f_critical_delay
+    (Spr_flow.stage_seconds r);
+  Printf.printf "critical path: %s\n"
+    (String.concat " -> "
+       (List.map
+          (fun c -> (Spr_netlist.Netlist.cell nl c).Spr_netlist.Netlist.cell_name)
+          (Spr_timing.Sta.critical_path r.Spr_flow.f_sta)));
+  Option.iter (Printf.printf "trace written to %s\n") config.obs.trace_path;
+  (* Only an sa stage writes a run report. *)
+  (match config.obs.report_path, sa with
+  | Some path, Some _ -> Printf.printf "report written to %s\n" path
+  | _ -> ());
+  (match sa with
+  | Some w when o.profile ->
+    Format.printf "%a" Spr_core.Profile.pp w.T.profile;
+    Format.printf "per-temperature phase times:@.%a" Spr_core.Dynamics.pp_phase_series
+      w.T.dynamics
+  | _ -> ());
+  let audit_ok =
+    (not o.selfcheck)
+    ||
+    match Spr_check.Audit.run_all ~sta:r.Spr_flow.f_sta r.Spr_flow.f_route with
+    | [] ->
+      Printf.printf "selfcheck: zero audit findings\n";
+      true
+    | findings ->
+      Printf.printf "selfcheck FAILED:\n%s\n" (Spr_check.Finding.summarize findings);
+      false
+  in
+  post_layout nl ~route:r.Spr_flow.f_route ~sta:r.Spr_flow.f_sta o;
+  if audit_ok then Ok () else Error "selfcheck reported audit findings"
+
+(* A fresh run builds its spec from the flags and stores it in the run
+   directory; a resume loads that spec and takes only this invocation's
+   budgets from the flags. Either way the spec is validated before
+   anything is written, and the one flow engine call runs it. *)
+let route spec_flags (run : run_flags) (o : outputs) =
+  let ( let* ) = Result.bind in
+  let outcome =
+    let* spec =
+      match run.resume, spec_flags with
+      | Some _, (Some _, _) ->
+        Error "--run-resume continues a saved run; do not also give a design"
+      | Some dir, (None, (flags : Spec.t)) ->
+        Spec.load dir
+        |> Result.map (fun (s : Spec.t) ->
+               { s with
+                 time_budget = flags.time_budget;
+                 max_moves = flags.max_moves;
+                 stage_budgets = flags.stage_budgets })
+        |> Result.map_error (fun e -> "resume failed: " ^ e)
+      | None, _ -> fresh_spec spec_flags
     in
-    post_layout nl ~route:r.Spr_core.Tool.route ~sta:r.Spr_core.Tool.sta ~svg ~checkpoint
-      ~ascii ~stats ~report_k ~clock;
-    if audit_ok then Ok () else Error "selfcheck reported audit findings"
-
-(* Multi-stage flows go through the flow engine; [--flow sa] is the one
-   [Tool.run] in [run_sim] above. *)
-let run_flow ~flow ~(config : Spr_core.Tool.config) ?resume_dir arch nl ~svg ~checkpoint ~ascii
-    ~stats ~report_k ~clock =
-  Spr_core.Tool.install_signal_handlers ();
-  match Spr_flow.run ~config ?resume_dir arch nl with
-  | Error e ->
-    Error (Printf.sprintf "flow %s failed: %s" flow (Spr_core.Tool.error_to_string e))
-  | Ok r ->
-    Option.iter report_fleet r.Spr_flow.f_fleet;
-    report_flow ~flow nl r;
-    (match config.obs.trace_path with
-    | Some path -> Printf.printf "trace written to %s\n" path
-    | None -> ());
-    (match config.obs.report_path with
-    | Some path when r.Spr_flow.f_fleet <> None ->
-      Printf.printf "report written to %s\n" path
-    | _ -> ());
-    post_layout nl ~route:r.Spr_flow.f_route ~sta:r.Spr_flow.f_sta ~svg ~checkpoint ~ascii
-      ~stats ~report_k ~clock;
-    Ok ()
-
-(* The single flag→Config mapping: every route invocation (fresh or
-   resumed) builds its Tool.Config here and nowhere else. *)
-let cli_config config ~time_budget ~max_moves ~run_dir ~snapshot_every ~snapshot_keep
-    ~selfcheck ~parallel ~exchange ~scheduler ~trace ~report_file ~label =
-  let open Spr_core.Tool.Config in
-  config
-  |> (if selfcheck then with_validate true else Fun.id)
-  |> with_budget { time_budget; max_moves; stop_after_accepted = None; poll = None }
-  |> with_persistence { run_dir; snapshot_every; snapshot_keep; final_checkpoint = true }
-  |> with_replicas ~exchange parallel
-  |> with_scheduler scheduler
-  |> with_obs
-       {
-         record = trace <> None;
-         trace_path = trace;
-         report_path = report_file;
-         label = Some label;
-         on_event = None;
-       }
-
-let resume_route dir ~time_budget ~max_moves ~snapshot_every ~snapshot_keep ~selfcheck ~profile
-    ~svg ~checkpoint ~ascii ~stats ~report_k ~clock ~trace ~report_file ~stage_budgets =
-  match read_run_meta dir with
-  | Error e -> `Error (false, "resume failed: " ^ e)
-  | Ok m -> (
-    let { m_tracks = tracks; m_scheme = scheme; m_seed = seed; m_effort = effort;
-          m_parallel = parallel; m_exchange = exchange; m_scheduler = scheduler;
-          m_flow = flow; m_circuit = circuit } = m
+    let* () = Spec.validate spec in
+    let* nl = Spec.netlist spec in
+    let* config = Spec.config spec ~n:(Spr_netlist.Netlist.n_cells nl) in
+    Format.printf "circuit: %a@." Spr_netlist.Netlist.pp_summary nl;
+    let arch = Spec.arch spec nl in
+    Format.printf "fabric:  %a@." Spr_arch.Arch.pp arch;
+    let run_dir = match run.resume with Some _ -> run.resume | None -> run.run_dir in
+    let config =
+      let open Spr_core.Config in
+      config
+      |> (match run_dir with
+         | Some dir ->
+           with_run_dir ~snapshot_every:run.snapshot_every ~snapshot_keep:run.snapshot_keep dir
+         | None -> Fun.id)
+      |> (if o.selfcheck then with_validate true else Fun.id)
+      |> (match o.trace with Some path -> with_trace_file path | None -> Fun.id)
+      |> match o.report with Some path -> with_report_file path | None -> Fun.id
     in
-    match
-      match circuit with
-      | Some name -> load_netlist ~file:None ~circuit:(Some name)
-      | None -> Spr_netlist.Blif.parse_file (design_file dir)
-    with
-    | Error e -> `Error (false, "resume failed: " ^ e)
-    | Ok nl ->
-      let n = Spr_netlist.Netlist.n_cells nl in
-      Format.printf "circuit: %a@." Spr_netlist.Netlist.pp_summary nl;
-      let arch = Spr_arch.Arch.size_for ~tracks ~hscheme:scheme nl in
-      Format.printf "fabric:  %a@." Spr_arch.Arch.pp arch;
-      let config =
-        cli_config
-          (Spr_experiments.Profiles.tool_config ~seed effort ~n)
-          ~time_budget ~max_moves ~run_dir:(Some dir) ~snapshot_every ~snapshot_keep ~selfcheck
-          ~parallel ~exchange ~scheduler ~trace ~report_file
-          ~label:(Option.value circuit ~default:"run")
-      in
+    (match run.resume, run_dir with
+    | Some dir, _ ->
       (* Each replica continues from its own newest loadable snapshot
          (or restarts from scratch without one) and recorded rounds
          replay from the run directory; a multi-stage flow first skips
          the stages flow.json records as done. *)
-      Printf.printf "resuming flow %s with %d replica%s from %s\n%!" flow parallel
-        (if parallel = 1 then "" else "s")
-        dir;
-      let outcome =
-        if flow = "sa" then
-          run_sim ~config ~resume_dir:dir ~selfcheck ~profile arch nl ~run_dir:(Some dir) ~svg
-            ~checkpoint ~ascii ~stats ~report_k ~clock
-        else
-          let config =
-            List.fold_left
-              (fun c (stage, b) -> Spr_core.Tool.Config.with_stage_budget stage b c)
-              (Spr_core.Tool.Config.with_flow_preset flow config)
-              stage_budgets
-          in
-          run_flow ~flow ~config ~resume_dir:dir arch nl ~svg ~checkpoint ~ascii ~stats
-            ~report_k ~clock
-      in
-      match outcome with Ok () -> `Ok () | Error e -> `Error (false, e))
-
-(* --stage-budget is repeatable: each occurrence is STAGE=SECONDS. *)
-let parse_stage_budgets specs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | s :: rest -> (
-      match String.index_opt s '=' with
-      | None -> Error (Printf.sprintf "--stage-budget %s: expected STAGE=SECONDS" s)
-      | Some i -> (
-        let stage = String.sub s 0 i in
-        let v = String.sub s (i + 1) (String.length s - i - 1) in
-        match float_of_string_opt v with
-        | None -> Error (Printf.sprintf "--stage-budget %s: %s is not a number" s v)
-        | Some b -> go ((stage, b) :: acc) rest))
+      Printf.printf "resuming flow %s with %d replica%s from %s\n%!" spec.flow spec.replicas
+        (if spec.replicas = 1 then "" else "s")
+        dir
+    | None, Some dir -> Spec.save ~dir spec
+    | None, None -> ());
+    Spr_core.Tool.install_signal_handlers ();
+    match Spr_flow.run ~config ?resume_dir:run.resume arch nl with
+    | Error e ->
+      Error (Printf.sprintf "flow %s failed: %s" spec.flow (Spr_core.Tool.error_to_string e))
+    | Ok r -> print_result ~spec ~config ~run_dir o nl r
   in
-  go [] specs
-
-let route file circuit tracks scheme seed effort flow stage_budget_specs selfcheck profile svg
-    checkpoint ascii stats report_file endpoints clock trace run_dir resume time_budget
-    max_moves snapshot_every snapshot_keep parallel exchange kind race_margin race_warmup
-    race_every =
-  let report_k = endpoints in
-  let scheduler = { Spr_core.Tool.Config.kind; race_margin; race_warmup; race_every } in
-  match parse_stage_budgets stage_budget_specs with
-  | Error e -> `Error (false, e)
-  | Ok stage_budgets -> (
-  if parallel < 1 then `Error (false, "--parallel must be >= 1")
-  else
-  match resume with
-  | Some dir ->
-    if file <> None || circuit <> None then
-      `Error (false, "--run-resume continues a saved run; do not also give a design")
-    else
-      resume_route dir ~time_budget ~max_moves ~snapshot_every ~snapshot_keep ~selfcheck
-        ~profile ~svg ~checkpoint ~ascii ~stats ~report_k ~clock ~trace ~report_file
-        ~stage_budgets
-  | None -> (
-    match load_netlist ~file ~circuit with
-    | Error e -> `Error (false, e)
-    | Ok nl ->
-      let n = Spr_netlist.Netlist.n_cells nl in
-      Format.printf "circuit: %a@." Spr_netlist.Netlist.pp_summary nl;
-      let arch = Spr_arch.Arch.size_for ~tracks ~hscheme:scheme nl in
-      Format.printf "fabric:  %a@." Spr_arch.Arch.pp arch;
-      (match run_dir with
-      | Some dir ->
-        let source =
-          match file, circuit with
-          | Some path, _ -> `File path
-          | None, Some name -> `Circuit name
-          | None, None -> assert false (* load_netlist succeeded *)
-        in
-        write_run_dir ~dir ~tracks ~scheme ~seed ~effort ~parallel ~exchange ~scheduler ~flow
-          ~source nl
-      | None -> ());
-      let errors = ref [] in
-      let note = function Ok () -> () | Error e -> errors := e :: !errors in
-      let label =
-        match circuit, file with
-        | Some name, _ -> name
-        | None, Some path -> Filename.remove_extension (Filename.basename path)
-        | None, None -> "run"
-      in
-      let base_config () =
-        cli_config
-          (Spr_experiments.Profiles.tool_config ~seed effort ~n)
-          ~time_budget ~max_moves ~run_dir ~snapshot_every ~snapshot_keep ~selfcheck ~parallel
-          ~exchange ~scheduler ~trace ~report_file ~label
-      in
-      (match flow with
-      | "sa" ->
-        (* The classic path. A --stage-budget sa=S here is just the run's
-           time budget under another spelling. *)
-        let config =
-          match time_budget, List.assoc_opt "sa" stage_budgets with
-          | None, Some b -> Spr_core.Tool.Config.with_time_budget b (base_config ())
-          | _ -> base_config ()
-        in
-        note
-          (run_sim ~config ~selfcheck ~profile arch nl ~run_dir ~svg ~checkpoint ~ascii ~stats
-             ~report_k ~clock)
-      | preset ->
-        let config =
-          List.fold_left
-            (fun c (stage, b) -> Spr_core.Tool.Config.with_stage_budget stage b c)
-            (Spr_core.Tool.Config.with_flow_preset preset (base_config ()))
-            stage_budgets
-        in
-        note
-          (run_flow ~flow:preset ~config arch nl ~svg ~checkpoint ~ascii ~stats ~report_k
-             ~clock));
-      (match !errors with
-      | [] -> `Ok ()
-      | errs -> `Error (false, String.concat "\n" (List.rev errs)))))
+  match outcome with Ok () -> `Ok () | Error e -> `Error (false, e)
 
 let route_cmd =
   let obs_docs = "OBSERVABILITY OPTIONS" in
   let run_docs = "RUN PERSISTENCE OPTIONS" in
-  let sched_docs = "FLEET SCHEDULING OPTIONS" in
-  let flow =
-    Arg.(value & opt string "sa"
-         & info [ "flow" ] ~docv:"FLOW"
-             ~doc:"Flow preset: $(b,sa) (the simultaneous anneal), $(b,ap+sa) (analytical seed \
-                   placement, then the anneal at reduced temperature), $(b,ap+greedy+route), \
-                   $(b,seq) (the sequential baseline), or any +-joined chain of stages \
-                   (ap, sa, greedy, route, sta).")
-  in
-  let stage_budget =
-    Arg.(value & opt_all string []
-         & info [ "stage-budget" ] ~docv:"STAGE=SECONDS"
-             ~doc:"Wall-clock budget for one flow stage (repeatable), e.g. --stage-budget ap=5 \
-                   --stage-budget sa=60.")
-  in
   let svg =
     Arg.(value & opt (some string) None
          & info [ "svg" ] ~docv:"FILE" ~doc:"Write a die plot (critical path highlighted).")
@@ -574,7 +412,7 @@ let route_cmd =
          & info [ "obs-stats" ] ~docs:obs_docs
              ~doc:"Print wirelength, antifuse and utilization statistics.")
   in
-  let report_arg =
+  let report =
     Arg.(value & opt (some string) None
          & info [ "report" ] ~docv:"FILE" ~docs:obs_docs
              ~doc:"Write the unified run report (report.json, machine twin of the ASCII \
@@ -599,113 +437,55 @@ let route_cmd =
   let selfcheck =
     Arg.(value & flag
          & info [ "selfcheck" ]
-             ~doc:"Audit the incremental state against from-scratch recomputation during and \
-                   after the run (placement bijection, routing mirrors, STA diff).")
+             ~doc:"Audit the incremental state against from-scratch recomputation during the \
+                   anneal and on the final layout of any flow (placement bijection, routing \
+                   mirrors, STA diff).")
   in
   let profile =
     Arg.(value & flag
          & info [ "obs-profile" ] ~docs:obs_docs
              ~doc:"Print the per-phase move-pipeline breakdown (propose, rip-up, reroute, \
-                   retime, decide) and per-temperature phase times after the run.")
+                   retime, decide) and per-temperature phase times of the sa stage.")
   in
   let run_dir =
     Arg.(value & opt (some string) None
          & info [ "run-dir" ] ~docv:"DIR" ~docs:run_docs
-             ~doc:"Write crash-safe resumable snapshots (and the design) into $(docv) as the \
-                   run progresses.")
+             ~doc:"Write the run spec (design included) and crash-safe resumable snapshots \
+                   into $(docv) as the run progresses.")
   in
   let resume =
     Arg.(value & opt (some dir) None
          & info [ "run-resume" ] ~docv:"DIR" ~docs:run_docs
-             ~doc:"Continue an interrupted run from the newest good snapshot in $(docv).")
+             ~doc:"Continue an interrupted run from the spec and the newest good snapshot in \
+                   $(docv).")
   in
-  let time_budget =
-    Arg.(value & opt (some float) None
-         & info [ "time-budget" ] ~docv:"SECS"
-             ~doc:"Stop gracefully after $(docv) wall seconds and keep the best layout so far.")
-  in
-  let max_moves =
-    Arg.(value & opt (some int) None
-         & info [ "max-moves" ] ~docv:"N"
-             ~doc:"Stop gracefully after $(docv) annealing moves (cumulative across resumes).")
-  in
+  let persistence = Spr_core.Config.default.persistence in
   let snapshot_every =
-    Arg.(value & opt int 1
+    Arg.(value & opt int persistence.snapshot_every
          & info [ "run-snapshot-every" ] ~docv:"N" ~docs:run_docs
              ~doc:"With --run-dir, snapshot every $(docv) temperature boundaries.")
   in
   let snapshot_keep =
-    Arg.(value & opt int 3
+    Arg.(value & opt int persistence.snapshot_keep
          & info [ "run-snapshot-keep" ] ~docv:"K" ~docs:run_docs
              ~doc:"With --run-dir, keep the newest $(docv) snapshots.")
   in
-  let parallel =
-    Arg.(value & opt int 1
-         & info [ "parallel" ] ~docv:"K"
-             ~doc:"Anneal $(docv) independent replicas in parallel (one per domain) and keep \
-                   the best result. $(docv)=1 is the plain serial run.")
+  let run_term =
+    Term.(
+      const (fun run_dir resume snapshot_every snapshot_keep ->
+          { run_dir; resume; snapshot_every; snapshot_keep })
+      $ run_dir $ resume $ snapshot_every $ snapshot_keep)
   in
-  let exchange =
-    let parse s =
-      match Spr_anneal.Portfolio.exchange_of_string s with
-      | Ok x -> Ok x
-      | Error e -> Error (`Msg e)
-    in
-    let print ppf x = Format.pp_print_string ppf (Spr_anneal.Portfolio.exchange_to_string x) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Spr_anneal.Portfolio.Independent
-      & info [ "exchange" ] ~docv:"POLICY" ~docs:sched_docs
-          ~doc:"Portfolio exchange policy: $(b,independent), or $(b,best:N) to broadcast the \
-                portfolio-best layout to lagging replicas every N temperature boundaries \
-                ($(b,barrier) scheduler only).")
-  in
-  let scheduler =
-    let parse s =
-      match Spr_core.Tool.Config.scheduler_of_string s with
-      | Ok v -> Ok v
-      | Error e -> Error (`Msg e)
-    in
-    let print ppf kind =
-      Format.pp_print_string ppf (Spr_core.Tool.Config.scheduler_to_string kind)
-    in
-    Arg.(
-      value
-      & opt (conv (parse, print)) `Barrier
-      & info [ "scheduler" ] ~docv:"POLICY" ~docs:sched_docs
-          ~doc:"Replica scheduler for $(b,--parallel) fleets: $(b,barrier) (every replica runs \
-                to completion, coordinated only by $(b,--exchange)), $(b,racing) (fit an online \
-                predictor on each replica's annealing dynamics and early-kill replicas whose \
-                predicted final quality trails the fleet leader, reallocating their domains to \
-                perturbed forks of the leader; deterministic and resumable).")
-  in
-  let race_margin =
-    Arg.(value & opt float 1.0
-         & info [ "race-margin" ] ~docv:"NETS" ~docs:sched_docs
-             ~doc:"Racing kill threshold, in unrouted-net units: a replica is killed only when \
-                   its predicted final quality trails the leader's by more than $(docv) plus \
-                   both predictions' uncertainties.")
-  in
-  let race_warmup =
-    Arg.(value & opt int 10
-         & info [ "race-warmup" ] ~docv:"N" ~docs:sched_docs
-             ~doc:"Temperature steps before the first racing decision round.")
-  in
-  let race_every =
-    Arg.(value & opt int 5
-         & info [ "race-every" ] ~docv:"N" ~docs:sched_docs
-             ~doc:"Temperature steps between racing decision rounds.")
+  let outputs_term =
+    Term.(
+      const (fun svg checkpoint ascii stats report endpoints clock trace profile selfcheck ->
+          { svg; checkpoint; ascii; stats; report; endpoints; clock; trace; profile; selfcheck })
+      $ svg $ checkpoint $ ascii $ stats $ report $ endpoints $ clock $ trace $ profile
+      $ selfcheck)
   in
   Cmd.v
     (Cmd.info "route" ~doc:"Place and route a circuit on a row-based fabric.")
-    Term.(
-      ret
-        (const route $ file_arg $ circuit_arg $ tracks_arg $ scheme_arg $ seed_arg $ effort_arg
-        $ flow $ stage_budget $ selfcheck $ profile $ svg $ checkpoint $ ascii
-        $ stats $ report_arg $ endpoints $ clock $ trace
-        $ run_dir $ resume $ time_budget $ max_moves
-        $ snapshot_every $ snapshot_keep $ parallel $ exchange $ scheduler $ race_margin
-        $ race_warmup $ race_every))
+    Term.(ret (const route $ spec_term $ run_term $ outputs_term))
 
 (* --- report: re-render a stored trace --- *)
 
@@ -976,123 +756,54 @@ let require_socket socket =
       Ok (Filename.concat ".spr-serve" "serve.sock")
     else Error "provide --socket PATH (no ./.spr-serve/serve.sock found)"
 
-let submit file circuit tracks scheme seed effort flow parallel exchange scheduler time_budget
-    max_moves socket quiet =
-  match require_socket socket with
+let submit spec_flags socket quiet =
+  match Result.bind (require_socket socket) (fun s -> Result.map (fun spec -> (s, spec)) (fresh_spec spec_flags)) with
   | Error e -> `Error (false, e)
-  | Ok socket -> (
-    let label =
-      match circuit, file with
-      | Some name, _ -> name
-      | None, Some path -> Filename.remove_extension (Filename.basename path)
-      | None, None -> "job"
+  | Ok (socket, spec) -> (
+    let on_event ev =
+      if not quiet then begin
+        let open Spr_obs.Trace in
+        match ev.ev with
+        | Exchange { round; from_replica; metric } ->
+          Printf.printf "exchange round %d: replica %d leads (metric %.4g)\n%!" round
+            from_replica metric
+        | Replica_end { status; g; d; delay_ns; _ } ->
+          Printf.printf "replica %d: %s  G=%d D=%d  critical=%.2f ns\n%!" ev.ev_replica status
+            g d delay_ns
+        | _ -> ()
+      end
     in
-    let blif =
-      match file with
-      | None -> Ok None
-      | Some path -> (
-        match Spr_util.Persist.read_file path with
-        | Ok text -> Ok (Some text)
-        | Error e -> Error e)
-    in
-    match blif with
-    | Error e -> `Error (false, e)
-    | Ok blif -> (
-      let spec =
-        {
-          Spr_serve.Job.label;
-          circuit;
-          blif;
-          tracks;
-          scheme = Spr_arch.Segmentation.scheme_to_string scheme;
-          seed;
-          effort = Spr_experiments.Profiles.effort_to_string effort;
-          flow;
-          replicas = parallel;
-          exchange;
-          scheduler;
-          time_budget;
-          max_moves;
-        }
-      in
-      let on_event ev =
-        if not quiet then begin
-          let open Spr_obs.Trace in
-          match ev.ev with
-          | Exchange { round; from_replica; metric } ->
-            Printf.printf "exchange round %d: replica %d leads (metric %.4g)\n%!" round
-              from_replica metric
-          | Replica_end { status; g; d; delay_ns; _ } ->
-            Printf.printf "replica %d: %s  G=%d D=%d  critical=%.2f ns\n%!" ev.ev_replica
-              status g d delay_ns
-          | _ -> ()
-        end
-      in
-      match Spr_serve.Client.open_submit ~socket spec with
-      | Error (`Rejected (Spr_serve.Protocol.Overloaded { queued; backoff_s })) ->
-        `Error
-          ( false,
-            Printf.sprintf "rejected: %d jobs queued; retry in ~%.0f s" queued backoff_s )
-      | Error (`Rejected Spr_serve.Protocol.Draining) ->
-        `Error (false, "rejected: daemon is draining")
-      | Error (`Rejected (Spr_serve.Protocol.Invalid msg)) ->
-        `Error (false, "rejected: " ^ msg)
-      | Error (`Error e) -> `Error (false, e)
-      | Ok (fd, id) -> (
-        Printf.printf "accepted as %s\n%!" id;
-        match Spr_serve.Client.await ~on_event fd with
-        | Ok (Spr_serve.Protocol.Job_done { status; _ }) ->
-          Printf.printf "%s: %s\n" id status;
-          `Ok ()
-        | Ok (Spr_serve.Protocol.Job_failed { error; _ }) ->
-          `Error (false, Printf.sprintf "%s failed: %s" id error)
-        | Ok (Spr_serve.Protocol.Job_parked { message; _ }) ->
-          `Error (false, Printf.sprintf "%s parked: %s" id message)
-        | Ok (Spr_serve.Protocol.Job_cancelled _) ->
-          `Error (false, Printf.sprintf "%s cancelled" id)
-        | Ok _ -> `Error (false, "unexpected terminal reply")
-        | Error e -> `Error (false, e))))
+    match Spr_serve.Client.open_submit ~socket spec with
+    | Error (`Rejected (Spr_serve.Protocol.Overloaded { queued; backoff_s })) ->
+      `Error
+        (false, Printf.sprintf "rejected: %d jobs queued; retry in ~%.0f s" queued backoff_s)
+    | Error (`Rejected Spr_serve.Protocol.Draining) ->
+      `Error (false, "rejected: daemon is draining")
+    | Error (`Rejected (Spr_serve.Protocol.Invalid msg)) -> `Error (false, "rejected: " ^ msg)
+    | Error (`Error e) -> `Error (false, e)
+    | Ok (fd, id) -> (
+      Printf.printf "accepted as %s\n%!" id;
+      match Spr_serve.Client.await ~on_event fd with
+      | Ok (Spr_serve.Protocol.Job_done { status; _ }) ->
+        Printf.printf "%s: %s\n" id status;
+        `Ok ()
+      | Ok (Spr_serve.Protocol.Job_failed { error; _ }) ->
+        `Error (false, Printf.sprintf "%s failed: %s" id error)
+      | Ok (Spr_serve.Protocol.Job_parked { message; _ }) ->
+        `Error (false, Printf.sprintf "%s parked: %s" id message)
+      | Ok (Spr_serve.Protocol.Job_cancelled _) -> `Error (false, Printf.sprintf "%s cancelled" id)
+      | Ok _ -> `Error (false, "unexpected terminal reply")
+      | Error e -> `Error (false, e)))
 
 let submit_cmd =
-  let parallel =
-    Arg.(value & opt int 1
-         & info [ "parallel" ] ~docv:"K" ~doc:"Portfolio width (annealing replicas).")
-  in
-  let exchange =
-    Arg.(value & opt string "independent"
-         & info [ "exchange" ] ~docv:"POLICY"
-             ~doc:"Portfolio exchange policy: $(b,independent) or $(b,best:N).")
-  in
-  let scheduler =
-    Arg.(value & opt string "barrier"
-         & info [ "scheduler" ] ~docv:"SCHED"
-             ~doc:"Fleet scheduler: $(b,barrier) or $(b,racing).")
-  in
-  let time_budget =
-    Arg.(value & opt (some float) None
-         & info [ "time-budget" ] ~docv:"SECONDS" ~doc:"Wall-clock budget for the run.")
-  in
-  let max_moves =
-    Arg.(value & opt (some int) None
-         & info [ "max-moves" ] ~docv:"N" ~doc:"Move budget for the run.")
-  in
   let quiet =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress streamed progress events.")
-  in
-  let flow =
-    Arg.(value & opt string "sa"
-         & info [ "flow" ] ~docv:"FLOW"
-             ~doc:"Flow preset the worker runs: $(b,sa), $(b,ap+sa), $(b,ap+greedy+route), \
-                   $(b,seq), or any +-joined stage chain.")
   in
   Cmd.v
     (Cmd.info "submit"
        ~doc:"Submit a place-and-route job to a running $(b,spr serve) daemon and stream its \
-             progress until it finishes.")
-    Term.(
-      ret
-        (const submit $ file_arg $ circuit_arg $ tracks_arg $ scheme_arg $ seed_arg $ effort_arg
-        $ flow $ parallel $ exchange $ scheduler $ time_budget $ max_moves $ socket_arg $ quiet))
+             progress until it finishes. The job takes $(b,route)'s run flags.")
+    Term.(ret (const submit $ spec_term $ socket_arg $ quiet))
 
 let jobs_cli socket cancel =
   match require_socket socket with

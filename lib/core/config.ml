@@ -273,15 +273,9 @@ let validated t =
 
 let with_seed seed t = { t with seed }
 
-let with_router router t = { t with router }
-
 let with_timing_driven_routing timing_driven_routing t = { t with timing_driven_routing }
 
-let with_delay_model delay_model t = { t with delay_model }
-
 let with_anneal cfg t = { t with anneal = Some cfg }
-
-let with_moves moves t = { t with moves }
 
 let with_pinmap_moves ?prob enable t =
   {
@@ -299,8 +293,6 @@ let with_max_swap_tries max_swap_tries t = { t with moves = { t.moves with max_s
 
 let with_weights weights t = { t with weights }
 
-let with_budget budget t = { t with budget }
-
 let with_time_budget b t = { t with budget = { t.budget with time_budget = Some b } }
 
 let with_max_moves m t = { t with budget = { t.budget with max_moves = Some m } }
@@ -309,8 +301,6 @@ let with_stop_after_accepted k t =
   { t with budget = { t.budget with stop_after_accepted = Some k } }
 
 let with_cancel_poll f t = { t with budget = { t.budget with poll = Some f } }
-
-let with_persistence persistence t = { t with persistence }
 
 let with_run_dir ?snapshot_every ?snapshot_keep dir t =
   {
@@ -329,8 +319,6 @@ let with_run_dir ?snapshot_every ?snapshot_keep dir t =
 let with_final_checkpoint final_checkpoint t =
   { t with persistence = { t.persistence with final_checkpoint } }
 
-let with_validation validation t = { t with validation }
-
 let with_validate ?every validate t =
   {
     t with
@@ -340,8 +328,6 @@ let with_validate ?every validate t =
         validate_every = (match every with Some e -> e | None -> t.validation.validate_every);
       };
   }
-
-let with_parallel parallel t = { t with parallel }
 
 let with_replicas ?exchange replicas t =
   {
@@ -356,20 +342,16 @@ let with_replicas ?exchange replicas t =
 
 let with_stream stream t = { t with parallel = { t.parallel with stream } }
 
-let with_scheduler scheduler t = { t with parallel = { t.parallel with scheduler } }
+let update_scheduler f t =
+  { t with parallel = { t.parallel with scheduler = f t.parallel.scheduler } }
 
-let with_scheduler_kind kind t = with_scheduler { t.parallel.scheduler with kind } t
+let with_scheduler_kind kind = update_scheduler (fun s -> { s with kind })
 
-let with_race_margin race_margin t =
-  with_scheduler { t.parallel.scheduler with race_margin } t
+let with_race_margin race_margin = update_scheduler (fun s -> { s with race_margin })
 
-let with_race_warmup race_warmup t =
-  with_scheduler { t.parallel.scheduler with race_warmup } t
+let with_race_warmup race_warmup = update_scheduler (fun s -> { s with race_warmup })
 
-let with_race_every race_every t =
-  with_scheduler { t.parallel.scheduler with race_every } t
-
-let with_obs obs t = { t with obs }
+let with_race_every race_every = update_scheduler (fun s -> { s with race_every })
 
 let with_trace_recording record t = { t with obs = { t.obs with record } }
 
@@ -377,11 +359,7 @@ let with_trace_file path t = { t with obs = { t.obs with trace_path = Some path 
 
 let with_report_file path t = { t with obs = { t.obs with report_path = Some path } }
 
-let with_run_label label t = { t with obs = { t.obs with label = Some label } }
-
 let with_on_event f t = { t with obs = { t.obs with on_event = Some f } }
-
-let with_flow flow t = { t with flow }
 
 let with_flow_preset preset t = { t with flow = { t.flow with preset } }
 

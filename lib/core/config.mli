@@ -203,15 +203,9 @@ val validated : t -> (t, string) Stdlib.result
 
 val with_seed : int -> t -> t
 
-val with_router : Spr_route.Router.config -> t -> t
-
 val with_timing_driven_routing : bool -> t -> t
 
-val with_delay_model : Spr_timing.Delay_model.t -> t -> t
-
 val with_anneal : Spr_anneal.Engine.config -> t -> t
-
-val with_moves : moves -> t -> t
 
 val with_pinmap_moves : ?prob:float -> bool -> t -> t
 (** Toggle pinmap moves, optionally setting the probability. *)
@@ -219,8 +213,6 @@ val with_pinmap_moves : ?prob:float -> bool -> t -> t
 val with_max_swap_tries : int -> t -> t
 
 val with_weights : weights -> t -> t
-
-val with_budget : budget -> t -> t
 
 val with_time_budget : float -> t -> t
 
@@ -230,23 +222,15 @@ val with_stop_after_accepted : int -> t -> t
 
 val with_cancel_poll : (unit -> bool) -> t -> t
 
-val with_persistence : persistence -> t -> t
-
 val with_run_dir : ?snapshot_every:int -> ?snapshot_keep:int -> string -> t -> t
 
 val with_final_checkpoint : bool -> t -> t
 
-val with_validation : validation -> t -> t
-
 val with_validate : ?every:int -> bool -> t -> t
-
-val with_parallel : parallel -> t -> t
 
 val with_replicas : ?exchange:Spr_anneal.Portfolio.exchange -> int -> t -> t
 
 val with_stream : int -> t -> t
-
-val with_scheduler : scheduler -> t -> t
 
 val with_scheduler_kind : [ `Barrier | `Racing ] -> t -> t
 (** Switch the scheduler kind; the racing tuning knobs keep their
@@ -258,15 +242,11 @@ val with_race_warmup : int -> t -> t
 
 val with_race_every : int -> t -> t
 
-val with_obs : obs -> t -> t
-
 val with_trace_recording : bool -> t -> t
 
 val with_trace_file : string -> t -> t
 
 val with_report_file : string -> t -> t
-
-val with_run_label : string -> t -> t
 
 val with_on_event : (Spr_obs.Trace.event -> unit) -> t -> t
 
@@ -284,8 +264,6 @@ val flow_stages_of_preset : string -> (string list, string) Stdlib.result
     impossible orders ([ap] anywhere but first, [route] with nothing
     placed, [sta] with nothing routed), with a message listing the
     valid presets. *)
-
-val with_flow : flow -> t -> t
 
 val with_flow_preset : string -> t -> t
 

@@ -375,31 +375,27 @@ let run_sa st ~(config : C.t) ~(orig : C.t) ?resume_dir ~multi_stage arch nl =
         }
         config
   in
+  (* Whatever the preset, the stage runs under the tighter of the run's
+     time budget and its own stage budget. *)
+  let config =
+    match List.assoc_opt "sa" config.C.flow.C.stage_budgets, config.C.budget.C.time_budget with
+    | None, _ -> config
+    | Some b, Some t -> C.with_time_budget (Float.min t b) config
+    | Some b, None -> C.with_time_budget b config
+  in
   let sa_config =
-    if multi_stage then begin
-      let budgeted =
-        match List.assoc_opt "sa" config.C.flow.C.stage_budgets with
-        | None -> config
-        | Some b ->
-          let tighter =
-            match config.C.budget.C.time_budget with
-            | Some t -> Float.min t b
-            | None -> b
-          in
-          C.with_time_budget tighter config
-      in
+    if multi_stage then
       (* Strip the trace path: the flow writes the assembled trace
          itself; keep recording on so the sa events come back. *)
       {
-        budgeted with
+        config with
         C.obs =
           {
-            budgeted.C.obs with
+            config.C.obs with
             C.trace_path = None;
-            record = budgeted.C.obs.C.record || orig.C.obs.C.trace_path <> None;
+            record = config.C.obs.C.record || orig.C.obs.C.trace_path <> None;
           };
       }
-    end
     else config
   in
   let watch = Spr_util.Clock.start () in

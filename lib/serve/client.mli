@@ -32,7 +32,7 @@ val cancel : socket:string -> string -> (Protocol.response, string) result
 
 val open_submit :
   socket:string ->
-  Job.spec ->
+  Spec.t ->
   (conn * string, [ `Rejected of Protocol.reject_reason | `Error of string ]) result
 (** Send a submission and read up to the [Accepted] frame; the returned
     connection is mid-stream (events and the terminal frame still to
@@ -48,7 +48,7 @@ val await :
 val submit :
   ?on_event:(Spr_obs.Trace.event -> unit) ->
   socket:string ->
-  Job.spec ->
+  Spec.t ->
   (Protocol.response, string) result
 (** {!open_submit} + {!await}: block until the job ends either way.
     Rejections come back as [Ok (Rejected _)]; [Error] is reserved for

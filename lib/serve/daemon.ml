@@ -156,7 +156,7 @@ let start_job st (j : Job.t) =
     Unix.set_nonblock r;
     transition st j (Job.Running pid);
     let deadline =
-      Option.map (fun b -> now () +. b +. st.cfg.timeout_slack) j.Job.spec.Job.time_budget
+      Option.map (fun b -> now () +. b +. st.cfg.timeout_slack) j.Job.spec.Spec.time_budget
     in
     Hashtbl.replace st.running pid
       {
@@ -349,7 +349,7 @@ let job_rows st =
   |> List.map (fun (j : Job.t) ->
          {
            Protocol.row_id = j.Job.id;
-           row_label = j.Job.spec.Job.label;
+           row_label = j.Job.spec.Spec.label;
            row_state = Job.state_to_string j.Job.state;
            row_submitted_at = j.Job.submitted_at;
            row_updated_at = j.Job.updated_at;
@@ -363,9 +363,9 @@ let suggested_backoff st =
 let handle_submit st c spec =
   if st.draining then send_final c (Protocol.Rejected Protocol.Draining)
   else
-    match Job.validate_spec spec with
+    match Spec.validate spec with
     | Error e -> send_final c (Protocol.Rejected (Protocol.Invalid e))
-    | Ok spec ->
+    | Ok () ->
       if Queue.length st.queue >= st.cfg.max_queue then
         send_final c
           (Protocol.Rejected
@@ -373,8 +373,8 @@ let handle_submit st c spec =
                 { queued = Queue.length st.queue; backoff_s = suggested_backoff st }))
       else begin
         let spec =
-          match spec.Job.time_budget, st.cfg.default_time_budget with
-          | None, Some b -> { spec with Job.time_budget = Some b }
+          match spec.Spec.time_budget, st.cfg.default_time_budget with
+          | None, Some b -> { spec with Spec.time_budget = Some b }
           | _ -> spec
         in
         let j = Job.create ~state_dir:st.cfg.state_dir ~spec ~now:(now ()) in
@@ -382,7 +382,7 @@ let handle_submit st c spec =
         Queue.push j.Job.id st.queue;
         c.csub <- Some j.Job.id;
         send c (Protocol.Accepted j.Job.id);
-        logf "%s: accepted (%s)" j.Job.id spec.Job.label
+        logf "%s: accepted (%s)" j.Job.id spec.Spec.label
       end
 
 let handle_cancel st c id =

@@ -1,85 +1,5 @@
 module J = Spr_obs.Json
 
-type spec = {
-  label : string;
-  circuit : string option;
-  blif : string option;
-  tracks : int;
-  scheme : string;
-  seed : int;
-  effort : string;
-  flow : string;
-  replicas : int;
-  exchange : string;
-  scheduler : string;
-  time_budget : float option;
-  max_moves : int option;
-}
-
-let default_spec =
-  {
-    label = "job";
-    circuit = None;
-    blif = None;
-    tracks = 28;
-    scheme = "actel";
-    seed = 1;
-    effort = "quick";
-    flow = "sa";
-    replicas = 1;
-    exchange = "independent";
-    scheduler = "barrier";
-    time_budget = None;
-    max_moves = None;
-  }
-
-(* The one decoding of a spec into the tool configuration it runs:
-   admission validates through it and the worker runs what it returns.
-   [n] sizes the annealing schedule (the design's cell count). *)
-let tool_config s ~n =
-  let module C = Spr_core.Tool.Config in
-  let effort =
-    match Spr_experiments.Profiles.effort_of_string s.effort with
-    | Some e -> Ok e
-    | None -> Error (Printf.sprintf "effort must be quick|standard|thorough (got %s)" s.effort)
-  in
-  let exchange = Spr_anneal.Portfolio.exchange_of_string s.exchange in
-  let kind = C.scheduler_of_string s.scheduler in
-  match (effort, exchange, kind) with
-  | Ok effort, Ok exchange, Ok kind ->
-    Spr_experiments.Profiles.tool_config ~seed:s.seed effort ~n
-    |> C.with_flow_preset s.flow
-    |> (match s.time_budget with Some b -> C.with_time_budget b | None -> Fun.id)
-    |> (match s.max_moves with Some m -> C.with_max_moves m | None -> Fun.id)
-    |> C.with_replicas ~exchange s.replicas
-    |> C.with_scheduler_kind kind
-    |> C.with_run_label s.label
-    |> C.validated
-  | _ ->
-    let error = function Ok _ -> [] | Error e -> [ e ] in
-    Error (String.concat "; " (error effort @ error exchange @ error kind))
-
-let validate_spec s =
-  let errors = ref [] in
-  let reject fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  (match s.circuit, s.blif with
-  | None, None -> reject "provide a circuit name or BLIF text"
-  | Some _, Some _ -> reject "provide a circuit name or BLIF text, not both"
-  | Some name, None ->
-    if Spr_netlist.Circuits.find name = None then reject "unknown circuit %s" name
-  | None, Some _ -> ());
-  if s.tracks < 1 then reject "tracks must be >= 1 (got %d)" s.tracks;
-  if Spr_arch.Segmentation.scheme_of_string s.scheme = None then
-    reject "unknown segmentation scheme %s" s.scheme;
-  (* Admission-time config validation: the config the worker will run
-     goes through the smart constructor now, so a bad flow preset (or
-     any other config-level problem) is a clear protocol error, not a
-     forked worker dying later. *)
-  (match tool_config s ~n:100 with Ok _ -> () | Error e -> reject "%s" e);
-  match !errors with
-  | [] -> Ok s
-  | errs -> Error (String.concat "; " (List.rev errs))
-
 type state = Queued | Running of int | Parked | Done of string | Failed of string | Cancelled
 
 let state_to_string = function
@@ -92,33 +12,13 @@ let state_to_string = function
 
 type t = {
   id : string;
-  spec : spec;
+  spec : Spec.t;
   mutable state : state;
   submitted_at : float;
   mutable updated_at : float;
 }
 
 (* --- JSON --- *)
-
-let opt f = function None -> J.Null | Some v -> f v
-
-let spec_to_json s =
-  J.Obj
-    [
-      ("label", J.String s.label);
-      ("circuit", opt (fun c -> J.String c) s.circuit);
-      ("blif", opt (fun b -> J.String b) s.blif);
-      ("tracks", J.Int s.tracks);
-      ("scheme", J.String s.scheme);
-      ("seed", J.Int s.seed);
-      ("effort", J.String s.effort);
-      ("flow", J.String s.flow);
-      ("replicas", J.Int s.replicas);
-      ("exchange", J.String s.exchange);
-      ("scheduler", J.String s.scheduler);
-      ("time_budget", opt (fun b -> J.Float b) s.time_budget);
-      ("max_moves", opt (fun m -> J.Int m) s.max_moves);
-    ]
 
 exception Decode of string
 
@@ -140,41 +40,11 @@ let dfloat j name =
   | Some f -> f
   | None -> raise (Decode ("field " ^ name ^ ": expected number"))
 
-let dopt j name conv =
-  match J.member name j with
-  | None | Some J.Null -> None
-  | Some v -> (
-    match conv v with
-    | Some x -> Some x
-    | None -> raise (Decode ("field " ^ name ^ ": bad value")))
-
 let wrap_decode f j =
   match f j with
   | v -> Ok v
   | exception Decode msg -> Error msg
   | exception exn -> Error ("malformed job record: " ^ Printexc.to_string exn)
-
-let spec_of_json =
-  wrap_decode (fun j ->
-      {
-        label = dstr j "label";
-        circuit = dopt j "circuit" J.to_str;
-        blif = dopt j "blif" J.to_str;
-        tracks = dint j "tracks";
-        scheme = dstr j "scheme";
-        seed = dint j "seed";
-        effort = dstr j "effort";
-        (* Specs written before the flow field existed decode as the
-           plain simultaneous anneal. *)
-        flow = Option.value (dopt j "flow" J.to_str) ~default:"sa";
-        replicas = dint j "replicas";
-        exchange = dstr j "exchange";
-        (* Specs written before the scheduler field existed decode as
-           the all-active exchange barrier — the pre-racing behavior. *)
-        scheduler = Option.value (dopt j "scheduler" J.to_str) ~default:"barrier";
-        time_budget = dopt j "time_budget" J.to_float;
-        max_moves = dopt j "max_moves" J.to_int;
-      })
 
 let state_to_json = function
   | Queued -> J.Obj [ ("st", J.String "queued") ]
@@ -201,7 +71,7 @@ let to_json t =
     [
       ("schema", J.String schema);
       ("id", J.String t.id);
-      ("spec", spec_to_json t.spec);
+      ("spec", Spec.to_json t.spec);
       ("state", state_to_json t.state);
       ("submitted_at", J.Float t.submitted_at);
       ("updated_at", J.Float t.updated_at);
@@ -212,7 +82,7 @@ let of_json =
       let s = dstr j "schema" in
       if s <> schema then raise (Decode ("unknown job schema " ^ s));
       let spec =
-        match spec_of_json (get j "spec") with Ok s -> s | Error e -> raise (Decode e)
+        match Spec.of_json (get j "spec") with Ok s -> s | Error e -> raise (Decode e)
       in
       {
         id = dstr j "id";
@@ -231,8 +101,6 @@ let dir ~state_dir id = Filename.concat (jobs_root state_dir) id
 let in_dir ~state_dir t name = Filename.concat (dir ~state_dir t.id) name
 
 let run_dir ~state_dir t = in_dir ~state_dir t "run"
-
-let design_file ~state_dir t = in_dir ~state_dir t "design.blif"
 
 let outcome_file ~state_dir t = in_dir ~state_dir t "outcome.json"
 
@@ -270,9 +138,6 @@ let create ~state_dir ~spec ~now =
   let id = fresh_id ~state_dir in
   let t = { id; spec; state = Queued; submitted_at = now; updated_at = now } in
   Spr_util.Persist.ensure_dir (dir ~state_dir id);
-  (match spec.blif with
-  | Some text -> Spr_util.Persist.atomic_write ~durable:true (design_file ~state_dir t) text
-  | None -> ());
   save ~state_dir t;
   t
 

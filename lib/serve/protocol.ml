@@ -1,7 +1,7 @@
 module J = Spr_obs.Json
 
 type request =
-  | Submit of Job.spec
+  | Submit of Spec.t
   | Jobs
   | Cancel of string
   | Ping
@@ -73,7 +73,7 @@ let devent j name =
 (* --- requests --- *)
 
 let request_to_json = function
-  | Submit spec -> J.Obj [ ("req", J.String "submit"); ("spec", Job.spec_to_json spec) ]
+  | Submit spec -> J.Obj [ ("req", J.String "submit"); ("spec", Spec.to_json spec) ]
   | Jobs -> J.Obj [ ("req", J.String "jobs") ]
   | Cancel id -> J.Obj [ ("req", J.String "cancel"); ("id", J.String id) ]
   | Ping -> J.Obj [ ("req", J.String "ping") ]
@@ -82,7 +82,7 @@ let request_of_json =
   wrap (fun j ->
       match dstr j "req" with
       | "submit" -> (
-        match Job.spec_of_json (get j "spec") with
+        match Spec.of_json (get j "spec") with
         | Ok spec -> Submit spec
         | Error e -> raise (Decode ("submit spec: " ^ e)))
       | "jobs" -> Jobs

@@ -10,7 +10,7 @@
     messages decode to [Error _], never an exception. *)
 
 type request =
-  | Submit of Job.spec
+  | Submit of Spec.t
   | Jobs  (** List all known jobs. *)
   | Cancel of string  (** Cancel a queued or running job by id. *)
   | Ping
@@ -21,7 +21,7 @@ type reject_reason =
           estimate of when capacity frees up (queue depth x rolling
           mean job seconds). *)
   | Draining  (** The daemon is shutting down and not admitting work. *)
-  | Invalid of string  (** The spec failed {!Job.validate_spec}. *)
+  | Invalid of string  (** The spec failed {!Spec.validate}. *)
 
 type job_row = {
   row_id : string;

@@ -70,22 +70,11 @@ let redirect_to_log ~state_dir ~job =
   Unix.dup2 fd Unix.stderr;
   Unix.close fd
 
-let build_netlist (spec : Job.spec) ~state_dir ~job =
-  match spec.Job.circuit with
-  | Some name -> (
-    match Spr_netlist.Circuits.find name with
-    | Some _ -> Ok (Spr_netlist.Circuits.make_by_name name)
-    | None -> Error ("unknown circuit " ^ name))
-  | None -> (
-    match Spr_util.Persist.read_file (Job.design_file ~state_dir job) with
-    | Error e -> Error ("design.blif: " ^ e)
-    | Ok text -> Spr_netlist.Blif.parse_string text)
-
 (* The job's own config plus where this invocation writes: the run
    directory, trace, report, and the live event stream. *)
-let job_config (spec : Job.spec) ~state_dir ~job ~n ~stream =
-  let open Spr_core.Tool.Config in
-  Job.tool_config spec ~n
+let job_config (spec : Spec.t) ~state_dir ~job ~n ~stream =
+  let open Spr_core.Config in
+  Spec.config spec ~n
   |> Result.map (fun config ->
          config
          |> with_run_dir (Job.run_dir ~state_dir job)
@@ -103,18 +92,13 @@ let main ~state_dir ~job ~pipe =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let stream = make_streamer pipe in
   let spec = job.Job.spec in
-  match build_netlist spec ~state_dir ~job with
+  match Spec.netlist spec with
   | Error e -> finish_error ~state_dir ~job ~stream ("netlist: " ^ e)
   | Ok nl -> (
     match job_config spec ~state_dir ~job ~n:(Spr_netlist.Netlist.n_cells nl) ~stream with
     | Error e -> finish_error ~state_dir ~job ~stream ("config: " ^ e)
     | Ok config -> (
-      let hscheme =
-        match Spr_arch.Segmentation.scheme_of_string spec.Job.scheme with
-        | Some s -> s
-        | None -> Spr_arch.Segmentation.Actel_like
-      in
-      let arch = Spr_arch.Arch.size_for ~tracks:spec.Job.tracks ~hscheme nl in
+      let arch = Spec.arch spec nl in
       let run_dir = Job.run_dir ~state_dir job in
       Spr_util.Persist.ensure_dir run_dir;
       match

@@ -39,34 +39,14 @@ let check_exit_zero label = function
   | Unix.WSIGNALED n -> Alcotest.failf "%s: killed by signal %d" label n
   | Unix.WSTOPPED n -> Alcotest.failf "%s: stopped by signal %d" label n
 
-(* Rebuild the run's netlist the way [spr route --run-resume] does: from the
-   recorded circuit name when there is one (net ids must match the
-   original construction), else from the copied BLIF bytes. *)
+(* Rebuild the run's netlist the way [spr route --run-resume] does: from
+   the spec the run directory stores (net ids must match the original
+   construction). *)
 let load_run_dir dir =
-  let circuit =
-    let ic = open_in (Filename.concat dir "meta") in
-    let rec scan () =
-      match input_line ic with
-      | line -> (
-        match String.split_on_char ' ' (String.trim line) with
-        | [ "circuit"; name ] -> Some name
-        | _ -> scan ())
-      | exception End_of_file -> None
-    in
-    let found = scan () in
-    close_in ic;
-    found
-  in
   let nl =
-    match circuit with
-    | Some name -> (
-      match Spr_netlist.Circuits.find name with
-      | Some spec -> Spr_netlist.Circuits.make spec
-      | None -> Alcotest.failf "unknown circuit %s in %s/meta" name dir)
-    | None -> (
-      match Spr_netlist.Blif.parse_file (Filename.concat dir "design.blif") with
-      | Error e -> Alcotest.failf "design.blif: %s" e
-      | Ok nl -> nl)
+    match Result.bind (Spr_serve.Spec.load dir) Spr_serve.Spec.netlist with
+    | Ok nl -> nl
+    | Error e -> Alcotest.failf "%s: %s" dir e
   in
   match Spr_core.Checkpoint.V2.load_latest nl ~dir with
   | Error e -> Alcotest.failf "no resumable checkpoint in %s: %s" dir e
@@ -124,8 +104,8 @@ let test_move_budget_then_resume () =
   rmrf dir
 
 (* A two-replica portfolio end to end: per-replica reporting, a winner,
-   and per-replica snapshot rotations plus a recorded run meta that
-   lets --run-resume rebuild the fleet. *)
+   and per-replica snapshot rotations plus a stored run spec that lets
+   --run-resume rebuild the fleet. *)
 let test_parallel_smoke () =
   let dir = "cli-parallel" in
   rmrf dir;
@@ -152,16 +132,16 @@ let test_parallel_smoke () =
     (Spr_core.Checkpoint.V2.snapshot_files dir);
   Alcotest.(check bool) "exchange rounds recorded" true
     (Spr_core.Checkpoint.Round.load_all ~dir <> []);
-  (* the meta records the fleet shape for --run-resume *)
-  let meta =
-    match Spr_util.Persist.read_file (Filename.concat dir "meta") with
-    | Ok text -> text
-    | Error e -> Alcotest.failf "meta: %s" e
+  (* the spec records the fleet shape for --run-resume *)
+  let spec =
+    match Spr_serve.Spec.load dir with
+    | Ok spec -> spec
+    | Error e -> Alcotest.failf "spec: %s" e
   in
-  Alcotest.(check bool) "meta records parallel" true (has_substring ~sub:"parallel 2" meta);
-  Alcotest.(check bool) "meta records exchange" true (has_substring ~sub:"exchange best:4" meta);
-  Alcotest.(check bool) "meta records scheduler" true
-    (has_substring ~sub:"scheduler barrier" meta);
+  Alcotest.(check int) "spec records parallel" 2 spec.replicas;
+  Alcotest.(check string) "spec records exchange" "best:4"
+    (Spr_anneal.Portfolio.exchange_to_string spec.exchange);
+  Alcotest.(check bool) "spec records scheduler" true (spec.scheduler.kind = `Barrier);
   let status, out = run_cli [ "route"; "--run-resume"; dir ] in
   check_exit_zero "fleet resume" status;
   Alcotest.(check bool)
@@ -213,6 +193,67 @@ let test_racing_blif_resume () =
   Alcotest.(check bool) "replica lines present" true (replica_lines full <> []);
   rmrf dir;
   Sys.remove blif
+
+(* A resume takes this invocation's --stage-budget: the sa stage of a
+   long run stops at it. *)
+let test_resume_stage_budget () =
+  let dir = "cli-stage-budget" in
+  rmrf dir;
+  let status, _ =
+    run_cli
+      [ "route"; "--circuit"; "s1"; "--effort"; "standard"; "--seed"; "2"; "--max-moves"; "300";
+        "--run-dir"; dir ]
+  in
+  check_exit_zero "cut run" status;
+  let status, out = run_cli [ "route"; "--run-resume"; dir; "--stage-budget"; "sa=0.3" ] in
+  check_exit_zero "budgeted resume" status;
+  Alcotest.(check bool)
+    (Printf.sprintf "the stage budget stops the resumed run (got: %s)" out)
+    true
+    (has_substring ~sub:"interrupted (time budget)" out);
+  rmrf dir
+
+(* A run directory written before run specs existed holds only [meta];
+   --run-resume refuses it and names the missing spec.json. *)
+let test_resume_without_spec () =
+  let dir = "cli-meta-only" in
+  rmrf dir;
+  Spr_util.Persist.ensure_dir dir;
+  Spr_util.Persist.atomic_write (Filename.concat dir "meta") "tracks 28\n";
+  let status, out = run_cli [ "route"; "--run-resume"; dir ] in
+  (match status with
+  | Unix.WEXITED 0 -> Alcotest.fail "a run dir without spec.json resumed"
+  | _ -> ());
+  Alcotest.(check bool)
+    (Printf.sprintf "the error names spec.json (got: %s)" out)
+    true
+    (has_substring ~sub:"spec.json" out);
+  rmrf dir
+
+(* --obs-profile, --selfcheck and the interruption line work for every
+   flow, not just a lone sa stage. *)
+let test_every_flow_reports () =
+  let status, out =
+    run_cli
+      [ "route"; "--circuit"; "s1"; "--effort"; "quick"; "--seed"; "2"; "--flow"; "ap+sa";
+        "--obs-profile"; "--selfcheck"; "--max-moves"; "300" ]
+  in
+  check_exit_zero "ap+sa run" status;
+  List.iter
+    (fun sub ->
+      Alcotest.(check bool) (Printf.sprintf "ap+sa prints %S (got: %s)" sub out) true
+        (has_substring ~sub out))
+    [ "interrupted (move budget)"; "move pipeline:"; "selfcheck: zero audit findings" ];
+  let status, out =
+    run_cli
+      [ "route"; "--circuit"; "s1"; "--effort"; "quick"; "--seed"; "2"; "--flow"; "seq";
+        "--selfcheck" ]
+  in
+  check_exit_zero "seq run" status;
+  Alcotest.(check bool)
+    (Printf.sprintf "seq audits its final layout (got: %s)" out)
+    true
+    (has_substring ~sub:"selfcheck: zero audit findings" out)
 
 (* --trace/--report leave artifacts behind that spr report validates
    against the trace schema and re-renders as the dynamics table. *)
@@ -336,6 +377,9 @@ let () =
             test_time_budget_interrupts;
           Alcotest.test_case "move budget interrupts, then resumes to completion" `Slow
             test_move_budget_then_resume;
+          Alcotest.test_case "a resume obeys its --stage-budget" `Slow test_resume_stage_budget;
+          Alcotest.test_case "a run dir without spec.json is refused" `Quick
+            test_resume_without_spec;
         ] );
       ( "parallel",
         [
@@ -346,6 +390,8 @@ let () =
         ] );
       ( "obs",
         [
+          Alcotest.test_case "--obs-profile and --selfcheck cover every flow" `Slow
+            test_every_flow_reports;
           Alcotest.test_case "--trace/--report artifacts round-trip through spr report" `Slow
             test_trace_report_artifacts;
         ] );

@@ -13,7 +13,7 @@ module P = Spr_layout.Placement
 module Arch = Spr_arch.Arch
 module Nl = Spr_netlist.Netlist
 module Gen = Spr_netlist.Generator
-module Job = Spr_serve.Job
+module Spec = Spr_serve.Spec
 
 let rec rmrf path =
   if Sys.file_exists path then
@@ -136,6 +136,18 @@ let test_seq_preset_deterministic () =
   let names = List.map (fun s -> s.Flow.sg_name) a.Flow.f_stages in
   Alcotest.(check (list string)) "stage order" [ "greedy"; "route"; "sta" ] names
 
+(* The sa stage budget binds whatever the preset: preset sa stops at it
+   too. *)
+let test_sa_stage_budget () =
+  let nl = Gen.generate (Gen.default ~n_cells:120) ~seed:4 in
+  let arch = Arch.size_for ~tracks:18 nl in
+  let config = Config.(default |> with_seed 4 |> with_stage_budget "sa" 0.2) in
+  match (Flow.run_exn ~config arch nl).Flow.f_fleet with
+  | None -> Alcotest.fail "no sa stage ran"
+  | Some p ->
+    Alcotest.(check bool) "sa stopped at its stage budget" true
+      ((Tool.best_result p).Tool.status = Tool.Interrupted Tool.Time_budget)
+
 (* --- stage-boundary kill + resume --- *)
 
 let test_ap_sa_kill_resume () =
@@ -197,31 +209,40 @@ let test_interrupt_survives_earlier_stage () =
 (* --- serve admission --- *)
 
 let test_job_spec_flow_validation () =
-  let ok = { Job.default_spec with Job.circuit = Some "s1"; flow = "ap+sa" } in
-  (match Job.validate_spec ok with
-  | Ok _ -> ()
+  let ok = { Spec.default with flow = "ap+sa" } in
+  (match Spec.validate ok with
+  | Ok () -> ()
   | Error e -> Alcotest.failf "valid flow rejected: %s" e);
-  let bad = { Job.default_spec with Job.circuit = Some "s1"; flow = "warp9" } in
-  (match Job.validate_spec bad with
-  | Ok _ -> Alcotest.fail "bogus flow admitted"
-  | Error e -> Alcotest.(check bool) "error names the flow" true (String.length e > 0));
+  let bad = { Spec.default with flow = "warp9" } in
+  (match Spec.validate bad with
+  | Ok () -> Alcotest.fail "bogus flow admitted"
+  | Error e -> Alcotest.(check bool) "error names the flow" true (contains ~needle:"warp9" e));
   (* Specs written before the flow field existed decode as sa. *)
   let json =
-    match Job.spec_to_json Job.default_spec with
+    match Spec.to_json Spec.default with
     | Spr_obs.Json.Obj fields ->
       Spr_obs.Json.Obj (List.filter (fun (k, _) -> k <> "flow") fields)
     | _ -> Alcotest.fail "spec_to_json shape"
   in
-  match Job.spec_of_json json with
-  | Ok spec -> Alcotest.(check string) "old specs default to sa" "sa" spec.Job.flow
+  match Spec.of_json json with
+  | Ok spec -> Alcotest.(check string) "old specs default to sa" "sa" spec.Spec.flow
   | Error e -> Alcotest.failf "old spec rejected: %s" e
 
-(* The free-running racing spelling was deleted; specs naming it are
-   refused at admission with the valid vocabulary. *)
+(* The free-running racing spelling was deleted; a submitted spec
+   naming it does not decode, and the error names the valid
+   vocabulary. *)
 let test_job_spec_rejects_removed_scheduler () =
   let removed = String.concat ":" [ "racing"; "free" ] in
-  let spec = { Job.default_spec with Job.circuit = Some "s1"; scheduler = removed } in
-  match Job.validate_spec spec with
+  let json =
+    match Spec.to_json Spec.default with
+    | Spr_obs.Json.Obj fields ->
+      Spr_obs.Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "scheduler" then (k, Spr_obs.Json.String removed) else (k, v))
+           fields)
+    | _ -> Alcotest.fail "spec_to_json shape"
+  in
+  match Spec.of_json json with
   | Ok _ -> Alcotest.failf "scheduler %s admitted" removed
   | Error e ->
     Alcotest.(check bool) ("error names the valid schedulers: " ^ e) true
@@ -247,6 +268,7 @@ let () =
           Alcotest.test_case "sa == Tool.run bit-identical" `Quick
             test_sa_preset_matches_tool;
           Alcotest.test_case "seq deterministic" `Quick test_seq_preset_deterministic;
+          Alcotest.test_case "sa stage budget binds preset sa" `Quick test_sa_stage_budget;
         ] );
       ( "resume",
         [

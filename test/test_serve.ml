@@ -9,6 +9,7 @@
 module Frame = Spr_serve.Frame
 module Protocol = Spr_serve.Protocol
 module Job = Spr_serve.Job
+module Spec = Spr_serve.Spec
 module Client = Spr_serve.Client
 module Json = Spr_obs.Json
 module Trace = Spr_obs.Trace
@@ -85,9 +86,9 @@ let roundtrip_response r =
       (Json.to_string (Protocol.response_to_json r'))
 
 let test_protocol_roundtrip () =
-  let spec = { Job.default_spec with Job.circuit = Some "s1"; label = "t" } in
+  let spec = { Spec.default with label = "t" } in
   (match Protocol.request_of_json (Protocol.request_to_json (Protocol.Submit spec)) with
-  | Ok (Protocol.Submit s) -> Alcotest.(check string) "spec label" "t" s.Job.label
+  | Ok (Protocol.Submit s) -> Alcotest.(check string) "spec label" "t" s.Spec.label
   | Ok _ -> Alcotest.fail "wrong request decoded"
   | Error e -> Alcotest.failf "submit round trip: %s" e);
   List.iter roundtrip_response
@@ -123,25 +124,72 @@ let test_protocol_roundtrip () =
       | Ok _ -> Alcotest.fail "malformed request decoded")
     [ Json.Null; Json.Obj [ ("req", Json.Int 3) ]; Json.Obj [ ("req", Json.String "nope") ] ]
 
+(* --- the run spec --- *)
+
+(* The one spec codec: every field round-trips (a BLIF design byte for
+   byte), specs written before the stage budgets and race knobs existed
+   decode with the defaults, and misspelt values are decode errors
+   naming the valid ones, so no spelling ever reaches a run. *)
+let test_spec_codec () =
+  let fields spec =
+    match Spec.to_json spec with Json.Obj kvs -> kvs | _ -> Alcotest.fail "spec_to_json shape"
+  in
+  let decode kvs = Spec.of_json (Json.Obj kvs) in
+  let spec =
+    {
+      Spec.default with
+      label = "gen";
+      design = Blif ".model m\n.inputs a\n.outputs b\n.names a b\n1 1\n.end\n";
+      stage_budgets = [ ("sa", 0.5) ];
+      scheduler = { Spec.default.scheduler with kind = `Racing; race_margin = 0.25 };
+      time_budget = Some 2.5;
+      max_moves = Some 300;
+    }
+  in
+  (match decode (fields spec) with
+  | Ok s -> Alcotest.(check bool) "round trip" true (s = spec)
+  | Error e -> Alcotest.failf "round trip: %s" e);
+  let without names = List.filter (fun (k, _) -> not (List.mem k names)) (fields Spec.default) in
+  (match
+     decode
+       (without [ "flow"; "stage_budgets"; "scheduler"; "race_margin"; "race_warmup"; "race_every" ])
+   with
+  | Ok s -> Alcotest.(check bool) "old job.json decodes with defaults" true (s = Spec.default)
+  | Error e -> Alcotest.failf "old spec rejected: %s" e);
+  let with_field k v = (k, v) :: without [ k ] in
+  List.iter
+    (fun (what, kvs, needle) ->
+      match decode kvs with
+      | Ok _ -> Alcotest.failf "%s decoded" what
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "%s: %s names %s" what e needle) true
+          (let n = String.length needle in
+           let rec scan i = i + n <= String.length e && (String.sub e i n = needle || scan (i + 1)) in
+           scan 0))
+    [
+      ("no design", with_field "circuit" Json.Null, "provide a circuit name");
+      ("two designs", with_field "blif" (Json.String ".end"), "not both");
+      ("bad effort", with_field "effort" (Json.String "heroic"), "quick|standard|thorough");
+      ("bad scheme", with_field "scheme" (Json.String "zigzag"), "zigzag");
+      ("bad exchange", with_field "exchange" (Json.String "best:x"), "exchange period");
+    ]
+
 (* --- job store --- *)
 
 let test_job_store () =
   let state_dir = "serve-store" in
   rmrf state_dir;
-  let spec = { Job.default_spec with Job.circuit = Some "s1"; label = "a" } in
-  (match Job.validate_spec spec with
-  | Ok _ -> ()
+  let spec = { Spec.default with label = "a" } in
+  (match Spec.validate spec with
+  | Ok () -> ()
   | Error e -> Alcotest.failf "valid spec rejected: %s" e);
-  (match Job.validate_spec { spec with Job.circuit = None } with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "spec without a design accepted");
-  (match Job.validate_spec { spec with Job.effort = "heroic"; tracks = 0 } with
+  (match Spec.validate { spec with replicas = 0; tracks = 0 } with
   | Error e ->
     Alcotest.(check bool) "both problems reported" true
       (String.length e > 10 && String.contains e ';')
-  | Ok _ -> Alcotest.fail "bad effort/tracks accepted");
+  | Ok () -> Alcotest.fail "zero replicas/tracks accepted");
   let a = Job.create ~state_dir ~spec ~now:1.0 in
-  let b = Job.create ~state_dir ~spec:{ spec with Job.label = "b" } ~now:2.0 in
+  let b = Job.create ~state_dir ~spec:{ spec with Spec.label = "b" } ~now:2.0 in
   Alcotest.(check string) "sequential ids" "job-00000002" b.Job.id;
   a.Job.state <- Job.Running 1234;
   Job.save ~state_dir a;
@@ -157,7 +205,7 @@ let test_job_store () =
   (match jobs with
   | [ a'; b' ] ->
     Alcotest.(check bool) "running state round-trips" true (a'.Job.state = Job.Running 1234);
-    Alcotest.(check string) "label round-trips" "b" b'.Job.spec.Job.label
+    Alcotest.(check string) "label round-trips" "b" b'.Job.spec.Spec.label
   | _ -> Alcotest.fail "scan order");
   rmrf state_dir
 
@@ -274,12 +322,12 @@ let job_outcome ~state_dir id =
       Ok { Spr_check.Crash.o_layout = layout; o_g = g; o_d = d; o_critical_delay = delay_ns })
 
 let quick_spec ?(label = "quick") ?(seed = 3) () =
-  { Job.default_spec with Job.circuit = Some "s1"; label; seed; effort = "quick" }
+  { Spec.default with label; seed; effort = Spr_experiments.Profiles.Quick }
 
 (* s1 at standard effort anneals for well over ten seconds — long
    enough to kill things mid-flight deterministically. *)
 let long_spec ?(seed = 7) () =
-  { Job.default_spec with Job.circuit = Some "s1"; label = "long"; seed; effort = "standard" }
+  { Spec.default with label = "long"; seed; effort = Spr_experiments.Profiles.Standard }
 
 (* --- end-to-end: happy path --- *)
 
@@ -418,7 +466,7 @@ let test_admission_and_cancel () =
     ~finally:(fun () -> stop_daemon pid)
     (fun () ->
       (* invalid specs are rejected before a job id is allocated *)
-      (match Client.submit ~socket { (quick_spec ()) with Job.effort = "heroic" } with
+      (match Client.submit ~socket { (quick_spec ()) with tracks = 0 } with
       | Ok (Protocol.Rejected (Protocol.Invalid _)) -> ()
       | _ -> Alcotest.fail "invalid spec not rejected");
       match Client.open_submit ~socket (long_spec ()) with
@@ -598,6 +646,7 @@ let () =
           Alcotest.test_case "adversarial bytes never raise" `Quick test_frame_adversarial;
         ] );
       ("protocol", [ Alcotest.test_case "codec round trips, total decode" `Quick test_protocol_roundtrip ]);
+      ("spec", [ Alcotest.test_case "one codec, old job.json, decode errors" `Quick test_spec_codec ]);
       ("job-store", [ Alcotest.test_case "durable records, scan diagnostics" `Quick test_job_store ]);
       ( "service",
         [
