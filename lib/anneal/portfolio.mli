@@ -10,7 +10,7 @@ type exchange =
           best replica's layout *)
 
 val exchange_to_string : exchange -> string
-(** ["independent"] or ["best:<n>"] — the CLI / run-meta spelling. *)
+(** ["independent"] or ["best:<n>"] — the CLI / run-spec spelling. *)
 
 val exchange_of_string : string -> (exchange, string) result
 (** Inverse of {!exchange_to_string}. *)
