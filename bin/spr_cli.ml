@@ -282,7 +282,7 @@ let post_layout nl ~route ~sta (o : outputs) =
    the fleet table, an early stop of the sa stage, the stage table and
    verdict, the artifacts, the sa winner's profile, then the audit of
    the final layout. *)
-let print_result ~(spec : Spec.t) ~(config : Spr_core.Config.t) ~run_dir (o : outputs) nl
+let print_result ~flow ~(config : Spr_core.Config.t) ~run_dir (o : outputs) nl
     (r : Spr_flow.result) =
   let module T = Spr_core.Tool in
   let sa = Option.map T.best_result r.Spr_flow.f_fleet in
@@ -302,7 +302,7 @@ let print_result ~(spec : Spec.t) ~(config : Spr_core.Config.t) ~run_dir (o : ou
     r.Spr_flow.f_stages;
   Option.iter (Printf.printf "  seeded anneal start temperature %.4g\n")
     r.Spr_flow.f_seed_temperature;
-  Printf.printf "flow %-16s routed=%b (G=%d D=%d)  critical=%.2f ns  %.1f s\n" spec.flow
+  Printf.printf "flow %-16s routed=%b (G=%d D=%d)  critical=%.2f ns  %.1f s\n" flow
     r.Spr_flow.f_fully_routed r.Spr_flow.f_g r.Spr_flow.f_d r.Spr_flow.f_critical_delay
     (Spr_flow.stage_seconds r);
   Printf.printf "critical path: %s\n"
@@ -341,7 +341,7 @@ let print_result ~(spec : Spec.t) ~(config : Spr_core.Config.t) ~run_dir (o : ou
    anything is written, and the one flow engine call runs it. *)
 let route spec_flags (run : run_flags) (o : outputs) =
   let ( let* ) = Result.bind in
-  let outcome =
+  let prepared =
     let* spec =
       match run.resume, spec_flags with
       | Some _, (Some _, _) ->
@@ -385,11 +385,17 @@ let route spec_flags (run : run_flags) (o : outputs) =
         dir
     | None, Some dir -> Spec.save ~dir spec
     | None, None -> ());
+    Ok (spec.flow, config, arch, nl, run_dir)
+  in
+  (* The run starts only once [prepared] holds no spec, so a BLIF
+     design's bytes are not kept alive through it. *)
+  let outcome =
+    let* flow, config, arch, nl, run_dir = prepared in
     Spr_core.Tool.install_signal_handlers ();
     match Spr_flow.run ~config ?resume_dir:run.resume arch nl with
     | Error e ->
-      Error (Printf.sprintf "flow %s failed: %s" spec.flow (Spr_core.Tool.error_to_string e))
-    | Ok r -> print_result ~spec ~config ~run_dir o nl r
+      Error (Printf.sprintf "flow %s failed: %s" flow (Spr_core.Tool.error_to_string e))
+    | Ok r -> print_result ~flow ~config ~run_dir o nl r
   in
   match outcome with Ok () -> `Ok () | Error e -> `Error (false, e)
 
@@ -757,7 +763,10 @@ let require_socket socket =
     else Error "provide --socket PATH (no ./.spr-serve/serve.sock found)"
 
 let submit spec_flags socket quiet =
-  match Result.bind (require_socket socket) (fun s -> Result.map (fun spec -> (s, spec)) (fresh_spec spec_flags)) with
+  match
+    Result.bind (require_socket socket) (fun socket ->
+        Result.map (fun spec -> (socket, spec)) (fresh_spec spec_flags))
+  with
   | Error e -> `Error (false, e)
   | Ok (socket, spec) -> (
     let on_event ev =

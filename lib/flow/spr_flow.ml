@@ -492,15 +492,22 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
   match C.validated config with
   | Error msg -> Error (Tool.Invalid_config msg)
   | Ok config -> (
-    match Spr_netlist.Levelize.run nl with
+    let preset = config.C.flow.C.preset in
+    let stages =
+      match stages_of_preset preset with
+      | Ok s -> s
+      | Error _ -> assert false (* validated above *)
+    in
+    (* A flow that opens with sa leaves the cycle check to [Tool.run],
+       which makes it first; levelizing a large design here as well
+       would cost set-up time and peak heap. *)
+    match
+      match stages with
+      | "sa" :: _ -> Ok ()
+      | _ -> Result.map ignore (Spr_netlist.Levelize.run nl)
+    with
     | Error e -> Error (Tool.Invalid_design e)
-    | Ok _ -> (
-      let preset = config.C.flow.C.preset in
-      let stages =
-        match stages_of_preset preset with
-        | Ok s -> s
-        | Error _ -> assert false (* validated above *)
-      in
+    | Ok () -> (
       let multi_stage = stages <> [ "sa" ] in
       let want_events = multi_stage && config.C.obs.C.trace_path <> None in
       let st = fresh_st () in

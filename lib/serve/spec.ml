@@ -128,7 +128,7 @@ let of_json j =
     match opt conv name with Some x -> x | None -> fail "missing field %s" name
   in
   let ok = function Ok x -> x | Error e -> fail "%s" e in
-  let spelt of_string name = ok (of_string (req J.to_str name)) in
+  let parsed of_string name = ok (of_string (req J.to_str name)) in
   let or_default x v = Option.value v ~default:x in
   let d = default.scheduler in
   match
@@ -150,14 +150,14 @@ let of_json j =
       design;
       tracks = req J.to_int "tracks";
       scheme =
-        spelt
+        parsed
           (fun s ->
             Option.to_result (Segmentation.scheme_of_string s)
               ~none:(Printf.sprintf "unknown segmentation scheme %s" s))
           "scheme";
       seed = req J.to_int "seed";
       effort =
-        spelt
+        parsed
           (fun s ->
             Option.to_result (Profiles.effort_of_string s)
               ~none:(Printf.sprintf "effort must be quick|standard|thorough (got %s)" s))
@@ -165,11 +165,12 @@ let of_json j =
       flow = or_default default.flow (opt J.to_str "flow");
       stage_budgets;
       replicas = req J.to_int "replicas";
-      exchange = spelt Portfolio.exchange_of_string "exchange";
+      exchange = parsed Portfolio.exchange_of_string "exchange";
       scheduler =
         {
           C.kind =
-            or_default d.C.kind (Option.map (fun s -> ok (C.scheduler_of_string s)) (opt J.to_str "scheduler"));
+            or_default d.C.kind
+              (Option.map (fun s -> ok (C.scheduler_of_string s)) (opt J.to_str "scheduler"));
           race_margin = or_default d.C.race_margin (opt J.to_float "race_margin");
           race_warmup = or_default d.C.race_warmup (opt J.to_int "race_warmup");
           race_every = or_default d.C.race_every (opt J.to_int "race_every");

@@ -71,9 +71,6 @@ val of_json : Spr_obs.Json.t -> (t, string) result
 
 (** {1 Run directories} *)
 
-val file : string -> string
-(** [DIR/spec.json]. *)
-
 val save : dir:string -> t -> unit
 (** Create [dir] if needed and write [spec.json] atomically. *)
 

@@ -162,10 +162,9 @@ let test_spec_codec () =
       match decode kvs with
       | Ok _ -> Alcotest.failf "%s decoded" what
       | Error e ->
-        Alcotest.(check bool) (Printf.sprintf "%s: %s names %s" what e needle) true
-          (let n = String.length needle in
-           let rec scan i = i + n <= String.length e && (String.sub e i n = needle || scan (i + 1)) in
-           scan 0))
+        let n = String.length needle in
+        let rec scan i = i + n <= String.length e && (String.sub e i n = needle || scan (i + 1)) in
+        Alcotest.(check bool) (Printf.sprintf "%s: %s names %s" what e needle) true (scan 0))
     [
       ("no design", with_field "circuit" Json.Null, "provide a circuit name");
       ("two designs", with_field "blif" (Json.String ".end"), "not both");
@@ -646,7 +645,8 @@ let () =
           Alcotest.test_case "adversarial bytes never raise" `Quick test_frame_adversarial;
         ] );
       ("protocol", [ Alcotest.test_case "codec round trips, total decode" `Quick test_protocol_roundtrip ]);
-      ("spec", [ Alcotest.test_case "one codec, old job.json, decode errors" `Quick test_spec_codec ]);
+      ( "spec",
+        [ Alcotest.test_case "one codec, old job.json, decode errors" `Quick test_spec_codec ] );
       ("job-store", [ Alcotest.test_case "durable records, scan diagnostics" `Quick test_job_store ]);
       ( "service",
         [
