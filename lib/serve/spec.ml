@@ -190,8 +190,8 @@ let save ~dir s =
   Spr_util.Persist.ensure_dir dir;
   Spr_util.Persist.atomic_write (file dir) (J.to_string ~indent:true (to_json s) ^ "\n")
 
+(* A missing or unreadable file's error already names it. *)
 let load dir =
   let path = file dir in
-  Result.map_error (Printf.sprintf "%s: %s" path)
-    (Result.bind (Spr_util.Persist.read_file path) (fun text ->
-         Result.bind (J.parse text) of_json))
+  Result.bind (Spr_util.Persist.read_file path) (fun text ->
+      Result.map_error (Printf.sprintf "%s: %s" path) (Result.bind (J.parse text) of_json))
