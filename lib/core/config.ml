@@ -32,17 +32,9 @@ type validation = {
   validate_every : int;
 }
 
-type scheduler = {
-  kind : [ `Barrier | `Racing ];
-  race_margin : float;
-  race_warmup : int;
-  race_every : int;
-}
-
 type parallel = {
   replicas : int;
   exchange : Portfolio.exchange;
-  scheduler : scheduler;
   stream : int;
   route_grain : int;
       (* Inert stub: bench/ledger/traced.ml still reads it; nothing
@@ -95,13 +87,6 @@ let default =
       {
         replicas = 1;
         exchange = Portfolio.Independent;
-        scheduler =
-          {
-            kind = `Barrier;
-            race_margin = 1.0;
-            race_warmup = 10;
-            race_every = 5;
-          };
         stream = 0;
         route_grain = 8;
       };
@@ -180,17 +165,6 @@ let flow_stages_of_preset name =
           | Ok () -> Ok stages))
     end
 
-(* --- scheduler vocabulary ---
-   "barrier" meets only at exchange rounds; "racing" is the
-   predictive early-kill scheduler. *)
-
-let scheduler_to_string = function `Barrier -> "barrier" | `Racing -> "racing"
-
-let scheduler_of_string = function
-  | "barrier" -> Ok `Barrier
-  | "racing" -> Ok `Racing
-  | name -> Error (Printf.sprintf "unknown scheduler %S (want barrier or racing)" name)
-
 (* The one place configuration sanity lives. Nonsense is rejected
    with a message naming every offending field; the historical
    "clamp to >= 1" fields are normalized here instead of at their
@@ -228,15 +202,6 @@ let validated t =
   | Portfolio.Independent -> ()
   | Portfolio.Best_exchange n when n >= 1 -> ()
   | Portfolio.Best_exchange n -> reject "exchange period must be >= 1 (got %d)" n);
-  (let s = t.parallel.scheduler in
-   if not (Float.is_finite s.race_margin && s.race_margin >= 0.0) then
-     reject "race_margin must be finite and >= 0 (got %g)" s.race_margin;
-   if s.race_warmup < 0 then reject "race_warmup must be >= 0 (got %d)" s.race_warmup;
-   if s.race_every < 1 then reject "race_every must be >= 1 (got %d)" s.race_every;
-   match (s.kind, t.parallel.exchange) with
-   | `Racing, Portfolio.Best_exchange _ ->
-     reject "the racing scheduler replaces the exchange barrier; use exchange independent"
-   | (`Racing | `Barrier), _ -> ());
   (match flow_stages_of_preset t.flow.preset with
   | Error e -> reject "%s" e
   | Ok stages ->
@@ -341,17 +306,6 @@ let with_replicas ?exchange replicas t =
   }
 
 let with_stream stream t = { t with parallel = { t.parallel with stream } }
-
-let update_scheduler f t =
-  { t with parallel = { t.parallel with scheduler = f t.parallel.scheduler } }
-
-let with_scheduler_kind kind = update_scheduler (fun s -> { s with kind })
-
-let with_race_margin race_margin = update_scheduler (fun s -> { s with race_margin })
-
-let with_race_warmup race_warmup = update_scheduler (fun s -> { s with race_warmup })
-
-let with_race_every race_every = update_scheduler (fun s -> { s with race_every })
 
 let with_trace_recording record t = { t with obs = { t.obs with record } }
 

@@ -72,46 +72,17 @@ type validation = {
           (normalized to >= 1). *)
 }
 
-type scheduler = {
-  kind : [ `Barrier | `Racing ];
-      (** [`Barrier] meets only at [exchange] rounds. [`Racing]
-          fits an online predictor on each replica's annealing
-          dynamics and early-kills replicas whose predicted terminal
-          quality trails the fleet leader, reallocating their domains
-          to clone-and-perturb forks of the leader. *)
-  race_margin : float;
-      (** Kill threshold in unrouted-net units: a replica dies only
-          when its predicted terminal metric trails the leader's by
-          more than this margin plus both fit uncertainties. Must be
-          finite and >= 0 (default 1.0). *)
-  race_warmup : int;
-      (** Temperature steps before the first racing decision round;
-          kills based on too-early dynamics are noise. Must be >= 0
-          (default 10). *)
-  race_every : int;
-      (** Temperature steps between racing decision rounds. Must be
-          >= 1 (default 5). Decision rounds rendezvous on masked
-          trace content, so racing is bit-reproducible, and killing
-          rounds persist as [sched-*.rec] records so kill+resume
-          matches the uninterrupted run. *)
-}
-
 type parallel = {
   replicas : int;  (** Fleet width K; must be >= 1. *)
   exchange : Spr_anneal.Portfolio.exchange;
       (** Cross-replica layout exchange policy; only meaningful when
-          [replicas > 1], and only under the [`Barrier] scheduler
-          ({!validated} rejects [`Racing] + [Best_exchange]). *)
-  scheduler : scheduler;
-      (** Which replica scheduler coordinates the fleet; only
-          meaningful when [replicas > 1]. *)
+          [replicas > 1]. *)
   stream : int;
       (** The derived RNG stream ({!Spr_util.Rng.stream}) replica 0
           draws from; replica [k] draws [stream + k], and stream 0 is
           exactly [Rng.create seed]. So the winner [k] of a default
           fleet reproduces standalone as a one-replica run with
-          [with_stream k]. Racing forks draw fresh streams from
-          [replicas] upward. Must be >= 0. *)
+          [with_stream k]. Must be >= 0. *)
   route_grain : int;
       (** Inert stub, read by nothing: [bench/ledger/traced.ml] still
           passes it to {!Move_pipeline.create}. No [with_*]
@@ -181,14 +152,7 @@ val default : t
     validation ([validate_every = 50]), no budgets, no checkpointing
     ([snapshot_every = 1], [snapshot_keep = 3],
     [final_checkpoint = true]), serial ([replicas = 1],
-    [Independent], [`Barrier] scheduler, [stream = 0]). *)
-
-val scheduler_to_string : [ `Barrier | `Racing ] -> string
-(** ["barrier"] or ["racing"]. *)
-
-val scheduler_of_string : string -> ([ `Barrier | `Racing ], string) Stdlib.result
-(** Inverse of {!scheduler_to_string}; rejects any other spelling
-    with a message naming the valid ones. *)
+    [Independent], [stream = 0]). *)
 
 val validated : t -> (t, string) Stdlib.result
 (** The smart constructor: rejects out-of-range fields (move
@@ -231,16 +195,6 @@ val with_validate : ?every:int -> bool -> t -> t
 val with_replicas : ?exchange:Spr_anneal.Portfolio.exchange -> int -> t -> t
 
 val with_stream : int -> t -> t
-
-val with_scheduler_kind : [ `Barrier | `Racing ] -> t -> t
-(** Switch the scheduler kind; the racing tuning knobs keep their
-    current values. *)
-
-val with_race_margin : float -> t -> t
-
-val with_race_warmup : int -> t -> t
-
-val with_race_every : int -> t -> t
 
 val with_trace_recording : bool -> t -> t
 

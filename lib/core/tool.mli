@@ -29,9 +29,8 @@
     the whole anneal, one per OCaml domain, each with its own RNG
     stream derived by {!Spr_util.Rng.stream}, its own pipeline, route
     state and profile. One {!Spr_anneal.Scheduler} coordinates them:
-    replicas run independently, meet at exchange rounds and adopt the
-    fleet-best layout, or race under the predictive early-kill
-    scheduler. Each replica's trajectory is a deterministic function of
+    replicas run independently, or meet at exchange rounds and adopt
+    the fleet-best layout. Each replica's trajectory is a deterministic function of
     [(seed, stream)] and the recorded rounds, and the fleet
     checkpoints and resumes through the same crash-safety layer
     (per-replica snapshots plus persisted round records). A fleet of
@@ -124,8 +123,7 @@ type fleet = {
           ({!Profile.absorb}); per-replica profiles and dynamics stay
           available on [p_results]. *)
   p_rounds : Spr_anneal.Scheduler.round_record list;
-      (** Every recorded round (tripped or replayed), ascending: each
-          exchange round, and each racing round that killed. *)
+      (** Every exchange round (tripped or replayed), ascending. *)
   p_wall_seconds : float;  (** Whole-fleet wall clock. *)
   p_report : Spr_obs.Report.t;
       (** The fleet report: the winning replica's layout-facing
@@ -186,8 +184,7 @@ val run_exn :
 val trace_events : config:config -> Spr_netlist.Netlist.t -> fleet -> Spr_obs.Trace.event list
 (** The fleet trace: [run_start], each replica's stream (closed by its
     [replica_end]) in replica order, one [exchange] row per recorded
-    round without kills and [sched.kill]/[sched.clone] rows for each
-    killing round, then [run_end]. This is exactly what
+    round, then [run_end]. This is exactly what
     [Config.obs.trace_path] writes. *)
 
 val audit_result : result -> Spr_check.Finding.t list

@@ -1,7 +1,7 @@
 (** The one bench-artifact emitter: every BENCH_*.json the repo writes
-    (kernels, portfolio, flows, serve, racing) goes
-    through {!write}, so they all share one versioned envelope and a
-    reader never has to guess which fields exist.
+    (kernels, fleet, flows, serve) goes through {!write}, so they all
+    share one versioned envelope and a reader never has to guess which
+    fields exist.
 
     Envelope shape ([spr-bench-1]):
 

@@ -6,8 +6,6 @@ type payload =
   | Span_end of { name : string; depth : int; t : float; dt : float }
   | Temp of Report.dyn_row
   | Exchange of { round : int; from_replica : int; metric : float }
-  | Sched_kill of { round : int; replica : int; leader : int; metric : float }
-  | Sched_clone of { round : int; replica : int; from_replica : int; stream : int }
   | Metrics_dump of (string * Metrics.value) list
   | Replica_end of {
       status : string;
@@ -53,22 +51,6 @@ let event_to_json { ev_replica; ev } =
   | Exchange { round; from_replica; metric } ->
     base "exchange"
       [ ("round", Int round); ("from", Int from_replica); ("metric", Float metric) ]
-  | Sched_kill { round; replica; leader; metric } ->
-    base "sched.kill"
-      [
-        ("round", Int round);
-        ("killed", Int replica);
-        ("leader", Int leader);
-        ("metric", Float metric);
-      ]
-  | Sched_clone { round; replica; from_replica; stream } ->
-    base "sched.clone"
-      [
-        ("round", Int round);
-        ("cloned", Int replica);
-        ("from", Int from_replica);
-        ("stream", Int stream);
-      ]
   | Metrics_dump ms -> base "metrics" [ ("metrics", Report.metrics_to_json ms) ]
   | Replica_end { status; g; d; delay_ns; best_cost } ->
     base "replica_end"
@@ -135,22 +117,6 @@ let event_of_json j =
       | "temp" -> Temp (fail_result (Report.dyn_row_of_json (get j "row")))
       | "exchange" ->
         Exchange { round = dint j "round"; from_replica = dint j "from"; metric = dfloat j "metric" }
-      | "sched.kill" ->
-        Sched_kill
-          {
-            round = dint j "round";
-            replica = dint j "killed";
-            leader = dint j "leader";
-            metric = dfloat j "metric";
-          }
-      | "sched.clone" ->
-        Sched_clone
-          {
-            round = dint j "round";
-            replica = dint j "cloned";
-            from_replica = dint j "from";
-            stream = dint j "stream";
-          }
       | "metrics" -> Metrics_dump (fail_result (Report.metrics_of_json (get j "metrics")))
       | "replica_end" ->
         Replica_end
@@ -206,7 +172,7 @@ let mask_times { ev_replica; ev } =
              match v with Metrics.Value _ -> (name, Metrics.Value 0.0) | v -> (name, v))
            ms)
     | Run_end r -> Run_end { r with wall_seconds = 0.0 }
-    | (Run_start _ | Exchange _ | Sched_kill _ | Sched_clone _ | Replica_end _) as ev -> ev
+    | (Run_start _ | Exchange _ | Replica_end _) as ev -> ev
   in
   { ev_replica; ev }
 

@@ -4,7 +4,7 @@
     The first line is always a {!payload.Run_start} (which carries the
     schema version) and the last a {!payload.Run_end}; in between come
     the per-replica streams — serial runs record everything as replica
-    [0], portfolio runs merge the per-replica buffers in replica order,
+    [0], fleet runs merge the per-replica buffers in replica order,
     and fleet-scope events carry replica [-1].
 
     Traces from a fixed seed are bit-identical once timestamps are
@@ -21,15 +21,8 @@ type payload =
   | Span_end of { name : string; depth : int; t : float; dt : float }
   | Temp of Report.dyn_row  (** one dynamics sample, at each temperature *)
   | Exchange of { round : int; from_replica : int; metric : float }
-      (** Portfolio exchange round: the fleet adopted [from_replica]'s
-          layout. *)
-  | Sched_kill of { round : int; replica : int; leader : int; metric : float }
-      (** Racing scheduler: [replica] was early-killed at decision
-          round [round]; [leader] was predicted best with live metric
-          [metric]. *)
-  | Sched_clone of { round : int; replica : int; from_replica : int; stream : int }
-      (** Racing scheduler: the killed [replica]'s domain was
-          reallocated to a fork of [from_replica] on RNG [stream]. *)
+      (** Exchange round: every strictly worse replica adopted
+          [from_replica]'s layout. *)
   | Metrics_dump of (string * Metrics.value) list
       (** The replica's registry snapshot, at the end of its stream. *)
   | Replica_end of {

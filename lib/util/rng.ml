@@ -10,8 +10,6 @@ let state t = t.state
 
 let of_state state = { state }
 
-let assign t ~from = t.state <- from.state
-
 (* splitmix64 finalizer: the standard mix of Steele, Lea and Flood. *)
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in

@@ -20,12 +20,6 @@ val state : t -> int64
 val of_state : int64 -> t
 (** Generator positioned exactly where {!state} was captured. *)
 
-val assign : t -> from:t -> unit
-(** [assign t ~from] repositions [t] onto [from]'s stream in place, so
-    every closure holding [t] continues on the new stream — how a
-    killed portfolio replica is reseeded onto a fresh fork stream
-    without rebuilding the closures that captured its generator. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of the remainder of [t]'s stream. *)

@@ -187,13 +187,10 @@ let test_exchange_strings () =
     [ ""; "best"; "best:"; "best:0"; "best:-2"; "best:x"; "worst:3" ]
 
 let exchange ?history ?persist ?frozen ~replicas n =
-  Scheduler.create ~replicas (Scheduler.Exchange (Portfolio.Best_exchange n)) ?history ?persist
-    ?frozen ()
-
-let racing_policy = Scheduler.Racing { Scheduler.warmup = 2; every = 2; margin = 0.5; horizon = 4 }
+  Scheduler.create ~replicas (Portfolio.Best_exchange n) ?history ?persist ?frozen ()
 
 let test_round_of () =
-  let indep = Scheduler.create ~replicas:2 (Scheduler.Exchange Portfolio.Independent) () in
+  let indep = Scheduler.create ~replicas:2 Portfolio.Independent () in
   Alcotest.(check (option int)) "independent never" None (Scheduler.round_of indep ~temp_index:4);
   let t = exchange ~replicas:2 2 in
   Alcotest.(check (option int)) "boundary 0" None (Scheduler.round_of t ~temp_index:0);
@@ -201,10 +198,6 @@ let test_round_of () =
   Alcotest.(check (option int)) "boundary 2" (Some 1) (Scheduler.round_of t ~temp_index:2);
   Alcotest.(check (option int)) "boundary 3" None (Scheduler.round_of t ~temp_index:3);
   Alcotest.(check (option int)) "boundary 6" (Some 3) (Scheduler.round_of t ~temp_index:6);
-  let racing = Scheduler.create ~replicas:2 racing_policy () in
-  Alcotest.(check (option int)) "racing warmup" None (Scheduler.round_of racing ~temp_index:2);
-  Alcotest.(check (option int)) "racing past warmup" (Some 2)
-    (Scheduler.round_of racing ~temp_index:4);
   let lone = exchange ~replicas:1 2 in
   Alcotest.(check (option int)) "a lone replica never meets" None
     (Scheduler.round_of lone ~temp_index:2)
@@ -223,12 +216,10 @@ let run_synthetic_exchange () =
       match
         Scheduler.observe t ~replica:k ~temp_index
           ~metric:(synthetic_metric ~replica:k ~round)
-          ~acceptance:0.0
           ~capture:(fun () -> Printf.sprintf "layout-%d-%d" k round)
       with
       | Scheduler.Continue -> ()
       | Scheduler.Adopt r -> adoptions.(k) <- (round, r.Scheduler.leader) :: adoptions.(k)
-      | Scheduler.Kill _ -> Alcotest.fail "exchange never kills"
     done;
     Scheduler.finished t ~replica:k
   in
@@ -242,8 +233,7 @@ let test_portfolio_barrier_deterministic () =
   List.iter
     (fun (r : Scheduler.round_record) ->
       (* The recorded leader is the true minimum (ties to the lowest
-         replica index), with its own layout as payload, and kills
-         nobody. *)
+         replica index), with its own layout as payload. *)
       let metrics = List.init 3 (fun k -> synthetic_metric ~replica:k ~round:r.round) in
       let best = List.fold_left min infinity metrics in
       Alcotest.(check (float 0.0)) "leader metric" best r.metric;
@@ -255,7 +245,6 @@ let test_portfolio_barrier_deterministic () =
       Alcotest.(check string) "payload is leader's"
         (Printf.sprintf "layout-%d-%d" r.leader r.round)
         r.payload;
-      Alcotest.(check bool) "no kills" true (r.kills = []);
       (* Exactly the strictly-worse replicas adopted. *)
       for k = 0 to 2 do
         let adopted = List.mem_assoc r.round adoptions.(k) in
@@ -280,13 +269,11 @@ let test_portfolio_history_replay () =
     | Some round -> (
       let metric = synthetic_metric ~replica:2 ~round in
       match
-        Scheduler.observe t ~replica:2 ~temp_index ~metric ~acceptance:0.0
-          ~capture:(fun () -> "fresh")
+        Scheduler.observe t ~replica:2 ~temp_index ~metric ~capture:(fun () -> "fresh")
       with
       | Scheduler.Adopt r when r.Scheduler.metric < metric -> ()
       | Scheduler.Adopt r ->
         Alcotest.failf "round %d: served a non-improving result (%g)" round r.Scheduler.metric
-      | Scheduler.Kill _ -> Alcotest.fail "exchange never kills"
       | Scheduler.Continue ->
         let recorded = List.find (fun (r : Scheduler.round_record) -> r.round = round) history in
         if recorded.leader <> 2 && recorded.metric < metric then
@@ -302,8 +289,7 @@ let test_portfolio_finished_unblocks () =
      trip rounds alone instead of waiting forever. *)
   Scheduler.finished t ~replica:1;
   (match
-     Scheduler.observe t ~replica:0 ~temp_index:1 ~metric:3.0 ~acceptance:0.0
-       ~capture:(fun () -> "solo")
+     Scheduler.observe t ~replica:0 ~temp_index:1 ~metric:3.0 ~capture:(fun () -> "solo")
    with
   | Scheduler.Continue -> ()
   | _ -> Alcotest.fail "sole participant acted on its own round");
@@ -317,8 +303,7 @@ let test_portfolio_frozen () =
       ~replicas:2 1
   in
   (match
-     Scheduler.observe t ~replica:0 ~temp_index:1 ~metric:1.0 ~acceptance:0.0
-       ~capture:(fun () -> "x")
+     Scheduler.observe t ~replica:0 ~temp_index:1 ~metric:1.0 ~capture:(fun () -> "x")
    with
   | Scheduler.Continue -> ()
   | _ -> Alcotest.fail "frozen scheduler served a round");
@@ -338,157 +323,6 @@ let test_run_replicas () =
       | Ok v, _ when k <> 2 -> Alcotest.(check int) "in order" (k * 10) v
       | _ -> Alcotest.failf "unexpected outcome at %d" k)
     outcomes
-
-(* --- racing --- *)
-
-let test_predictor_fit () =
-  (* monotone: an exact line fits with zero residual and extrapolates *)
-  (match Scheduler.Predictor.fit [ (1, 10.0); (2, 8.0); (3, 6.0); (4, 4.0) ] with
-  | None -> Alcotest.fail "monotone series did not fit"
-  | Some f ->
-    Alcotest.(check (float 1e-9)) "slope" (-2.0) f.Scheduler.Predictor.slope;
-    Alcotest.(check (float 1e-9)) "sigma" 0.0 f.Scheduler.Predictor.sigma;
-    Alcotest.(check (float 1e-9)) "extrapolation" (-8.0)
-      (Scheduler.Predictor.predict f ~at:10));
-  (* plateau: zero slope, the prediction stays put arbitrarily far out *)
-  (match Scheduler.Predictor.fit [ (1, 5.0); (2, 5.0); (3, 5.0) ] with
-  | None -> Alcotest.fail "plateau did not fit"
-  | Some f ->
-    Alcotest.(check (float 1e-9)) "flat slope" 0.0 f.Scheduler.Predictor.slope;
-    Alcotest.(check (float 1e-9)) "flat prediction" 5.0
-      (Scheduler.Predictor.predict f ~at:100));
-  (* noise raises sigma but the trend survives *)
-  (match Scheduler.Predictor.fit [ (1, 10.0); (2, 9.2); (3, 8.9); (4, 8.0); (5, 7.6) ] with
-  | None -> Alcotest.fail "noisy series did not fit"
-  | Some f ->
-    Alcotest.(check bool) "downward trend" true (f.Scheduler.Predictor.slope < 0.0);
-    Alcotest.(check bool) "nonzero residual" true (f.Scheduler.Predictor.sigma > 0.0));
-  (* under three points, or three points on one boundary: no fit *)
-  Alcotest.(check bool) "two points" true
-    (Scheduler.Predictor.fit [ (1, 1.0); (2, 2.0) ] = None);
-  Alcotest.(check bool) "degenerate x" true
-    (Scheduler.Predictor.fit [ (3, 1.0); (3, 2.0); (3, 5.0) ] = None)
-
-(* Replica 0 improves ten times faster than replica 1, and both run
-   cold (acceptance 0.2), so nothing shields the trailing replica from
-   the predictor. *)
-let slow_fast_metric ~replica ~temp_index =
-  if replica = 0 then 100.0 -. (10.0 *. float_of_int temp_index)
-  else 100.0 -. float_of_int temp_index
-
-let run_synthetic_racing ?history ?persist () =
-  let t = Scheduler.create ~replicas:2 racing_policy ?history ?persist () in
-  let decisions = Array.make 2 [] in
-  let worker k =
-    for temp_index = 1 to 8 do
-      match
-        Scheduler.observe t ~replica:k ~temp_index
-          ~metric:(slow_fast_metric ~replica:k ~temp_index)
-          ~acceptance:0.2
-          ~capture:(fun () -> Printf.sprintf "layout-%d-%d" k temp_index)
-      with
-      | Scheduler.Continue -> ()
-      | d -> decisions.(k) <- (temp_index, d) :: decisions.(k)
-    done;
-    Scheduler.finished t ~replica:k
-  in
-  let outcomes = Portfolio.run_replicas ~replicas:2 worker in
-  Array.iter (function Error e -> raise e | Ok () -> ()) outcomes;
-  (Scheduler.rounds t, decisions)
-
-(* The trailing replica is killed at boundary 4 (round 2, the first
-   decision round past warmup with three fitted points) onto the first
-   fresh stream, and — its fork fed the same slow trajectory — again at
-   boundary 8 once the fork re-accumulates a fittable series. Boundary
-   6 trips a round too, but the fork has only two post-kill samples, so
-   it survives: no fit, no verdict. *)
-let test_racing_kills_trailing () =
-  let persisted = ref [] in
-  let rounds, decisions =
-    run_synthetic_racing ~persist:(fun r -> persisted := r :: !persisted) ()
-  in
-  Alcotest.(check int) "leader undisturbed" 0 (List.length decisions.(0));
-  (match List.rev decisions.(1) with
-  | [
-   (4, Scheduler.Kill ({ round = 2; leader = 0; metric = m1; payload = p1; _ }, 2));
-   (8, Scheduler.Kill ({ round = 4; leader = 0; payload = p2; _ }, 3));
-  ] ->
-    Alcotest.(check (float 1e-9)) "leader metric at the first kill" 60.0 m1;
-    Alcotest.(check string) "leader layout adopted" "layout-0-4" p1;
-    Alcotest.(check string) "fresh leader layout at the second kill" "layout-0-8" p2
-  | _ -> Alcotest.fail "replica 1 was not killed at boundaries 4 and 8");
-  (* Only killing rounds are reported and persisted, in round order. *)
-  Alcotest.(check (list int)) "killing rounds" [ 2; 4 ]
-    (List.map (fun (r : Scheduler.round_record) -> r.round) rounds);
-  List.iter
-    (fun (r : Scheduler.round_record) ->
-      Alcotest.(check int) "leader recorded" 0 r.leader;
-      match r.kills with
-      | [ { Scheduler.k_replica = 1; k_stream } ] ->
-        Alcotest.(check int) "streams allocated past the fleet" ((r.round / 2) + 1) k_stream
-      | _ -> Alcotest.failf "round %d: unexpected kill set" r.round)
-    rounds;
-  Alcotest.(check bool) "persisted exactly the killing rounds" true
-    (List.rev !persisted = rounds);
-  (* Scheduling independence: a second fleet reproduces everything. *)
-  let rounds2, decisions2 = run_synthetic_racing () in
-  Alcotest.(check bool) "rounds reproducible" true (rounds = rounds2);
-  Alcotest.(check bool) "decisions reproducible" true (decisions = decisions2)
-
-(* Resume: recorded rounds serve their verdicts without a rendezvous,
-   unrecorded (no-kill) rounds re-trip live against the shrunken fleet,
-   and the solo survivor never deadlocks. *)
-let test_racing_replay () =
-  let history, _ = run_synthetic_racing () in
-  let t = Scheduler.create ~replicas:2 racing_policy ~history () in
-  Scheduler.finished t ~replica:0;
-  let kills = ref [] in
-  for temp_index = 1 to 8 do
-    match
-      Scheduler.observe t ~replica:1 ~temp_index
-        ~metric:(slow_fast_metric ~replica:1 ~temp_index)
-        ~acceptance:0.2
-        ~capture:(fun () -> "fresh")
-    with
-    | Scheduler.Kill (r, stream) -> kills := (temp_index, r.round, stream, r.payload) :: !kills
-    | Scheduler.Continue -> ()
-    | Scheduler.Adopt _ -> Alcotest.fail "racing never adopts"
-  done;
-  Scheduler.finished t ~replica:1;
-  Alcotest.(check bool) "recorded verdicts replayed" true
-    ([ (4, 2, 2, "layout-0-4"); (8, 4, 3, "layout-0-8") ] = List.rev !kills);
-  Alcotest.(check bool) "history preserved" true (Scheduler.rounds t = history)
-
-(* A resumed replica preloads its checkpointed dynamics series, so the
-   first post-resume decision round fits exactly the series the
-   uninterrupted run would have: the kill still happens at boundary 4
-   even though only the last sample arrives live. *)
-let test_racing_preload () =
-  let t = Scheduler.create ~replicas:2 racing_policy () in
-  for k = 0 to 1 do
-    Scheduler.preload t ~replica:k
-      (List.init 3 (fun i ->
-           let ti = i + 1 in
-           (ti, slow_fast_metric ~replica:k ~temp_index:ti, 0.2)))
-  done;
-  let decisions = Array.make 2 [] in
-  let worker k =
-    (match
-       Scheduler.observe t ~replica:k ~temp_index:4
-         ~metric:(slow_fast_metric ~replica:k ~temp_index:4)
-         ~acceptance:0.2
-         ~capture:(fun () -> Printf.sprintf "layout-%d-4" k)
-     with
-    | Scheduler.Continue -> ()
-    | d -> decisions.(k) <- d :: decisions.(k));
-    Scheduler.finished t ~replica:k
-  in
-  let outcomes = Portfolio.run_replicas ~replicas:2 worker in
-  Array.iter (function Error e -> raise e | Ok () -> ()) outcomes;
-  (match decisions.(1) with
-  | [ Scheduler.Kill ({ round = 2; leader = 0; _ }, 2) ] -> ()
-  | _ -> Alcotest.fail "preloaded series did not reproduce the uninterrupted kill");
-  Alcotest.(check int) "leader undisturbed" 0 (List.length decisions.(0))
 
 let () =
   Alcotest.run "spr_anneal"
@@ -518,13 +352,5 @@ let () =
           Alcotest.test_case "finished unblocks" `Quick test_portfolio_finished_unblocks;
           Alcotest.test_case "frozen coordination" `Quick test_portfolio_frozen;
           Alcotest.test_case "run_replicas" `Quick test_run_replicas;
-        ] );
-      ( "scheduler",
-        [
-          Alcotest.test_case "predictor fit" `Quick test_predictor_fit;
-          Alcotest.test_case "racing kills the trailing replica" `Quick
-            test_racing_kills_trailing;
-          Alcotest.test_case "recorded rounds replay" `Quick test_racing_replay;
-          Alcotest.test_case "preloaded series resumes the fit" `Quick test_racing_preload;
         ] );
     ]

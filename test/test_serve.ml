@@ -127,9 +127,11 @@ let test_protocol_roundtrip () =
 (* --- the run spec --- *)
 
 (* The one spec codec: every field round-trips (a BLIF design byte for
-   byte), specs written before the stage budgets and race knobs existed
-   decode with the defaults, and misspelt values are decode errors
-   naming the valid ones, so no spelling ever reaches a run. *)
+   byte), specs written before the stage budgets existed decode with
+   the defaults, specs written while fleets had a second scheduler
+   decode when they name "barrier" (their race knobs are ignored), and
+   misspelt values are decode errors naming the valid ones, so no
+   spelling ever reaches a run. *)
 let test_spec_codec () =
   let fields spec =
     match Spec.to_json spec with Json.Obj kvs -> kvs | _ -> Alcotest.fail "spec_to_json shape"
@@ -141,7 +143,6 @@ let test_spec_codec () =
       label = "gen";
       design = Blif ".model m\n.inputs a\n.outputs b\n.names a b\n1 1\n.end\n";
       stage_budgets = [ ("sa", 0.5) ];
-      scheduler = { Spec.default.scheduler with kind = `Racing; race_margin = 0.25 };
       time_budget = Some 2.5;
       max_moves = Some 300;
     }
@@ -150,12 +151,22 @@ let test_spec_codec () =
   | Ok s -> Alcotest.(check bool) "round trip" true (s = spec)
   | Error e -> Alcotest.failf "round trip: %s" e);
   let without names = List.filter (fun (k, _) -> not (List.mem k names)) (fields Spec.default) in
-  (match
-     decode
-       (without [ "flow"; "stage_budgets"; "scheduler"; "race_margin"; "race_warmup"; "race_every" ])
-   with
+  (match decode (without [ "flow"; "stage_budgets" ]) with
   | Ok s -> Alcotest.(check bool) "old job.json decodes with defaults" true (s = Spec.default)
   | Error e -> Alcotest.failf "old spec rejected: %s" e);
+  (* the deleted scheduler's field and knobs, spelt at run time *)
+  let scheduler name =
+    [
+      ("scheduler", Json.String name);
+      (String.concat "_" [ "race"; "margin" ], Json.Float 0.25);
+      (String.concat "_" [ "race"; "warmup" ], Json.Int 8);
+      (String.concat "_" [ "race"; "every" ], Json.Int 3);
+    ]
+    @ fields Spec.default
+  in
+  (match decode (scheduler "barrier") with
+  | Ok s -> Alcotest.(check bool) "a barrier spec decodes, knobs ignored" true (s = Spec.default)
+  | Error e -> Alcotest.failf "barrier spec rejected: %s" e);
   let with_field k v = (k, v) :: without [ k ] in
   List.iter
     (fun (what, kvs, needle) ->
@@ -171,6 +182,8 @@ let test_spec_codec () =
       ("bad effort", with_field "effort" (Json.String "heroic"), "quick|standard|thorough");
       ("bad scheme", with_field "scheme" (Json.String "zigzag"), "zigzag");
       ("bad exchange", with_field "exchange" (Json.String "best:x"), "exchange period");
+      ("deleted scheduler", scheduler "racing", "racing scheduler was deleted");
+      ("bad scheduler", scheduler "greedy", "barrier");
     ]
 
 (* --- job store --- *)
