@@ -98,37 +98,39 @@ let main ~state_dir ~job ~pipe =
     match job_config spec ~state_dir ~job ~n:(Spr_netlist.Netlist.n_cells nl) ~stream with
     | Error e -> finish_error ~state_dir ~job ~stream ("config: " ^ e)
     | Ok config -> (
-      let arch = Spec.arch spec nl in
-      let run_dir = Job.run_dir ~state_dir job in
-      Spr_util.Persist.ensure_dir run_dir;
-      match
-        (* Resume-or-fresh is one call: a multi-stage flow restarts at
-           its last persisted stage boundary, and sa replicas with V2
-           snapshots in the run dir pick up where they stopped; anything
-           without usable state starts deterministically from scratch.
-           SIGTERM lands in Tool's handler and stops the run gracefully
-           between moves. *)
-        Spr_core.Tool.with_signal_handlers (fun () ->
-            Spr_flow.run ~config ~resume_dir:run_dir arch nl)
-      with
-      | Ok r ->
-        Spr_core.Checkpoint.save r.Spr_flow.f_route (Job.layout_file ~state_dir job);
-        (* Flows without an sa stage have no Tool run report; their
-           outcome carries the status alone. *)
-        let status, report =
-          match r.Spr_flow.f_fleet with
-          | Some p ->
-            ( Spr_core.Outcome.status_to_string
-                (Spr_core.Tool.best_result p).Spr_core.Tool.status,
-              Some (Spr_obs.Report.to_json p.Spr_core.Tool.p_report) )
-          | None -> ("completed", None)
-        in
-        (* Outcome before result frame: if the daemon dies between the
-           two, restart recovery still finds the result on disk. *)
-        write_outcome ~state_dir ~job
-          (outcome_to_json ~ok:true ~status:(Some status) ~error:None ~report);
-        stream (Protocol.W_result { status; report });
-        exit 0
-      | Error e -> finish_error ~state_dir ~job ~stream (Spr_core.Tool.error_to_string e)
-      | exception exn ->
-        finish_error ~state_dir ~job ~stream ("worker raised: " ^ Printexc.to_string exn)))
+      match Spec.arch spec nl with
+      | Error e -> finish_error ~state_dir ~job ~stream ("arch: " ^ e)
+      | Ok arch -> (
+        let run_dir = Job.run_dir ~state_dir job in
+        Spr_util.Persist.ensure_dir run_dir;
+        match
+          (* Resume-or-fresh is one call: a multi-stage flow restarts at
+             its last persisted stage boundary, and sa replicas with V2
+             snapshots in the run dir pick up where they stopped; anything
+             without usable state starts deterministically from scratch.
+             SIGTERM lands in Tool's handler and stops the run gracefully
+             between moves. *)
+          Spr_core.Tool.with_signal_handlers (fun () ->
+              Spr_flow.run ~config ~resume_dir:run_dir arch nl)
+        with
+        | Ok r ->
+          Spr_core.Checkpoint.save r.Spr_flow.f_route (Job.layout_file ~state_dir job);
+          (* Flows without an sa stage have no Tool run report; their
+             outcome carries the status alone. *)
+          let status, report =
+            match r.Spr_flow.f_fleet with
+            | Some p ->
+              ( Spr_core.Outcome.status_to_string
+                  (Spr_core.Tool.best_result p).Spr_core.Tool.status,
+                Some (Spr_obs.Report.to_json p.Spr_core.Tool.p_report) )
+            | None -> ("completed", None)
+          in
+          (* Outcome before result frame: if the daemon dies between the
+             two, restart recovery still finds the result on disk. *)
+          write_outcome ~state_dir ~job
+            (outcome_to_json ~ok:true ~status:(Some status) ~error:None ~report);
+          stream (Protocol.W_result { status; report });
+          exit 0
+        | Error e -> finish_error ~state_dir ~job ~stream (Spr_core.Tool.error_to_string e)
+        | exception exn ->
+          finish_error ~state_dir ~job ~stream ("worker raised: " ^ Printexc.to_string exn))))
