@@ -278,8 +278,10 @@ let print_result ~flow ~(config : Spr_core.Config.t) ~run_dir (o : outputs) nl
   (match sa with
   | Some w when o.profile ->
     Format.printf "%a" Spr_core.Profile.pp w.T.profile;
-    Format.printf "per-temperature phase times:@.%a" Spr_core.Dynamics.pp_phase_series
-      w.T.dynamics
+    Format.printf "per-temperature phase times:@.%a"
+      (Spr_obs.Report.render_phase_series
+         ~phase_names:(List.map Spr_core.Profile.phase_name Spr_core.Profile.phases))
+      w.T.report.Spr_obs.Report.r_dynamics
   | _ -> ());
   let audit_ok =
     (not o.selfcheck)

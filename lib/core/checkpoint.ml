@@ -276,7 +276,7 @@ module V2 = struct
     rng_state : int64;
     weights : W.dump;
     dyn_flags : bool array;
-    dyn_samples : Dynamics.sample list;
+    dyn_samples : Spr_obs.Report.dyn_row list;
     accepted_since_audit : int;
     memo : Rs.memo;
     best_cost : float;
@@ -337,21 +337,20 @@ module V2 = struct
       (String.init (Array.length p.dyn_flags) (fun i -> if p.dyn_flags.(i) then '1' else '0'));
     add "dynsamples %d\n" (List.length p.dyn_samples);
     List.iter
-      (fun (s : Dynamics.sample) ->
-        (* Profiled samples append a count plus that many per-phase hex
-           floats; unprofiled samples keep the legacy 8-field shape, so
+      (fun (r : Spr_obs.Report.dyn_row) ->
+        (* Profiled rows append a count plus that many per-phase hex
+           floats; unprofiled rows keep the legacy 8-field shape, so
            pre-profiling checkpoints re-encode byte-identically. *)
         let phases =
-          match Array.to_list s.Dynamics.phase_seconds with
+          match r.dr_phase_seconds with
           | [] -> ""
           | ps ->
-            Printf.sprintf " %d %s" (List.length ps) (String.concat " " (List.map f2h ps))
+            Printf.sprintf " %d %s" (List.length ps)
+              (String.concat " " (List.map (fun (_, sec) -> f2h sec) ps))
         in
-        add "dynsample %d %s %s %s %s %s %s %s%s\n" s.Dynamics.dyn_temp_index
-          (f2h s.Dynamics.dyn_temperature) (f2h s.Dynamics.pct_cells_perturbed)
-          (f2h s.Dynamics.pct_nets_globally_unrouted) (f2h s.Dynamics.pct_nets_unrouted)
-          (f2h s.Dynamics.acceptance) (f2h s.Dynamics.cost) (f2h s.Dynamics.critical_delay)
-          phases)
+        add "dynsample %d %s %s %s %s %s %s %s%s\n" r.dr_temp_index (f2h r.dr_temperature)
+          (f2h r.dr_pct_cells) (f2h r.dr_pct_g_unrouted) (f2h r.dr_pct_unrouted)
+          (f2h r.dr_acceptance) (f2h r.dr_cost) (f2h r.dr_delay_ns) phases)
       p.dyn_samples;
     add "best %s\n" (f2h p.best_cost);
     add "layout best %d\n" (String.length p.best_layout);
@@ -361,10 +360,9 @@ module V2 = struct
     Buffer.add_string buf current_text;
     Buffer.contents buf
 
-  let encode p ~current =
-    let payload = encode_payload p ~current in
-    Printf.sprintf "spr-checkpoint %d %s %d\n%s" format_version (Pe.checksum_hex payload)
-      (String.length payload) payload
+  let magic = "spr-checkpoint"
+
+  let encode p ~current = Pe.frame ~magic ~version:format_version (encode_payload p ~current)
 
   (* Sequential cursor over the payload; every reader returns [Error]
      with a position rather than raising. *)
@@ -593,45 +591,42 @@ module V2 = struct
         let* s =
           expect_tag "dynsample" line (function
             | ti :: temp :: pc :: pg :: pu :: a :: c :: cd :: rest ->
-              let* dyn_temp_index = int_ ti in
-              let* dyn_temperature = float_ temp in
-              let* pct_cells_perturbed = float_ pc in
-              let* pct_nets_globally_unrouted = float_ pg in
-              let* pct_nets_unrouted = float_ pu in
-              let* acceptance = float_ a in
-              let* cost = float_ c in
-              let* critical_delay = float_ cd in
+              let* dr_temp_index = int_ ti in
+              let* dr_temperature = float_ temp in
+              let* dr_pct_cells = float_ pc in
+              let* dr_pct_g_unrouted = float_ pg in
+              let* dr_pct_unrouted = float_ pu in
+              let* dr_acceptance = float_ a in
+              let* dr_cost = float_ c in
+              let* dr_delay_ns = float_ cd in
               (* Legacy 8-field lines carry no phase data; extended lines
-                 append a count then that many hex floats. *)
-              let* phase_seconds =
+                 append a count then one hex float per Profile phase. *)
+              let* dr_phase_seconds =
                 match rest with
-                | [] -> Ok [||]
+                | [] -> Ok []
                 | n :: vals ->
+                  let rec named acc = function
+                    | [], [] -> Ok (List.rev acc)
+                    | p :: ps, v :: vs ->
+                      let* sec = float_ v in
+                      named ((Profile.phase_name p, sec) :: acc) (ps, vs)
+                    | _ -> Error "bad dynsample phase count"
+                  in
                   let* n = int_ n in
-                  if List.length vals <> n then Error "bad dynsample phase count"
-                  else begin
-                    let arr = Array.make n 0.0 in
-                    let rec fill i = function
-                      | [] -> Ok arr
-                      | v :: tl ->
-                        let* f = float_ v in
-                        arr.(i) <- f;
-                        fill (i + 1) tl
-                    in
-                    fill 0 vals
-                  end
+                  if n <> Profile.n_phases then Error "bad dynsample phase count"
+                  else named [] (Profile.phases, vals)
               in
               Ok
                 {
-                  Dynamics.dyn_temp_index;
-                  dyn_temperature;
-                  pct_cells_perturbed;
-                  pct_nets_globally_unrouted;
-                  pct_nets_unrouted;
-                  acceptance;
-                  cost;
-                  critical_delay;
-                  phase_seconds;
+                  Spr_obs.Report.dr_temp_index;
+                  dr_temperature;
+                  dr_pct_cells;
+                  dr_pct_g_unrouted;
+                  dr_pct_unrouted;
+                  dr_acceptance;
+                  dr_cost;
+                  dr_delay_ns;
+                  dr_phase_seconds;
                 }
             | _ -> Error "bad dynsample record")
         in
@@ -669,37 +664,8 @@ module V2 = struct
         route )
 
   let decode nl text =
-    match String.index_opt text '\n' with
-    | None -> Error "empty or headerless checkpoint"
-    | Some i -> (
-      let header = String.sub text 0 i in
-      let body = String.sub text (i + 1) (String.length text - i - 1) in
-      match words header with
-      | [ "spr-checkpoint"; version; crc; len ] -> (
-        match int_of_string_opt version, int_of_string_opt len with
-        | Some v, _ when v <> format_version ->
-          Error
-            (Printf.sprintf "unsupported checkpoint version %d (this loader reads version %d)" v
-               format_version)
-        | _, None | None, _ -> Error "malformed v2 header"
-        | Some _, Some len when len < 0 -> Error "malformed v2 header"
-        | Some _, Some len ->
-          if String.length body < len then
-            Error
-              (Printf.sprintf "truncated checkpoint: %d of %d payload bytes" (String.length body)
-                 len)
-          else begin
-            let payload = String.sub body 0 len in
-            let actual = Pe.checksum_hex payload in
-            if not (String.equal actual crc) then
-              Error (Printf.sprintf "checksum mismatch: header %s, payload %s" crc actual)
-            else decode_payload nl payload
-          end)
-      | "spr-checkpoint" :: v :: _ ->
-        Error
-          (Printf.sprintf "unsupported checkpoint version %s (this loader reads version %d)" v
-             format_version)
-      | _ -> Error "not a spr checkpoint")
+    let* payload = Pe.unframe ~magic ~version:format_version text in
+    decode_payload nl payload
 
   (* --- run-directory rotation --- *)
 
@@ -791,14 +757,14 @@ module Round = struct
 
   let record_path dir round = Filename.concat dir (Printf.sprintf "sched-%08d.rec" round)
 
+  let magic = "spr-sched"
+
   let encode (r : Sc.round_record) =
     let b = Buffer.create (String.length r.Sc.payload + 128) in
     Printf.bprintf b "round %d %d %s\n" r.Sc.round r.Sc.leader (Pe.float_to_hex r.Sc.metric);
     Buffer.add_string b "kills 0\n";
     Printf.bprintf b "layout %d\n%s" (String.length r.Sc.payload) r.Sc.payload;
-    let payload = Buffer.contents b in
-    Printf.sprintf "spr-sched %d %s %d\n%s" format_version (Pe.checksum_hex payload)
-      (String.length payload) payload
+    Pe.frame ~magic ~version:format_version (Buffer.contents b)
 
   let ( let* ) = V2.( let* )
 
@@ -836,27 +802,8 @@ module Round = struct
     Ok { Sc.round; leader; metric; payload }
 
   let decode text =
-    match String.index_opt text '\n' with
-    | None -> Error "empty or headerless round record"
-    | Some i -> (
-      let header = String.sub text 0 i in
-      let body = String.sub text (i + 1) (String.length text - i - 1) in
-      match V2.words header with
-      | [ "spr-sched"; version; crc; len ] -> (
-        match (int_of_string_opt version, int_of_string_opt len) with
-        | Some v, _ when v <> format_version ->
-          Error (Printf.sprintf "unsupported round record version %d" v)
-        | None, _ | _, None -> Error "malformed round record header"
-        | Some _, Some len when len < 0 -> Error "malformed round record header"
-        | Some _, Some len ->
-          if String.length body < len then Error "truncated round record"
-          else begin
-            let payload = String.sub body 0 len in
-            if not (String.equal (Pe.checksum_hex payload) crc) then
-              Error "round record checksum mismatch"
-            else decode_payload payload
-          end)
-      | _ -> Error "not a spr round record")
+    let* payload = Pe.unframe ~magic ~version:format_version text in
+    decode_payload payload
 
   let write ~dir (r : Sc.round_record) =
     Spr_util.Persist.ensure_dir dir;

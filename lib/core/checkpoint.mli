@@ -49,7 +49,7 @@ module V2 : sig
     rng_state : int64;
     weights : Spr_anneal.Weights.dump;
     dyn_flags : bool array;
-    dyn_samples : Dynamics.sample list;
+    dyn_samples : Spr_obs.Report.dyn_row list;
     accepted_since_audit : int;
     memo : Spr_route.Route_state.memo;
         (** Failure-memoization stamps of the current layout. They gate

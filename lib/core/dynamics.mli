@@ -1,26 +1,12 @@
-(** Per-temperature layout dynamics, the instrumentation behind the
-    paper's Figure 6.
+(** The per-temperature recorder behind the paper's Figure 6.
 
-    At each temperature we record the fraction of cells perturbed (moved
-    by an accepted move), the fraction of nets globally unrouted, and the
-    fraction of nets unrouted altogether; the difference of the last two
-    is the fraction globally routed but not detail routed. *)
-
-type sample = {
-  dyn_temp_index : int;
-  dyn_temperature : float;
-  pct_cells_perturbed : float;
-  pct_nets_globally_unrouted : float;
-  pct_nets_unrouted : float;
-  acceptance : float;
-  cost : float;
-  critical_delay : float;
-  phase_seconds : float array;
-      (** Wall seconds spent in each move-pipeline phase during this
-          temperature, indexed by {!Profile.phase_index}; [[||]] for
-          samples recorded without profiling (e.g. decoded from a legacy
-          checkpoint). *)
-}
+    At each temperature it records the fraction of cells perturbed
+    (moved by an accepted move), the fraction of nets globally unrouted,
+    and the fraction of nets unrouted altogether; the difference of the
+    last two is the fraction globally routed but not detail routed. Each
+    temperature closes into one {!Spr_obs.Report.dyn_row} — the report's
+    row is the only record of these numbers, and
+    {!Spr_obs.Report.render_dynamics} the only table of them. *)
 
 type t
 
@@ -40,42 +26,26 @@ val flush :
   cost:float ->
   critical_delay:float ->
   unit
-(** Close the current temperature: append a sample and reset the
-    perturbation marks. [phase_seconds] (default [[||]]) is the
-    per-phase time spent inside move transactions at this temperature,
-    from {!Profile.since}. *)
+(** Close the current temperature: append a row and reset the
+    perturbation marks. [phase_seconds] is the per-phase time spent
+    inside move transactions at this temperature, indexed by
+    {!Profile.phase_index} (from {!Profile.since}); the row names its
+    columns with {!Profile.phase_name}. Without a full set (the default
+    [[||]]) the row carries no phase columns. *)
 
-val samples : t -> sample list
+val samples : t -> Spr_obs.Report.dyn_row list
 (** In temperature order. *)
 
-val last_sample : t -> sample option
-(** The most recently flushed sample, without walking the series. *)
+val last_sample : t -> Spr_obs.Report.dyn_row option
+(** The most recently flushed row, without walking the series. *)
 
 val perturbed_flags : t -> bool array
 (** Copy of the per-cell perturbation marks accumulated since the last
     {!flush} — the mid-temperature state a resumable checkpoint must
     carry. *)
 
-val restore : n_cells:int -> flags:bool array -> samples:sample list -> t
+val restore :
+  n_cells:int -> flags:bool array -> samples:Spr_obs.Report.dyn_row list -> t
 (** Recorder continuing exactly from a {!perturbed_flags} /
     {!samples} capture. Raises [Invalid_argument] if [flags] is not
     [n_cells] long. *)
-
-val to_row : sample -> Spr_obs.Report.dyn_row
-(** The sample as a report dynamics row (phase columns named with
-    {!Profile.phase_name}). *)
-
-val of_row : Spr_obs.Report.dyn_row -> sample
-(** Inverse of {!to_row}; rows with a foreign phase-column set decode
-    with empty [phase_seconds]. *)
-
-val rows : t -> Spr_obs.Report.dyn_row list
-(** [samples] as report rows, in temperature order. *)
-
-val pp_series : Format.formatter -> sample list -> unit
-(** The Figure 6 series as an aligned text table. *)
-
-val pp_phase_series : Format.formatter -> sample list -> unit
-(** Per-temperature per-phase move-pipeline times (milliseconds), one
-    column per {!Profile.phase}; samples without phase data are
-    skipped. *)

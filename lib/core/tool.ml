@@ -74,7 +74,6 @@ type result = {
   d : int;
   fully_routed : bool;
   anneal_report : Spr_anneal.Engine.report;
-  dynamics : Dynamics.sample list;
   profile : Profile.t;
   cpu_seconds : float;
   status : status;
@@ -82,31 +81,6 @@ type result = {
   report : Spr_obs.Report.t;
   events : Spr_obs.Trace.event list;
 }
-
-let route_summary rs =
-  let stats = Spr_route.Route_stats.collect rs in
-  {
-    Spr_obs.Report.rt_routed_nets = stats.Spr_route.Route_stats.routed_nets;
-    rt_unrouted_nets = stats.Spr_route.Route_stats.unrouted_nets;
-    rt_h_wirelength = stats.Spr_route.Route_stats.horizontal_wirelength;
-    rt_v_wirelength = stats.Spr_route.Route_stats.vertical_wirelength;
-    rt_h_antifuses = stats.Spr_route.Route_stats.horizontal_antifuses;
-    rt_v_antifuses = stats.Spr_route.Route_stats.vertical_antifuses;
-    rt_x_antifuses = stats.Spr_route.Route_stats.cross_antifuses;
-    rt_vertical_used = stats.Spr_route.Route_stats.vertical_used;
-    rt_vertical_total = stats.Spr_route.Route_stats.vertical_total;
-    rt_channels =
-      List.map
-        (fun (cu : Spr_route.Route_stats.channel_util) ->
-          {
-            Spr_obs.Report.ch_index = cu.Spr_route.Route_stats.cu_channel;
-            ch_used_len = cu.Spr_route.Route_stats.cu_used_len;
-            ch_total_len = cu.Spr_route.Route_stats.cu_total_len;
-            ch_used_segments = cu.Spr_route.Route_stats.cu_used_segments;
-            ch_total_segments = cu.Spr_route.Route_stats.cu_total_segments;
-          })
-        stats.Spr_route.Route_stats.channels;
-  }
 
 let run_label (config : Config.t) = Option.value config.Config.obs.Config.label ~default:"run"
 
@@ -262,7 +236,7 @@ let anneal_session ?resume ?start_temperature ~ctx ~(config : Config.t) ~rng ~be
     Spr_obs.Metrics.observe acceptance_hist acceptance;
     if Spr_obs.Obs.recording () then
       Option.iter
-        (fun sample -> Spr_obs.Obs.emit (Spr_obs.Trace.Temp (Dynamics.to_row sample)))
+        (fun row -> Spr_obs.Obs.emit (Spr_obs.Trace.Temp row))
         (Dynamics.last_sample s.dyn);
     (* Scheduling AFTER the batch's own dynamics are flushed, so the
        trace describes what this replica actually annealed. The metric
@@ -448,7 +422,6 @@ let run_session ?resume ?start_temperature ~ctx ~(config : Config.t) ~rng ~t_sta
   Spr_obs.Obs.span ~name:"finalize" (fun () -> finalize ~config rs sta);
   if config.validation.validate && rs == s.rs then validate_now s;
   let profile = Move_pipeline.profile s.pipeline in
-  let dynamics = Dynamics.samples s.dyn in
   let cpu_seconds = Sys.time () -. t_start in
   let critical_delay = Sta.critical_delay sta in
   let g = Rs.g_count rs and d = Rs.d_count rs in
@@ -472,8 +445,8 @@ let run_session ?resume ?start_temperature ~ctx ~(config : Config.t) ~rng ~t_sta
       r_cpu_seconds = cpu_seconds;
       r_wall_seconds = Spr_util.Clock.elapsed watch;
       r_pipeline = Some (Profile.to_pipeline profile);
-      r_route = Some (route_summary rs);
-      r_dynamics = List.map Dynamics.to_row dynamics;
+      r_route = Some (Spr_route.Route_stats.collect rs);
+      r_dynamics = Dynamics.samples s.dyn;
       r_metrics = Profile.metrics_snapshot profile;
     }
   in
@@ -490,7 +463,6 @@ let run_session ?resume ?start_temperature ~ctx ~(config : Config.t) ~rng ~t_sta
     d;
     fully_routed = Rs.fully_routed rs;
     anneal_report;
-    dynamics;
     profile;
     cpu_seconds;
     status;

@@ -1,8 +1,8 @@
-module D = Spr_core.Dynamics
+module R = Spr_obs.Report
 
 type t = {
   circuit : string;
-  samples : D.sample list;
+  rows : R.dyn_row list;
   fully_routed : bool;
 }
 
@@ -13,30 +13,32 @@ let run ?(effort = Profiles.Standard) ?(seed = 1) ?(circuit = "s1") () =
   let r =
     Spr_core.Tool.(best_result (run_exn ~config:(Profiles.tool_config ~seed effort ~n) arch nl))
   in
-  { circuit; samples = r.Spr_core.Tool.dynamics; fully_routed = r.Spr_core.Tool.fully_routed }
+  {
+    circuit;
+    rows = r.Spr_core.Tool.report.R.r_dynamics;
+    fully_routed = r.Spr_core.Tool.fully_routed;
+  }
 
 let render t =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
   Format.fprintf ppf "Annealing dynamics on %s (%% per temperature):@." t.circuit;
-  D.pp_series ppf t.samples;
+  R.render_dynamics ppf t.rows;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
 let shape_holds t =
-  match t.samples with
+  match t.rows with
   | [] -> false
   | first :: _ ->
-    let last = List.nth t.samples (List.length t.samples - 1) in
-    let first_g_zero =
-      List.find_opt (fun s -> s.D.pct_nets_globally_unrouted <= 0.0) t.samples
-    in
-    let first_d_zero = List.find_opt (fun s -> s.D.pct_nets_unrouted <= 0.0) t.samples in
-    first.D.pct_cells_perturbed >= 80.0
-    && last.D.pct_cells_perturbed < first.D.pct_cells_perturbed
-    && last.D.pct_nets_unrouted <= 0.0
-    && last.D.pct_nets_globally_unrouted <= 0.0
+    let last = List.nth t.rows (List.length t.rows - 1) in
+    let first_g_zero = List.find_opt (fun r -> r.R.dr_pct_g_unrouted <= 0.0) t.rows in
+    let first_d_zero = List.find_opt (fun r -> r.R.dr_pct_unrouted <= 0.0) t.rows in
+    first.R.dr_pct_cells >= 80.0
+    && last.R.dr_pct_cells < first.R.dr_pct_cells
+    && last.R.dr_pct_unrouted <= 0.0
+    && last.R.dr_pct_g_unrouted <= 0.0
     &&
     match first_g_zero, first_d_zero with
-    | Some g, Some d -> g.D.dyn_temp_index <= d.D.dyn_temp_index
+    | Some g, Some d -> g.R.dr_temp_index <= d.R.dr_temp_index
     | _, _ -> false

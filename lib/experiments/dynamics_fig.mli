@@ -6,7 +6,7 @@
 
 type t = {
   circuit : string;
-  samples : Spr_core.Dynamics.sample list;
+  rows : Spr_obs.Report.dyn_row list;  (** The winning replica's report rows. *)
   fully_routed : bool;
 }
 
@@ -19,4 +19,5 @@ val shape_holds : t -> bool
 (** The qualitative claims of Figure 6: placement activity decays from
     near-100% to a low tail; both unrouted fractions converge to zero by
     the end; the globally-unrouted fraction reaches zero no later than
-    the total unrouted fraction. Used by tests and EXPERIMENTS.md. *)
+    the total unrouted fraction. Used by the Figure-6 gate
+    ([test/test_gates.ml]), [bench fig6] and EXPERIMENTS.md. *)

@@ -122,31 +122,32 @@ type flow_state = {
   fs_seed_temp : float option;
 }
 
+(* Only a finite, positive seed temperature is trusted; anything else
+   reads as absent, so the resumed flow re-probes and replays the
+   uninterrupted run. *)
 let read_flow_state ~dir ~preset =
-  match Spr_util.Persist.read_file (flow_file dir) with
-  | Error e -> Error e
-  | Ok text -> (
-    match J.parse text with
-    | Error e -> Error (flow_file dir ^ ": " ^ e)
-    | Ok j -> (
-      match J.member "schema" j |> Option.map (fun s -> J.to_str s) with
-      | Some (Some s) when s = flow_schema -> (
-        match J.member "preset" j |> fun o -> Option.bind o J.to_str with
-        | Some p when p = preset -> (
-          let completed =
-            match Option.bind (J.member "completed" j) J.to_list with
-            | Some l -> List.filter_map J.to_str l
-            | None -> []
-          in
-          let seed_temp =
-            match J.member "seed_temperature" j with
-            | Some (J.String h) -> Spr_util.Persist.float_of_hex h
-            | _ -> None
-          in
-          Ok { fs_completed = completed; fs_seed_temp = seed_temp })
-        | Some p -> Error (Printf.sprintf "flow.json is for preset %s, not %s" p preset)
-        | None -> Error "flow.json: missing preset")
-      | _ -> Error "flow.json: unknown schema"))
+  let path = flow_file dir in
+  Result.bind (Spr_util.Persist.read_file path) (fun text ->
+      Result.map_error (Printf.sprintf "%s: %s" path)
+        (Result.bind (J.parse text)
+           (J.decode ~what:"flow state" (fun j ->
+                let schema = J.dstr j "schema" in
+                if schema <> flow_schema then J.fail "unknown schema %s" schema;
+                let p = J.dstr j "preset" in
+                if p <> preset then J.fail "flow is for preset %s, not %s" p preset;
+                let seed_temp =
+                  match J.member "seed_temperature" j with
+                  | Some (J.String h) -> (
+                    match Spr_util.Persist.float_of_hex h with
+                    | Some t when Float.is_finite t && t > 0.0 -> Some t
+                    | _ -> None)
+                  | _ -> None
+                in
+                let completed = J.dlist j "completed" in
+                {
+                  fs_completed = List.map (J.expect "string" J.to_str "completed") completed;
+                  fs_seed_temp = seed_temp;
+                }))))
 
 (* Persist a completed non-final stage: its layout (an unrouted state
    when the stage only placed) plus the updated flow manifest. *)

@@ -265,3 +265,45 @@ let to_str = function String s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
 let to_list = function List l -> Some l | _ -> None
+
+(* --- field readers ---
+   Decoders raise [Decode] from deep inside a record; [decode] is the one
+   place that turns it, or anything else a surprising shape provokes,
+   into [Error]. *)
+
+exception Decode of string
+
+let fail fmt = Printf.ksprintf (fun msg -> raise (Decode msg)) fmt
+
+let decode ~what f j =
+  match f j with
+  | v -> Ok v
+  | exception Decode msg -> Error msg
+  | exception exn -> Error (Printf.sprintf "malformed %s: %s" what (Printexc.to_string exn))
+
+let ok ?context = function
+  | Ok v -> v
+  | Error e -> (
+    match context with None -> fail "%s" e | Some c -> fail "%s: %s" c e)
+
+let get j name = match member name j with Some v -> v | None -> fail "missing field %s" name
+
+let expect kind conv name v =
+  match conv v with Some x -> x | None -> fail "field %s: expected %s" name kind
+
+let read kind conv j name = expect kind conv name (get j name)
+
+let dint = read "int" to_int
+
+let dfloat = read "number" to_float
+
+let dstr = read "string" to_str
+
+let dbool = read "bool" to_bool
+
+let dlist = read "list" to_list
+
+let dfields = read "object" (function Obj fields -> Some fields | _ -> None)
+
+let dopt read j name =
+  match member name j with None | Some Null -> None | Some _ -> Some (read j name)

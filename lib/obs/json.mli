@@ -46,3 +46,48 @@ val to_str : t -> string option
 val to_bool : t -> bool option
 
 val to_list : t -> t list option
+
+(** {1 Field readers}
+
+    The one set of readers behind every decoder of external JSON
+    (reports, traces, specs, job records, service messages, outcome and
+    flow files). A reader raises on a missing field or a value of the
+    wrong kind; run the decoder under {!decode}, which turns that — or
+    any other exception a malformed input provokes — into [Error]. *)
+
+val decode : what:string -> (t -> 'a) -> t -> ('a, string) Stdlib.result
+(** [decode ~what f j] runs [f j]. A reader's or {!fail}'s message
+    becomes the [Error]; any other exception becomes
+    ["malformed WHAT: EXN"]. *)
+
+val fail : ('a, unit, string, 'b) format4 -> 'a
+(** Abort the enclosing {!decode} with a formatted message. *)
+
+val ok : ?context:string -> ('a, string) Stdlib.result -> 'a
+(** The value of a nested decoder's result; its [Error] aborts the
+    enclosing {!decode}, prefixed with ["CONTEXT: "] when given. *)
+
+val get : t -> string -> t
+(** The field; ["missing field NAME"] when absent. *)
+
+val expect : string -> (t -> 'a option) -> string -> t -> 'a
+(** [expect kind conv name v] converts [v], the value of field [name];
+    ["field NAME: expected KIND"] when [conv] returns [None]. *)
+
+val dint : t -> string -> int
+
+val dfloat : t -> string -> float
+(** Accepts an int, and [null] as [nan] (see {!to_float}). *)
+
+val dstr : t -> string -> string
+
+val dbool : t -> string -> bool
+
+val dlist : t -> string -> t list
+
+val dfields : t -> string -> (string * t) list
+(** An object field's members, in order. *)
+
+val dopt : (t -> string -> 'a) -> t -> string -> 'a option
+(** [dopt read j name]: [None] when the field is absent or [null], else
+    [Some (read j name)]. *)

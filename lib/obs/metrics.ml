@@ -37,12 +37,15 @@ let gauge t name =
     register t name (Gauge g);
     g
 
+let bounds_error bounds =
+  let n = Array.length bounds in
+  if n = 0 then Some "empty histogram bounds"
+  else if List.exists (fun i -> not (bounds.(i) > bounds.(i - 1))) (List.init (n - 1) succ) then
+    Some "histogram bounds must be strictly increasing"
+  else None
+
 let check_bounds name bounds =
-  if Array.length bounds = 0 then invalid_arg ("Metrics: " ^ name ^ ": empty histogram bounds");
-  for i = 1 to Array.length bounds - 1 do
-    if not (bounds.(i) > bounds.(i - 1)) then
-      invalid_arg ("Metrics: " ^ name ^ ": histogram bounds must be strictly increasing")
-  done
+  Option.iter (fun e -> invalid_arg ("Metrics: " ^ name ^ ": " ^ e)) (bounds_error bounds)
 
 let histogram t ~bounds name =
   match Hashtbl.find_opt t.tbl name with
@@ -84,6 +87,15 @@ type value =
   | Count of int
   | Value of float
   | Buckets of { bounds : float array; counts : int array }
+
+let check_value = function
+  | Count _ | Value _ -> Ok ()
+  | Buckets { bounds; counts } -> (
+    match bounds_error bounds with
+    | Some e -> Error e
+    | None when Array.length counts <> Array.length bounds + 1 ->
+      Error "histogram counts must have one more entry than its bounds"
+    | None -> Ok ())
 
 let value_of = function
   | Counter c -> Count c.c

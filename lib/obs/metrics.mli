@@ -62,8 +62,13 @@ type value =
   | Count of int
   | Value of float
   | Buckets of { bounds : float array; counts : int array }
-      (** [counts] has one more entry than [bounds] (the overflow
-          bucket). *)
+      (** [bounds] are non-empty and strictly increasing, and [counts]
+          has one more entry than [bounds] (the overflow bucket). *)
+
+val check_value : value -> (unit, string) Stdlib.result
+(** [Error] naming the broken invariant of a [Buckets] value that a
+    registry could not have produced; decoders of exported metrics
+    check every value with this. *)
 
 val snapshot : t -> (string * value) list
 (** Every metric in registration order. *)

@@ -185,41 +185,6 @@ let to_json t =
 (* ------------------------------------------------------------------ *)
 (* JSON decoding                                                       *)
 
-exception Decode of string
-
-let get obj name =
-  match member name obj with Some v -> v | None -> raise (Decode ("missing field " ^ name))
-
-let dint obj name =
-  match to_int (get obj name) with
-  | Some i -> i
-  | None -> raise (Decode ("field " ^ name ^ ": expected int"))
-
-let dfloat obj name =
-  match to_float (get obj name) with
-  | Some f -> f
-  | None -> raise (Decode ("field " ^ name ^ ": expected number"))
-
-let dstr obj name =
-  match to_str (get obj name) with
-  | Some s -> s
-  | None -> raise (Decode ("field " ^ name ^ ": expected string"))
-
-let dbool obj name =
-  match to_bool (get obj name) with
-  | Some b -> b
-  | None -> raise (Decode ("field " ^ name ^ ": expected bool"))
-
-let dlist obj name =
-  match to_list (get obj name) with
-  | Some l -> l
-  | None -> raise (Decode ("field " ^ name ^ ": expected list"))
-
-let dfields obj name =
-  match get obj name with
-  | Obj fields -> fields
-  | _ -> raise (Decode ("field " ^ name ^ ": expected object"))
-
 let dyn_row_decode j =
   {
     dr_temp_index = dint j "temp_index";
@@ -232,15 +197,11 @@ let dyn_row_decode j =
     dr_delay_ns = dfloat j "critical_delay_ns";
     dr_phase_seconds =
       List.map
-        (fun (k, v) ->
-          match to_float v with
-          | Some f -> (k, f)
-          | None -> raise (Decode ("phase_seconds." ^ k ^ ": expected number")))
+        (fun (k, v) -> (k, expect "number" to_float ("phase_seconds." ^ k) v))
         (dfields j "phase_seconds");
   }
 
-let dyn_row_of_json j =
-  match dyn_row_decode j with r -> Ok r | exception Decode msg -> Error msg
+let dyn_row_of_json = decode ~what:"dynamics row" dyn_row_decode
 
 let metrics_decode j =
   match j with
@@ -256,20 +217,20 @@ let metrics_decode j =
               Array.of_list
                 (List.map
                    (fun x ->
-                     match conv x with
-                     | Some y -> y
-                     | None -> raise (Decode ("metric " ^ name ^ ": bad " ^ field)))
+                     match conv x with Some y -> y | None -> fail "metric %s: bad %s" name field)
                    (dlist v field))
             in
             Metrics.Buckets { bounds = arr to_float "bounds"; counts = arr to_int "counts" }
-          | _ -> raise (Decode ("metric " ^ name ^ ": unknown kind"))
+          | _ -> fail "metric %s: unknown kind" name
         in
+        (match Metrics.check_value value with
+        | Ok () -> ()
+        | Error e -> fail "metric %s: %s" name e);
         (name, value))
       fields
-  | _ -> raise (Decode "metrics: expected object")
+  | _ -> fail "metrics: expected object"
 
-let metrics_of_json j =
-  match metrics_decode j with ms -> Ok ms | exception Decode msg -> Error msg
+let metrics_of_json = decode ~what:"metrics" metrics_decode
 
 let phase_row_decode j =
   { ph_name = dstr j "name"; ph_seconds = dfloat j "seconds"; ph_calls = dint j "calls" }
@@ -313,35 +274,32 @@ let route_decode j =
     rt_channels = List.map channel_decode (dlist j "channels");
   }
 
-let of_json j =
-  match
-    let schema = dstr j "schema" in
-    if schema <> schema_version then raise (Decode ("unknown report schema " ^ schema));
-    {
-      r_label = dstr j "label";
-      r_seed = dint j "seed";
-      r_replicas = dint j "replicas";
-      r_status = dstr j "status";
-      r_fully_routed = dbool j "fully_routed";
-      r_g_unrouted = dint j "g_unrouted";
-      r_d_unrouted = dint j "d_unrouted";
-      r_critical_delay_ns = dfloat j "critical_delay_ns";
-      r_best_cost = dfloat j "best_cost";
-      r_initial_cost = dfloat j "initial_cost";
-      r_final_cost = dfloat j "final_cost";
-      r_moves = dint j "moves";
-      r_temperatures = dint j "temperatures";
-      r_exchange_rounds = dint j "exchange_rounds";
-      r_cpu_seconds = dfloat j "cpu_seconds";
-      r_wall_seconds = dfloat j "wall_seconds";
-      r_pipeline = (match get j "pipeline" with Null -> None | p -> Some (pipeline_decode p));
-      r_route = (match get j "route" with Null -> None | r -> Some (route_decode r));
-      r_dynamics = List.map dyn_row_decode (dlist j "dynamics");
-      r_metrics = metrics_decode (get j "metrics");
-    }
-  with
-  | t -> Ok t
-  | exception Decode msg -> Error msg
+let of_json =
+  decode ~what:"report" (fun j ->
+      let schema = dstr j "schema" in
+      if schema <> schema_version then fail "unknown report schema %s" schema;
+      {
+        r_label = dstr j "label";
+        r_seed = dint j "seed";
+        r_replicas = dint j "replicas";
+        r_status = dstr j "status";
+        r_fully_routed = dbool j "fully_routed";
+        r_g_unrouted = dint j "g_unrouted";
+        r_d_unrouted = dint j "d_unrouted";
+        r_critical_delay_ns = dfloat j "critical_delay_ns";
+        r_best_cost = dfloat j "best_cost";
+        r_initial_cost = dfloat j "initial_cost";
+        r_final_cost = dfloat j "final_cost";
+        r_moves = dint j "moves";
+        r_temperatures = dint j "temperatures";
+        r_exchange_rounds = dint j "exchange_rounds";
+        r_cpu_seconds = dfloat j "cpu_seconds";
+        r_wall_seconds = dfloat j "wall_seconds";
+        r_pipeline = (match get j "pipeline" with Null -> None | p -> Some (pipeline_decode p));
+        r_route = (match get j "route" with Null -> None | r -> Some (route_decode r));
+        r_dynamics = List.map dyn_row_decode (dlist j "dynamics");
+        r_metrics = metrics_decode (get j "metrics");
+      })
 
 (* ------------------------------------------------------------------ *)
 (* Rendering — the one copy of the dynamics-table columns.             *)

@@ -1,9 +1,10 @@
-(** The unified, versioned run report: one record holding what
-    [Route_stats], [Profile], and [Dynamics] used to expose through
-    three ad-hoc channels. Every [Tool.run] replica and the fleet
-    return one of these; the CLI writes it as [report.json] (the machine twin
-    of the ASCII tables) and every ASCII table is re-rendered from it
-    with the shared renderers below. *)
+(** The unified, versioned run report. Its records are the only copies
+    of a run's numbers: [Dynamics] records {!dyn_row}s,
+    [Route_stats.collect] returns a {!route_summary}, and [Profile]
+    exports a {!pipeline}. Every [Tool.run] replica and the fleet return
+    one report; the CLI writes it as [report.json] (the machine twin of
+    the ASCII tables) and every ASCII table is re-rendered from it with
+    the shared renderers below. *)
 
 val schema_version : string
 (** ["spr-report-1"]. *)
@@ -47,8 +48,8 @@ type pipeline = {
 
 type channel_row = {
   ch_index : int;
-  ch_used_len : int;
-  ch_total_len : int;
+  ch_used_len : int;  (** Claimed segment length, column units. *)
+  ch_total_len : int;  (** tracks x cols. *)
   ch_used_segments : int;
   ch_total_segments : int;
 }
@@ -57,11 +58,14 @@ type route_summary = {
   rt_routed_nets : int;
   rt_unrouted_nets : int;
   rt_h_wirelength : int;
-  rt_v_wirelength : int;
-  rt_h_antifuses : int;
+      (** Total claimed horizontal segment length (column units) — the
+          constructive wirelength the cost function never needed to
+          estimate. *)
+  rt_v_wirelength : int;  (** Claimed vertical length, channel units. *)
+  rt_h_antifuses : int;  (** Programmed joints between adjacent claimed segments. *)
   rt_v_antifuses : int;
-  rt_x_antifuses : int;
-  rt_vertical_used : int;
+  rt_x_antifuses : int;  (** Pin taps plus spine-to-channel taps. *)
+  rt_vertical_used : int;  (** Claimed vertical segments. *)
   rt_vertical_total : int;
   rt_channels : channel_row list;
 }
@@ -112,9 +116,9 @@ val metrics_of_json : Json.t -> ((string * Metrics.value) list, string) Stdlib.r
 
 (** {1 Rendering}
 
-    The single source of truth for the dynamics-table columns; the
-    legacy [Dynamics.pp_series]/[pp_phase_series] and the bench /
-    experiment tables all delegate here. *)
+    The single source of truth for the dynamics-table columns: the CLI,
+    the Figure-6 experiment and the bench tables all render through
+    these. *)
 
 val render_dynamics : Format.formatter -> dyn_row list -> unit
 (** The Figure-6 series as an aligned text table. *)

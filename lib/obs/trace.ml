@@ -72,81 +72,54 @@ let event_to_json { ev_replica; ev } =
         ("wall_seconds", Float wall_seconds);
       ]
 
-exception Decode of string
-
-let get j name =
-  match member name j with Some v -> v | None -> raise (Decode ("missing field " ^ name))
-
-let dint j name =
-  match to_int (get j name) with
-  | Some i -> i
-  | None -> raise (Decode ("field " ^ name ^ ": expected int"))
-
-let dfloat j name =
-  match to_float (get j name) with
-  | Some f -> f
-  | None -> raise (Decode ("field " ^ name ^ ": expected number"))
-
-let dstr j name =
-  match to_str (get j name) with
-  | Some s -> s
-  | None -> raise (Decode ("field " ^ name ^ ": expected string"))
-
-let fail_result = function Ok v -> v | Error msg -> raise (Decode msg)
-
-let event_of_json j =
-  match
-    let replica = dint j "replica" in
-    let ev =
-      match dstr j "ev" with
-      | "run_start" ->
-        let schema = dstr j "schema" in
-        if schema <> schema_version then raise (Decode ("unknown trace schema " ^ schema));
-        Run_start
-          {
-            label = dstr j "label";
-            seed = dint j "seed";
-            replicas = dint j "replicas";
-            n_cells = dint j "n_cells";
-            n_nets = dint j "n_nets";
-          }
-      | "span_begin" -> Span_begin { name = dstr j "name"; depth = dint j "depth"; t = dfloat j "t" }
-      | "span_end" ->
-        Span_end
-          { name = dstr j "name"; depth = dint j "depth"; t = dfloat j "t"; dt = dfloat j "dt" }
-      | "temp" -> Temp (fail_result (Report.dyn_row_of_json (get j "row")))
-      | "exchange" ->
-        Exchange { round = dint j "round"; from_replica = dint j "from"; metric = dfloat j "metric" }
-      | "metrics" -> Metrics_dump (fail_result (Report.metrics_of_json (get j "metrics")))
-      | "replica_end" ->
-        Replica_end
-          {
-            status = dstr j "status";
-            g = dint j "g_unrouted";
-            d = dint j "d_unrouted";
-            delay_ns = dfloat j "delay_ns";
-            best_cost = dfloat j "best_cost";
-          }
-      | "run_end" ->
-        Run_end
-          {
-            status = dstr j "status";
-            g = dint j "g_unrouted";
-            d = dint j "d_unrouted";
-            delay_ns = dfloat j "delay_ns";
-            best_cost = dfloat j "best_cost";
-            wall_seconds = dfloat j "wall_seconds";
-          }
-      | kind -> raise (Decode ("unknown event kind " ^ kind))
-    in
-    { ev_replica = replica; ev }
-  with
-  | ev -> Ok ev
-  | exception Decode msg -> Error msg
-  (* Adversarial input must produce a structured error, never a raise:
-     a field decoder surprised by a shape the Decode guards above did
-     not anticipate is a diagnostic, not a crash. *)
-  | exception exn -> Error ("malformed event: " ^ Printexc.to_string exn)
+let event_of_json =
+  decode ~what:"event" (fun j ->
+      let replica = dint j "replica" in
+      let ev =
+        match dstr j "ev" with
+        | "run_start" ->
+          let schema = dstr j "schema" in
+          if schema <> schema_version then fail "unknown trace schema %s" schema;
+          Run_start
+            {
+              label = dstr j "label";
+              seed = dint j "seed";
+              replicas = dint j "replicas";
+              n_cells = dint j "n_cells";
+              n_nets = dint j "n_nets";
+            }
+        | "span_begin" ->
+          Span_begin { name = dstr j "name"; depth = dint j "depth"; t = dfloat j "t" }
+        | "span_end" ->
+          Span_end
+            { name = dstr j "name"; depth = dint j "depth"; t = dfloat j "t"; dt = dfloat j "dt" }
+        | "temp" -> Temp (ok (Report.dyn_row_of_json (get j "row")))
+        | "exchange" ->
+          Exchange
+            { round = dint j "round"; from_replica = dint j "from"; metric = dfloat j "metric" }
+        | "metrics" -> Metrics_dump (ok (Report.metrics_of_json (get j "metrics")))
+        | "replica_end" ->
+          Replica_end
+            {
+              status = dstr j "status";
+              g = dint j "g_unrouted";
+              d = dint j "d_unrouted";
+              delay_ns = dfloat j "delay_ns";
+              best_cost = dfloat j "best_cost";
+            }
+        | "run_end" ->
+          Run_end
+            {
+              status = dstr j "status";
+              g = dint j "g_unrouted";
+              d = dint j "d_unrouted";
+              delay_ns = dfloat j "delay_ns";
+              best_cost = dfloat j "best_cost";
+              wall_seconds = dfloat j "wall_seconds";
+            }
+        | kind -> fail "unknown event kind %s" kind
+      in
+      { ev_replica = replica; ev })
 
 let encode_line ev = to_string (event_to_json ev)
 

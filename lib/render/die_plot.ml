@@ -172,18 +172,11 @@ let to_ascii st =
     | Spr_netlist.Cell_kind.Seq -> 's'
   in
   (* channel utilization: claimed segment length / total *)
-  let channel_util k =
-    let used = ref 0 and total = ref 0 in
-    for t = 0 to arch.Arch.tracks - 1 do
-      let segs = Arch.hsegments arch ~channel:k ~track:t in
-      Array.iteri
-        (fun s seg ->
-          total := !total + I.length seg;
-          if Rs.hseg_owner st ~channel:k ~track:t ~seg:s <> -1 then
-            used := !used + I.length seg)
-        segs
-    done;
-    if !total = 0 then 0.0 else float_of_int !used /. float_of_int !total
+  let channels = Array.of_list (Spr_route.Route_stats.collect st).Spr_obs.Report.rt_channels in
+  let utilization k =
+    let c = channels.(k) in
+    if c.Spr_obs.Report.ch_total_len = 0 then 0.0
+    else float_of_int c.Spr_obs.Report.ch_used_len /. float_of_int c.Spr_obs.Report.ch_total_len
   in
   let bar frac =
     let n = int_of_float (frac *. 20.0 +. 0.5) in
@@ -193,7 +186,7 @@ let to_ascii st =
     (* the channel above this row position *)
     let k = row + 1 in
     if k <= arch.Arch.rows then begin
-      let u = channel_util k in
+      let u = utilization k in
       Buffer.add_string buf (Printf.sprintf "ch%-2d [%s] %3.0f%%\n" k (bar u) (100.0 *. u))
     end;
     if row >= 0 then begin

@@ -1,26 +1,6 @@
 module I = Spr_util.Interval
 module Rs = Route_state
-
-type channel_util = {
-  cu_channel : int;
-  cu_used_len : int;
-  cu_total_len : int;
-  cu_used_segments : int;
-  cu_total_segments : int;
-}
-
-type t = {
-  routed_nets : int;
-  unrouted_nets : int;
-  horizontal_wirelength : int;
-  vertical_wirelength : int;
-  horizontal_antifuses : int;
-  vertical_antifuses : int;
-  cross_antifuses : int;
-  channels : channel_util list;
-  vertical_used : int;
-  vertical_total : int;
-}
+module Report = Spr_obs.Report
 
 let collect st =
   let arch = Rs.arch st in
@@ -73,11 +53,11 @@ let collect st =
             segs
         done;
         {
-          cu_channel = ch;
-          cu_used_len = !used_len;
-          cu_total_len = !total_len;
-          cu_used_segments = !used_segs;
-          cu_total_segments = !total_segs;
+          Report.ch_index = ch;
+          ch_used_len = !used_len;
+          ch_total_len = !total_len;
+          ch_used_segments = !used_segs;
+          ch_total_segments = !total_segs;
         })
   in
   let v_used = ref 0 and v_total = ref 0 in
@@ -92,31 +72,29 @@ let collect st =
     done
   done;
   {
-    routed_nets = !routed;
-    unrouted_nets = Rs.d_count st;
-    horizontal_wirelength = !h_wire;
-    vertical_wirelength = !v_wire;
-    horizontal_antifuses = !h_fuse;
-    vertical_antifuses = !v_fuse;
-    cross_antifuses = !x_fuse;
-    channels;
-    vertical_used = !v_used;
-    vertical_total = !v_total;
+    Report.rt_routed_nets = !routed;
+    rt_unrouted_nets = Rs.d_count st;
+    rt_h_wirelength = !h_wire;
+    rt_v_wirelength = !v_wire;
+    rt_h_antifuses = !h_fuse;
+    rt_v_antifuses = !v_fuse;
+    rt_x_antifuses = !x_fuse;
+    rt_vertical_used = !v_used;
+    rt_vertical_total = !v_total;
+    rt_channels = channels;
   }
 
-let total_antifuses t = t.horizontal_antifuses + t.vertical_antifuses + t.cross_antifuses
-
-let pp ppf t =
-  Format.fprintf ppf "routed %d nets (%d unrouted)@." t.routed_nets t.unrouted_nets;
+let pp ppf (t : Report.route_summary) =
+  Format.fprintf ppf "routed %d nets (%d unrouted)@." t.rt_routed_nets t.rt_unrouted_nets;
   Format.fprintf ppf "wirelength: %d col-units horizontal, %d channel-units vertical@."
-    t.horizontal_wirelength t.vertical_wirelength;
+    t.rt_h_wirelength t.rt_v_wirelength;
   Format.fprintf ppf "antifuses: %d horizontal + %d vertical + %d cross = %d@."
-    t.horizontal_antifuses t.vertical_antifuses t.cross_antifuses (total_antifuses t);
-  Format.fprintf ppf "vertical segments used: %d/%d@." t.vertical_used t.vertical_total;
+    t.rt_h_antifuses t.rt_v_antifuses t.rt_x_antifuses (Report.total_antifuses t);
+  Format.fprintf ppf "vertical segments used: %d/%d@." t.rt_vertical_used t.rt_vertical_total;
   List.iter
-    (fun cu ->
+    (fun (c : Report.channel_row) ->
       Format.fprintf ppf "channel %2d: %4d/%4d col-units (%.0f%%), %d/%d segments@."
-        cu.cu_channel cu.cu_used_len cu.cu_total_len
-        (100.0 *. float_of_int cu.cu_used_len /. float_of_int (max 1 cu.cu_total_len))
-        cu.cu_used_segments cu.cu_total_segments)
-    t.channels
+        c.ch_index c.ch_used_len c.ch_total_len
+        (100.0 *. float_of_int c.ch_used_len /. float_of_int (max 1 c.ch_total_len))
+        c.ch_used_segments c.ch_total_segments)
+    t.rt_channels

@@ -3,36 +3,10 @@
 
     These are the physical quantities behind the paper's concerns —
     antifuses on a path cost delay (§1), track supply bounds wirability
-    (§2.1) — measured over the claimed segments of the current state. *)
+    (§2.1) — measured over the claimed segments of the current state.
+    The run report's {!Spr_obs.Report.route_summary} is their only
+    record. *)
 
-type channel_util = {
-  cu_channel : int;
-  cu_used_len : int;  (** Claimed segment length, column units. *)
-  cu_total_len : int;  (** tracks x cols. *)
-  cu_used_segments : int;
-  cu_total_segments : int;
-}
+val collect : Route_state.t -> Spr_obs.Report.route_summary
 
-type t = {
-  routed_nets : int;
-  unrouted_nets : int;
-  horizontal_wirelength : int;
-      (** Total claimed horizontal segment length (column units) — the
-          constructive wirelength the cost function never needed to
-          estimate. *)
-  vertical_wirelength : int;  (** Claimed vertical length, channel units. *)
-  horizontal_antifuses : int;
-      (** Programmed joints between adjacent claimed segments. *)
-  vertical_antifuses : int;
-  cross_antifuses : int;
-      (** Pin taps plus spine-to-channel taps. *)
-  channels : channel_util list;
-  vertical_used : int;  (** Claimed vertical segments. *)
-  vertical_total : int;
-}
-
-val collect : Route_state.t -> t
-
-val total_antifuses : t -> int
-
-val pp : Format.formatter -> t -> unit
+val pp : Format.formatter -> Spr_obs.Report.route_summary -> unit

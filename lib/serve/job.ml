@@ -20,32 +20,6 @@ type t = {
 
 (* --- JSON --- *)
 
-exception Decode of string
-
-let get j name =
-  match J.member name j with Some v -> v | None -> raise (Decode ("missing field " ^ name))
-
-let dstr j name =
-  match J.to_str (get j name) with
-  | Some s -> s
-  | None -> raise (Decode ("field " ^ name ^ ": expected string"))
-
-let dint j name =
-  match J.to_int (get j name) with
-  | Some i -> i
-  | None -> raise (Decode ("field " ^ name ^ ": expected int"))
-
-let dfloat j name =
-  match J.to_float (get j name) with
-  | Some f -> f
-  | None -> raise (Decode ("field " ^ name ^ ": expected number"))
-
-let wrap_decode f j =
-  match f j with
-  | v -> Ok v
-  | exception Decode msg -> Error msg
-  | exception exn -> Error ("malformed job record: " ^ Printexc.to_string exn)
-
 let state_to_json = function
   | Queued -> J.Obj [ ("st", J.String "queued") ]
   | Running pid -> J.Obj [ ("st", J.String "running"); ("pid", J.Int pid) ]
@@ -55,14 +29,14 @@ let state_to_json = function
   | Cancelled -> J.Obj [ ("st", J.String "cancelled") ]
 
 let state_of_json_exn j =
-  match dstr j "st" with
+  match J.dstr j "st" with
   | "queued" -> Queued
-  | "running" -> Running (dint j "pid")
+  | "running" -> Running (J.dint j "pid")
   | "parked" -> Parked
-  | "done" -> Done (dstr j "status")
-  | "failed" -> Failed (dstr j "error")
+  | "done" -> Done (J.dstr j "status")
+  | "failed" -> Failed (J.dstr j "error")
   | "cancelled" -> Cancelled
-  | st -> raise (Decode ("unknown job state " ^ st))
+  | st -> J.fail "unknown job state %s" st
 
 let schema = "spr-serve-job-1"
 
@@ -78,18 +52,15 @@ let to_json t =
     ]
 
 let of_json =
-  wrap_decode (fun j ->
-      let s = dstr j "schema" in
-      if s <> schema then raise (Decode ("unknown job schema " ^ s));
-      let spec =
-        match Spec.of_json (get j "spec") with Ok s -> s | Error e -> raise (Decode e)
-      in
+  J.decode ~what:"job record" (fun j ->
+      let s = J.dstr j "schema" in
+      if s <> schema then J.fail "unknown job schema %s" s;
       {
-        id = dstr j "id";
-        spec;
-        state = state_of_json_exn (get j "state");
-        submitted_at = dfloat j "submitted_at";
-        updated_at = dfloat j "updated_at";
+        id = J.dstr j "id";
+        spec = J.ok (Spec.of_json (J.get j "spec"));
+        state = state_of_json_exn (J.get j "state");
+        submitted_at = J.dfloat j "submitted_at";
+        updated_at = J.dfloat j "updated_at";
       })
 
 (* --- store --- *)

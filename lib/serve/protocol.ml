@@ -37,38 +37,7 @@ type worker_msg =
   | W_result of { status : string; report : Spr_obs.Json.t option }
   | W_error of string
 
-exception Decode of string
-
-let get j name =
-  match J.member name j with Some v -> v | None -> raise (Decode ("missing field " ^ name))
-
-let dstr j name =
-  match J.to_str (get j name) with
-  | Some s -> s
-  | None -> raise (Decode ("field " ^ name ^ ": expected string"))
-
-let dint j name =
-  match J.to_int (get j name) with
-  | Some i -> i
-  | None -> raise (Decode ("field " ^ name ^ ": expected int"))
-
-let dfloat j name =
-  match J.to_float (get j name) with
-  | Some f -> f
-  | None -> raise (Decode ("field " ^ name ^ ": expected number"))
-
-(* [Error] below shadows the result constructor; the annotation keeps
-   Ok/Error here pointing at Stdlib.result. *)
-let wrap (f : J.t -> 'a) (j : J.t) : ('a, string) result =
-  match f j with
-  | v -> Stdlib.Ok v
-  | exception Decode msg -> Stdlib.Error msg
-  | exception exn -> Stdlib.Error ("malformed message: " ^ Printexc.to_string exn)
-
-let devent j name =
-  match Spr_obs.Trace.event_of_json (get j name) with
-  | Ok ev -> ev
-  | Error e -> raise (Decode ("field " ^ name ^ ": " ^ e))
+let devent j name = J.ok ~context:("field " ^ name) (Spr_obs.Trace.event_of_json (J.get j name))
 
 (* --- requests --- *)
 
@@ -79,16 +48,13 @@ let request_to_json = function
   | Ping -> J.Obj [ ("req", J.String "ping") ]
 
 let request_of_json =
-  wrap (fun j ->
-      match dstr j "req" with
-      | "submit" -> (
-        match Spec.of_json (get j "spec") with
-        | Ok spec -> Submit spec
-        | Error e -> raise (Decode ("submit spec: " ^ e)))
+  J.decode ~what:"message" (fun j ->
+      match J.dstr j "req" with
+      | "submit" -> Submit (J.ok ~context:"submit spec" (Spec.of_json (J.get j "spec")))
       | "jobs" -> Jobs
-      | "cancel" -> Cancel (dstr j "id")
+      | "cancel" -> Cancel (J.dstr j "id")
       | "ping" -> Ping
-      | req -> raise (Decode ("unknown request " ^ req)))
+      | req -> J.fail "unknown request %s" req)
 
 (* --- responses --- *)
 
@@ -100,11 +66,11 @@ let reject_to_json = function
   | Invalid msg -> J.Obj [ ("why", J.String "invalid"); ("message", J.String msg) ]
 
 let reject_of_json_exn j =
-  match dstr j "why" with
-  | "overloaded" -> Overloaded { queued = dint j "queued"; backoff_s = dfloat j "backoff_s" }
+  match J.dstr j "why" with
+  | "overloaded" -> Overloaded { queued = J.dint j "queued"; backoff_s = J.dfloat j "backoff_s" }
   | "draining" -> Draining
-  | "invalid" -> Invalid (dstr j "message")
-  | why -> raise (Decode ("unknown rejection " ^ why))
+  | "invalid" -> Invalid (J.dstr j "message")
+  | why -> J.fail "unknown rejection %s" why
 
 let row_to_json r =
   J.Obj
@@ -119,12 +85,12 @@ let row_to_json r =
 
 let row_of_json_exn j =
   {
-    row_id = dstr j "id";
-    row_label = dstr j "label";
-    row_state = dstr j "state";
-    row_submitted_at = dfloat j "submitted_at";
-    row_updated_at = dfloat j "updated_at";
-    row_pid = (match J.member "pid" j with Some (J.Int p) -> Some p | _ -> None);
+    row_id = J.dstr j "id";
+    row_label = J.dstr j "label";
+    row_state = J.dstr j "state";
+    row_submitted_at = J.dfloat j "submitted_at";
+    row_updated_at = J.dfloat j "updated_at";
+    row_pid = J.dopt J.dint j "pid";
   }
 
 let opt_report = function None -> J.Null | Some r -> r
@@ -151,28 +117,21 @@ let response_to_json = function
   | Pong -> J.Obj [ ("resp", J.String "pong") ]
 
 let response_of_json =
-  wrap (fun j ->
-      match dstr j "resp" with
-      | "accepted" -> Accepted (dstr j "id")
-      | "rejected" -> Rejected (reject_of_json_exn (get j "reason"))
+  J.decode ~what:"message" (fun j ->
+      match J.dstr j "resp" with
+      | "accepted" -> Accepted (J.dstr j "id")
+      | "rejected" -> Rejected (reject_of_json_exn (J.get j "reason"))
       | "event" -> Event (devent j "event")
       | "done" ->
         Job_done
-          {
-            id = dstr j "id";
-            status = dstr j "status";
-            report = (match J.member "report" j with None | Some J.Null -> None | Some r -> Some r);
-          }
-      | "failed" -> Job_failed { id = dstr j "id"; error = dstr j "error" }
-      | "parked" -> Job_parked { id = dstr j "id"; message = dstr j "message" }
-      | "cancelled" -> Job_cancelled (dstr j "id")
-      | "jobs" -> (
-        match get j "jobs" with
-        | J.List rows -> Jobs_list (List.map row_of_json_exn rows)
-        | _ -> raise (Decode "field jobs: expected list"))
-      | "error" -> Error (dstr j "message")
+          { id = J.dstr j "id"; status = J.dstr j "status"; report = J.dopt J.get j "report" }
+      | "failed" -> Job_failed { id = J.dstr j "id"; error = J.dstr j "error" }
+      | "parked" -> Job_parked { id = J.dstr j "id"; message = J.dstr j "message" }
+      | "cancelled" -> Job_cancelled (J.dstr j "id")
+      | "jobs" -> Jobs_list (List.map row_of_json_exn (J.dlist j "jobs"))
+      | "error" -> Error (J.dstr j "message")
       | "pong" -> Pong
-      | resp -> raise (Decode ("unknown response " ^ resp)))
+      | resp -> J.fail "unknown response %s" resp)
 
 let is_terminal = function
   | Job_done _ | Job_failed _ | Job_parked _ | Job_cancelled _ -> true
@@ -187,14 +146,9 @@ let worker_to_json = function
   | W_error msg -> J.Obj [ ("w", J.String "error"); ("message", J.String msg) ]
 
 let worker_of_json =
-  wrap (fun j ->
-      match dstr j "w" with
+  J.decode ~what:"message" (fun j ->
+      match J.dstr j "w" with
       | "event" -> W_event (devent j "event")
-      | "result" ->
-        W_result
-          {
-            status = dstr j "status";
-            report = (match J.member "report" j with None | Some J.Null -> None | Some r -> Some r);
-          }
-      | "error" -> W_error (dstr j "message")
-      | w -> raise (Decode ("unknown worker message " ^ w)))
+      | "result" -> W_result { status = J.dstr j "status"; report = J.dopt J.get j "report" }
+      | "error" -> W_error (J.dstr j "message")
+      | w -> J.fail "unknown worker message %s" w)

@@ -109,71 +109,52 @@ let to_json s =
       ("max_moves", opt (fun m -> J.Int m) s.max_moves);
     ]
 
-exception Decode of string
-
-let of_json j =
-  let fail fmt = Printf.ksprintf (fun m -> raise (Decode m)) fmt in
-  let value conv name v =
-    match conv v with Some x -> x | None -> fail "field %s: bad value" name
-  in
-  (* [opt] fields may be absent or null; [req] fields must be present. *)
-  let opt conv name =
-    match J.member name j with None | Some J.Null -> None | Some v -> Some (value conv name v)
-  in
-  let req conv name =
-    match opt conv name with Some x -> x | None -> fail "missing field %s" name
-  in
-  let ok = function Ok x -> x | Error e -> fail "%s" e in
-  let parsed of_string name = ok (of_string (req J.to_str name)) in
-  let or_default x v = Option.value v ~default:x in
-  match
-    let design =
-      match opt J.to_str "circuit", opt J.to_str "blif" with
-      | Some name, None -> Circuit name
-      | None, Some text -> Blif text
-      | None, None -> fail "provide a circuit name or BLIF text"
-      | Some _, Some _ -> fail "provide a circuit name or BLIF text, not both"
-    in
-    let stage_budgets =
-      match J.member "stage_budgets" j with
-      | None | Some J.Null -> default.stage_budgets
-      | Some (J.Obj kvs) -> List.map (fun (stage, v) -> (stage, value J.to_float stage v)) kvs
-      | Some _ -> fail "field stage_budgets: expected an object"
-    in
-    (* Specs written while fleets had a second scheduler name it and
-       carry its three knobs: "barrier" is the one policy left, and the
-       knobs are ignored. *)
-    (match opt J.to_str "scheduler" with
-    | None | Some "barrier" -> ()
-    | Some "racing" -> fail "the racing scheduler was deleted; coordinate a fleet with exchange"
-    | Some other -> fail "unknown scheduler %s (the only scheduler is barrier)" other);
-    {
-      label = req J.to_str "label";
-      design;
-      tracks = req J.to_int "tracks";
-      scheme =
-        parsed
-          (fun s ->
-            Option.to_result (Segmentation.scheme_of_string s)
-              ~none:(Printf.sprintf "unknown segmentation scheme %s" s))
-          "scheme";
-      seed = req J.to_int "seed";
-      effort =
-        parsed
-          (fun s ->
-            Option.to_result (Profiles.effort_of_string s)
-              ~none:(Printf.sprintf "effort must be quick|standard|thorough (got %s)" s))
-          "effort";
-      flow = or_default default.flow (opt J.to_str "flow");
-      stage_budgets;
-      replicas = req J.to_int "replicas";
-      exchange = parsed Portfolio.exchange_of_string "exchange";
-      time_budget = opt J.to_float "time_budget";
-      max_moves = opt J.to_int "max_moves";
-    }
-  with
-  | s -> Ok s
-  | exception Decode msg -> Error msg
+let of_json =
+  J.decode ~what:"spec" (fun j ->
+      let design =
+        match J.dopt J.dstr j "circuit", J.dopt J.dstr j "blif" with
+        | Some name, None -> Circuit name
+        | None, Some text -> Blif text
+        | None, None -> J.fail "provide a circuit name or BLIF text"
+        | Some _, Some _ -> J.fail "provide a circuit name or BLIF text, not both"
+      in
+      let stage_budgets =
+        match J.dopt J.dfields j "stage_budgets" with
+        | None -> default.stage_budgets
+        | Some kvs -> List.map (fun (stage, v) -> (stage, J.expect "number" J.to_float stage v)) kvs
+      in
+      (* Specs written while fleets had a second scheduler name it and
+         carry its three knobs: "barrier" is the one policy left, and the
+         knobs are ignored. *)
+      (match J.dopt J.dstr j "scheduler" with
+      | None | Some "barrier" -> ()
+      | Some "racing" -> J.fail "the racing scheduler was deleted; coordinate a fleet with exchange"
+      | Some other -> J.fail "unknown scheduler %s (the only scheduler is barrier)" other);
+      let parsed of_string name = J.ok (of_string (J.dstr j name)) in
+      {
+        label = J.dstr j "label";
+        design;
+        tracks = J.dint j "tracks";
+        scheme =
+          parsed
+            (fun s ->
+              Option.to_result (Segmentation.scheme_of_string s)
+                ~none:(Printf.sprintf "unknown segmentation scheme %s" s))
+            "scheme";
+        seed = J.dint j "seed";
+        effort =
+          parsed
+            (fun s ->
+              Option.to_result (Profiles.effort_of_string s)
+                ~none:(Printf.sprintf "effort must be quick|standard|thorough (got %s)" s))
+            "effort";
+        flow = Option.value (J.dopt J.dstr j "flow") ~default:default.flow;
+        stage_budgets;
+        replicas = J.dint j "replicas";
+        exchange = parsed Portfolio.exchange_of_string "exchange";
+        time_budget = J.dopt J.dfloat j "time_budget";
+        max_moves = J.dopt J.dint j "max_moves";
+      })
 
 (* --- run directories --- *)
 

@@ -13,31 +13,14 @@ let outcome_to_json ~ok ~status ~error ~report =
     ]
 
 let read_outcome path =
-  match Spr_util.Persist.read_file path with
-  | Error e -> Error e
-  | Ok text -> (
-    match J.parse text with
-    | Error e -> Error (path ^ ": " ^ e)
-    | Ok j -> (
-      let str name = Option.bind (J.member name j) J.to_str in
-      match Option.bind (J.member "schema" j) J.to_str with
-      | Some s when s = outcome_schema -> (
-        match Option.bind (J.member "ok" j) (function J.Bool b -> Some b | _ -> None) with
-        | Some true -> (
-          match str "status" with
-          | Some status ->
-            let report =
-              match J.member "report" j with None | Some J.Null -> None | Some r -> Some r
-            in
-            Ok (`Ok (status, report))
-          | None -> Error (path ^ ": ok outcome without a status"))
-        | Some false -> (
-          match str "error" with
-          | Some e -> Ok (`Error e)
-          | None -> Error (path ^ ": failed outcome without an error"))
-        | _ -> Error (path ^ ": missing ok flag"))
-      | Some s -> Error (path ^ ": unknown outcome schema " ^ s)
-      | None -> Error (path ^ ": missing schema")))
+  Result.bind (Spr_util.Persist.read_file path) (fun text ->
+      Result.map_error (Printf.sprintf "%s: %s" path)
+        (Result.bind (J.parse text)
+           (J.decode ~what:"outcome" (fun j ->
+                let schema = J.dstr j "schema" in
+                if schema <> outcome_schema then J.fail "unknown outcome schema %s" schema;
+                if J.dbool j "ok" then `Ok (J.dstr j "status", J.dopt J.get j "report")
+                else `Error (J.dstr j "error")))))
 
 let write_outcome ~state_dir ~job json =
   Spr_util.Persist.atomic_write ~durable:true

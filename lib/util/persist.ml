@@ -11,6 +11,33 @@ let fnv1a64 s =
 
 let checksum_hex s = Printf.sprintf "%016Lx" (fnv1a64 s)
 
+let frame ~magic ~version payload =
+  Printf.sprintf "%s %d %s %d\n%s" magic version (checksum_hex payload) (String.length payload)
+    payload
+
+let unframe ~magic ~version text =
+  let error fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  match String.index_opt text '\n' with
+  | None -> error "empty or headerless %s file" magic
+  | Some i -> (
+    match String.split_on_char ' ' (String.sub text 0 i) |> List.filter (( <> ) "") with
+    | m :: v :: rest when m = magic -> (
+      let have = String.length text - i - 1 in
+      match int_of_string_opt v, rest with
+      | Some v, _ when v <> version ->
+        error "unsupported %s version %d (this loader reads version %d)" magic v version
+      | Some _, [ crc; len ] -> (
+        match int_of_string_opt len with
+        | Some len when len > have -> error "truncated %s: %d of %d payload bytes" magic have len
+        | Some len when len >= 0 ->
+          let payload = String.sub text (i + 1) len in
+          let actual = checksum_hex payload in
+          if String.equal actual crc then Ok payload
+          else error "%s checksum mismatch: header %s, payload %s" magic crc actual
+        | _ -> error "malformed %s header" magic)
+      | _ -> error "malformed %s header" magic)
+    | _ -> error "not a %s file" magic)
+
 let float_to_hex f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
 
 let float_of_hex s =

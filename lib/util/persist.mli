@@ -14,6 +14,18 @@ val fnv1a64 : string -> int64
 val checksum_hex : string -> string
 (** {!fnv1a64} as 16 lowercase hex digits. *)
 
+val frame : magic:string -> version:int -> string -> string
+(** [frame ~magic ~version payload] is the header line
+    [MAGIC VERSION CHECKSUM BYTES] followed by [payload], where CHECKSUM
+    is the payload's {!checksum_hex} and BYTES its length. The payload
+    grammar stays with the format's owner. *)
+
+val unframe : magic:string -> version:int -> string -> (string, string) Stdlib.result
+(** The payload of a {!frame}d text, or [Error] when the header is
+    missing or malformed, names another magic or version, or the
+    payload is truncated or fails its checksum. Bytes past the payload
+    are ignored. *)
+
 val float_to_hex : float -> string
 (** IEEE-754 bit pattern as 16 hex digits. Unlike decimal printing this
     round-trips every float bit-exactly (including infinities and NaN),

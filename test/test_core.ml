@@ -1,6 +1,7 @@
 module Tool = Spr_core.Tool
 module Dynamics = Spr_core.Dynamics
 module Profile = Spr_core.Profile
+module Report = Spr_obs.Report
 module Rs = Spr_route.Route_state
 module Arch = Spr_arch.Arch
 module Nl = Spr_netlist.Netlist
@@ -63,25 +64,25 @@ let test_run_seed_matters () =
 let test_dynamics_recorded () =
   let arch, nl = small_case () in
   let r = run1 ~config:(quick_config (Nl.n_cells nl)) arch nl in
-  let samples = r.Tool.dynamics in
-  Alcotest.(check bool) "samples recorded" true (List.length samples >= 3);
+  let rows = r.Tool.report.Report.r_dynamics in
+  Alcotest.(check bool) "rows recorded" true (List.length rows >= 3);
   List.iter
-    (fun s ->
+    (fun (row : Report.dyn_row) ->
       Alcotest.(check bool) "cell pct in range" true
-        (s.Dynamics.pct_cells_perturbed >= 0.0 && s.Dynamics.pct_cells_perturbed <= 100.0);
+        (row.dr_pct_cells >= 0.0 && row.dr_pct_cells <= 100.0);
       Alcotest.(check bool) "unrouted pct >= globally-unrouted pct" true
-        (s.Dynamics.pct_nets_unrouted >= s.Dynamics.pct_nets_globally_unrouted -. 1e-9))
-    samples;
-  (* the last sample should be fully routed for this easy fabric *)
-  let last = List.nth samples (List.length samples - 1) in
-  Alcotest.(check (float 1e-6)) "ends fully routed" 0.0 last.Dynamics.pct_nets_unrouted;
-  (* activity decays: the first cooling sample perturbs more cells than
+        (row.dr_pct_unrouted >= row.dr_pct_g_unrouted -. 1e-9))
+    rows;
+  (* the last row should be fully routed for this easy fabric *)
+  let last = List.nth rows (List.length rows - 1) in
+  Alcotest.(check (float 1e-6)) "ends fully routed" 0.0 last.Report.dr_pct_unrouted;
+  (* activity decays: the first cooling row perturbs more cells than
      the last *)
-  match samples with
+  match rows with
   | first :: _ ->
     Alcotest.(check bool) "placement activity decays" true
-      (first.Dynamics.pct_cells_perturbed >= last.Dynamics.pct_cells_perturbed)
-  | [] -> Alcotest.fail "no samples"
+      (first.Report.dr_pct_cells >= last.Report.dr_pct_cells)
+  | [] -> Alcotest.fail "no rows"
 
 let test_cost_improves () =
   let arch, nl = small_case () in
@@ -135,15 +136,16 @@ let test_profile_coverage () =
     Profile.phases;
   Alcotest.(check int) "one decision per move" (Profile.t_moves p)
     (Profile.phase_calls p Profile.Decide);
-  (* the dynamics trace carries the per-temperature phase split *)
+  (* the dynamics rows carry the per-temperature phase split *)
   List.iter
-    (fun s ->
-      Alcotest.(check int) "sample has per-phase times" Profile.n_phases
-        (Array.length s.Dynamics.phase_seconds);
-      Array.iter
-        (fun dt -> Alcotest.(check bool) "phase time non-negative" true (dt >= 0.0))
-        s.Dynamics.phase_seconds)
-    r.Tool.dynamics
+    (fun (row : Report.dyn_row) ->
+      Alcotest.(check (list string)) "row has per-phase times, named in pipeline order"
+        (List.map Profile.phase_name Profile.phases)
+        (List.map fst row.dr_phase_seconds);
+      List.iter
+        (fun (_, dt) -> Alcotest.(check bool) "phase time non-negative" true (dt >= 0.0))
+        row.dr_phase_seconds)
+    r.Tool.report.Report.r_dynamics
 
 let test_run_rejects_cycles () =
   let b = Nl.Builder.create () in
@@ -337,13 +339,13 @@ let test_dynamics_module () =
     ~cost:0.5 ~critical_delay:9.0;
   match Dynamics.samples d with
   | [ s1; s2 ] ->
-    Alcotest.(check (float 1e-9)) "3 distinct cells of 10" 30.0 s1.Dynamics.pct_cells_perturbed;
-    Alcotest.(check (float 1e-9)) "reset between temps" 10.0 s2.Dynamics.pct_cells_perturbed;
-    Alcotest.(check (float 1e-9)) "g pct scaled" 50.0 s1.Dynamics.pct_nets_globally_unrouted;
-    Alcotest.(check (float 1e-9)) "d pct scaled" 25.0 s2.Dynamics.pct_nets_unrouted;
+    Alcotest.(check (float 1e-9)) "3 distinct cells of 10" 30.0 s1.Report.dr_pct_cells;
+    Alcotest.(check (float 1e-9)) "reset between temps" 10.0 s2.Report.dr_pct_cells;
+    Alcotest.(check (float 1e-9)) "g pct scaled" 50.0 s1.Report.dr_pct_g_unrouted;
+    Alcotest.(check (float 1e-9)) "d pct scaled" 25.0 s2.Report.dr_pct_unrouted;
     Alcotest.(check int) "unprofiled flush leaves phase times empty" 0
-      (Array.length s1.Dynamics.phase_seconds)
-  | other -> Alcotest.failf "expected 2 samples, got %d" (List.length other)
+      (List.length s1.Report.dr_phase_seconds)
+  | other -> Alcotest.failf "expected 2 rows, got %d" (List.length other)
 
 let () =
   Alcotest.run "spr_core"

@@ -191,6 +191,46 @@ let test_ap_sa_kill_resume () =
       Alcotest.(check bool) "same seed temperature" true
         (reference.Flow.f_seed_temperature = resumed.Flow.f_seed_temperature))
 
+(* flow.json's seed temperature is trusted only when finite and
+   positive. A corrupted one (NaN, negative, zero) reads as absent, so a
+   resume that lost its sa snapshots re-probes T0 and replays the
+   uninterrupted run instead of annealing at the corrupted value. *)
+let test_corrupt_seed_temperature_reprobes () =
+  let module J = Spr_obs.Json in
+  let module Pe = Spr_util.Persist in
+  let arch, nl, base = preset ~seed:23 () in
+  let dir = "flow-seed-temp" in
+  let config = Config.(base |> with_flow_preset "ap+sa" |> with_run_dir dir) in
+  let flow_json = Filename.concat dir "flow.json" in
+  let corrupt t =
+    Array.iter
+      (fun f -> if String.starts_with ~prefix:"snap-" f then Sys.remove (Filename.concat dir f))
+      (Sys.readdir dir);
+    match Result.bind (Pe.read_file flow_json) J.parse with
+    | Ok (J.Obj fields) ->
+      let set (k, v) = (k, if k = "seed_temperature" then J.String (Pe.float_to_hex t) else v) in
+      Pe.atomic_write flow_json (J.to_string (J.Obj (List.map set fields)))
+    | Ok _ -> Alcotest.fail "flow.json is not an object"
+    | Error e -> Alcotest.failf "flow.json: %s" e
+  in
+  rmrf dir;
+  Fun.protect
+    ~finally:(fun () -> rmrf dir)
+    (fun () ->
+      let reference = Flow.run_exn ~config arch nl in
+      List.iter
+        (fun (label, t) ->
+          corrupt t;
+          let resumed = Flow.run_exn ~config ~resume_dir:dir arch nl in
+          Alcotest.(check bool) (label ^ ": re-probed the seed temperature") true
+            (reference.Flow.f_seed_temperature = resumed.Flow.f_seed_temperature);
+          Alcotest.(check string) (label ^ ": resumed run lands exactly on the reference")
+            (Rs.snapshot reference.Flow.f_route)
+            (Rs.snapshot resumed.Flow.f_route);
+          Alcotest.(check (float 0.0)) (label ^ ": same delay") reference.Flow.f_critical_delay
+            resumed.Flow.f_critical_delay)
+        [ ("NaN", Float.nan); ("-1", -1.0); ("0", 0.0) ])
+
 (* A Ctrl-C that lands during an earlier stage is still pending when
    the sa stage starts, so the anneal stops after its first move. *)
 let test_interrupt_survives_earlier_stage () =
@@ -271,6 +311,8 @@ let () =
           Alcotest.test_case "ap+sa kill mid-sa and resume" `Quick test_ap_sa_kill_resume;
           Alcotest.test_case "an interrupt during ap still stops sa" `Quick
             test_interrupt_survives_earlier_stage;
+          Alcotest.test_case "a corrupted seed temperature is re-probed" `Quick
+            test_corrupt_seed_temperature_reprobes;
         ] );
       ( "serve",
         [

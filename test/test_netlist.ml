@@ -354,6 +354,20 @@ let test_blif_roundtrip_generated =
       | Error _ -> false
       | Ok nl2 -> Nl.n_cells nl = Nl.n_cells nl2 && Nl.n_nets nl = Nl.n_nets nl2)
 
+(* The BLIF loader's property: on any input it returns [Error] or a
+   netlist that levelizes (or reports its cycle), and it never raises. *)
+let blif_loads_as_error_or_valid text =
+  match Result.bind (Blif.parse_string text) (fun nl -> Result.map ignore (Lv.run nl)) with
+  | Ok () | Error _ -> ()
+  | exception e -> Alcotest.failf "BLIF loader raised %s on:\n%s" (Printexc.to_string e) text
+
+let test_blif_mutations () =
+  let generated = Blif.to_string (Gen.generate (Gen.default ~n_cells:16) ~seed:3) in
+  List.iter
+    (fun text ->
+      List.iter blif_loads_as_error_or_valid (Mutate.all ~values:Mutate.json_values text))
+    [ blif_example; generated ]
+
 (* --- Netlist_stats --- *)
 
 let test_stats_tiny () =
@@ -453,5 +467,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_blif_errors;
           Alcotest.test_case "roundtrip" `Quick test_blif_roundtrip;
           qtest test_blif_roundtrip_generated;
+          Alcotest.test_case "truncations, flips and value splices load as Error or valid" `Quick
+            test_blif_mutations;
         ] );
     ]

@@ -196,16 +196,7 @@ let test_render_dynamics () =
   let lines = String.split_on_char '\n' (String.trim text) in
   Alcotest.(check int) "header + 2 rows" 3 (List.length lines);
   Alcotest.(check bool) "header names the Figure-6 columns" true
-    (match lines with h :: _ -> String.length h > 0 && String.trim h <> "" | [] -> false);
-  (* the row from a Trace.Temp event renders identically to the same
-     row rendered via Dynamics.pp_series -- single renderer *)
-  let via_dynamics =
-    render Spr_core.Dynamics.pp_series (List.map Spr_core.Dynamics.of_row [ row 0; row 1 ])
-  in
-  let direct = render Report.render_dynamics [ row 0; row 1 ] in
-  (* of_row drops the phase columns (foreign names), which the dynamics
-     table doesn't show, so the tables agree *)
-  Alcotest.(check string) "Dynamics.pp_series delegates here" direct via_dynamics
+    (match lines with h :: _ -> String.length h > 0 && String.trim h <> "" | [] -> false)
 
 let test_phase_series_skips_partial_rows () =
   let names = [ "propose"; "decide" ] in
@@ -290,6 +281,140 @@ let test_trace_fuzz_total () =
       if String.trim msg = "" then Alcotest.failf "case %d: empty diagnostic" i
   done
 
+(* --- report loader ---
+
+   [metrics_of_json] reads the metrics of every report.json and of every
+   trace [metrics] row, so a histogram it accepts must be one a registry
+   could have produced: non-empty, strictly increasing bounds and one
+   more count than bounds. *)
+
+let broken_histograms =
+  [
+    {|{"h":{"kind":"histogram","bounds":[0.1,0.2],"counts":[1]}}|};
+    {|{"h":{"kind":"histogram","bounds":[0.5,0.1],"counts":[0,1,2]}}|};
+  ]
+
+let histogram_ok = function
+  | Metrics.Buckets { bounds; counts } ->
+    let n = Array.length bounds in
+    n > 0
+    && Array.length counts = n + 1
+    && List.for_all (fun i -> bounds.(i) > bounds.(i - 1)) (List.init (n - 1) succ)
+  | Metrics.Count _ | Metrics.Value _ -> true
+
+let test_metrics_decoder_rejects_broken_histograms () =
+  let decode text = Result.bind (Json.parse text) Report.metrics_of_json in
+  (match decode {|{"h":{"kind":"histogram","bounds":[0.1,0.2],"counts":[1,2,3]}}|} with
+  | Ok [ ("h", v) ] -> Alcotest.(check bool) "a registry's histogram decodes" true (histogram_ok v)
+  | Ok _ -> Alcotest.fail "valid histogram decoded to something else"
+  | Error e -> Alcotest.failf "valid histogram rejected: %s" e);
+  List.iter
+    (fun text ->
+      match decode text with
+      | Ok _ -> Alcotest.failf "broken histogram accepted: %s" text
+      | Error e ->
+        Alcotest.(check bool) ("the error names the metric: " ^ e) true
+          (String.starts_with ~prefix:"metric h: " e))
+    broken_histograms
+
+let sample_report () =
+  let reg = Metrics.create () in
+  Metrics.add (Metrics.counter reg "pipeline.moves") 120;
+  Metrics.gauge_set (Metrics.gauge reg "pipeline.propose_s") 0.25;
+  Metrics.observe (Metrics.histogram reg ~bounds:[| 0.1; 0.5 |] "anneal.acceptance") 0.3;
+  {
+    Report.r_label = "fuzz";
+    r_seed = 1;
+    r_replicas = 1;
+    r_status = "completed";
+    r_fully_routed = true;
+    r_g_unrouted = 0;
+    r_d_unrouted = 0;
+    r_critical_delay_ns = 12.5;
+    r_best_cost = 12.5;
+    r_initial_cost = 3.0;
+    r_final_cost = 1.0;
+    r_moves = 120;
+    r_temperatures = 2;
+    r_exchange_rounds = 0;
+    r_cpu_seconds = 0.5;
+    r_wall_seconds = 0.5;
+    r_pipeline =
+      Some
+        {
+          Report.pl_moves = 120;
+          pl_null_moves = 2;
+          pl_accepts = 60;
+          pl_rejects = 58;
+          pl_ripped_nets = 300;
+          pl_retimed_nets = 40;
+          pl_total_seconds = 0.4;
+          pl_phases = [ { Report.ph_name = "propose"; ph_seconds = 0.25; ph_calls = 120 } ];
+          pl_global_attempts = 10;
+          pl_global_routed = 9;
+          pl_detail_attempts = 20;
+          pl_detail_routed = 18;
+        };
+    r_route =
+      Some
+        {
+          Report.rt_routed_nets = 30;
+          rt_unrouted_nets = 0;
+          rt_h_wirelength = 400;
+          rt_v_wirelength = 50;
+          rt_h_antifuses = 20;
+          rt_v_antifuses = 5;
+          rt_x_antifuses = 90;
+          rt_vertical_used = 12;
+          rt_vertical_total = 64;
+          rt_channels =
+            [
+              {
+                Report.ch_index = 0;
+                ch_used_len = 40;
+                ch_total_len = 96;
+                ch_used_segments = 7;
+                ch_total_segments = 24;
+              };
+            ];
+        };
+    r_dynamics = [ row 0; row 1 ];
+    r_metrics = Metrics.snapshot reg;
+  }
+
+(* The loader's property: on any input it returns [Error] or a report
+   whose histograms keep their invariant, and it never raises. *)
+let report_loads_as_error_or_valid text =
+  match Result.bind (Json.parse text) Report.of_json with
+  | Error _ -> true
+  | Ok r -> List.for_all (fun (_, v) -> histogram_ok v) r.Report.r_metrics
+  | exception e -> Alcotest.failf "Report.of_json raised %s on:\n%s" (Printexc.to_string e) text
+
+let test_report_mutations () =
+  let json = Report.to_json (sample_report ()) in
+  let text = Json.to_string json in
+  Alcotest.(check bool) "the unmutated report loads" true
+    (match Result.bind (Json.parse text) Report.of_json with Ok _ -> true | Error _ -> false);
+  List.iter
+    (fun mutant ->
+      if not (report_loads_as_error_or_valid mutant) then
+        Alcotest.failf "mutated report loaded with a broken histogram:\n%s" mutant)
+    (Mutate.all ~values:Mutate.json_values text);
+  (* Random mutation never produces the broken histograms, so they are
+     fixed cases: the report carrying either is refused. *)
+  List.iter
+    (fun metrics ->
+      let with_metrics =
+        match (json, Json.parse metrics) with
+        | Json.Obj fields, Ok m ->
+          Json.Obj (List.map (fun (k, v) -> (k, if k = "metrics" then m else v)) fields)
+        | _ -> Alcotest.fail "report or metrics text is not an object"
+      in
+      match Report.of_json with_metrics with
+      | Ok _ -> Alcotest.failf "report with broken histogram accepted: %s" metrics
+      | Error _ -> ())
+    broken_histograms
+
 let () =
   Alcotest.run "spr_obs"
     [
@@ -305,11 +430,18 @@ let () =
           Alcotest.test_case "absorb merges by name" `Quick test_metrics_absorb;
           Alcotest.test_case "absorb merges a killed replica's partial dump" `Quick
             test_metrics_absorb_partial_dump;
+          Alcotest.test_case "decoder rejects histograms a registry cannot produce" `Quick
+            test_metrics_decoder_rejects_broken_histograms;
         ] );
       ("spans", [ Alcotest.test_case "nesting, tagging, no-op without sink" `Quick test_spans_nest_and_balance ]);
       ( "trace",
         [
           Alcotest.test_case "adversarial input decodes totally" `Quick test_trace_fuzz_total;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "truncations, flips and value splices load as Error or valid" `Quick
+            test_report_mutations;
         ] );
       ( "render",
         [

@@ -390,36 +390,36 @@ let test_stats_consistency () =
   let st, nl, arch = make_state ~tracks:24 () in
   Spr_route.Router.route_all st;
   let stats = Spr_route.Route_stats.collect st in
-  let open Spr_route.Route_stats in
+  let open Spr_obs.Report in
   Alcotest.(check int) "routed + unrouted = routable" (Rs.n_routable st)
-    (stats.routed_nets + stats.unrouted_nets);
-  Alcotest.(check bool) "wirelength positive" true (stats.horizontal_wirelength > 0);
+    (stats.rt_routed_nets + stats.rt_unrouted_nets);
+  Alcotest.(check bool) "wirelength positive" true (stats.rt_h_wirelength > 0);
   Alcotest.(check bool) "cross fuses >= 2 per routed net" true
-    (stats.cross_antifuses >= 2 * stats.routed_nets);
+    (stats.rt_x_antifuses >= 2 * stats.rt_routed_nets);
   Alcotest.(check int) "one channel record per channel" arch.Arch.n_channels
-    (List.length stats.channels);
+    (List.length stats.rt_channels);
   List.iter
-    (fun cu ->
-      Alcotest.(check bool) "used <= total len" true (cu.cu_used_len <= cu.cu_total_len);
+    (fun c ->
+      Alcotest.(check bool) "used <= total len" true (c.ch_used_len <= c.ch_total_len);
       Alcotest.(check bool) "used <= total segs" true
-        (cu.cu_used_segments <= cu.cu_total_segments);
+        (c.ch_used_segments <= c.ch_total_segments);
       Alcotest.(check int) "total len = tracks * cols" (arch.Arch.tracks * arch.Arch.cols)
-        cu.cu_total_len)
-    stats.channels;
+        c.ch_total_len)
+    stats.rt_channels;
   Alcotest.(check bool) "vertical used <= total" true
-    (stats.vertical_used <= stats.vertical_total);
+    (stats.rt_vertical_used <= stats.rt_vertical_total);
   Alcotest.(check bool) "total antifuses adds up" true
     (total_antifuses stats
-    = stats.horizontal_antifuses + stats.vertical_antifuses + stats.cross_antifuses);
+    = stats.rt_h_antifuses + stats.rt_v_antifuses + stats.rt_x_antifuses);
   ignore nl
 
 let test_stats_empty_state () =
   let st, _, _ = make_state () in
   (* nothing routed yet *)
   let stats = Spr_route.Route_stats.collect st in
-  let open Spr_route.Route_stats in
-  Alcotest.(check int) "nothing routed" 0 stats.routed_nets;
-  Alcotest.(check int) "no wirelength" 0 stats.horizontal_wirelength;
+  let open Spr_obs.Report in
+  Alcotest.(check int) "nothing routed" 0 stats.rt_routed_nets;
+  Alcotest.(check int) "no wirelength" 0 stats.rt_h_wirelength;
   Alcotest.(check int) "no fuses" 0 (total_antifuses stats)
 
 let test_stats_wirelength_matches_ownership () =
@@ -441,7 +441,7 @@ let test_stats_wirelength_matches_ownership () =
     done
   done;
   Alcotest.(check bool) "ownership census bounds stats wirelength" true
-    (stats.Spr_route.Route_stats.horizontal_wirelength <= !census)
+    (stats.Spr_obs.Report.rt_h_wirelength <= !census)
 
 let () =
   Alcotest.run "spr_route"

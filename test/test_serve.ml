@@ -186,6 +186,35 @@ let test_spec_codec () =
       ("bad scheduler", scheduler "greedy", "barrier");
     ]
 
+(* The spec loader's property: on any input it returns [Error] or a
+   spec that [Spec.validate] and [Spec.config] take without raising. *)
+let spec_loads_as_error_or_valid text =
+  try
+    match Result.bind (Json.parse text) Spec.of_json with
+    | Error _ -> ()
+    | Ok s -> ignore (Spec.validate s, Spec.config s ~n:100)
+  with e -> Alcotest.failf "spec loader raised %s on:\n%s" (Printexc.to_string e) text
+
+let test_spec_mutations () =
+  let blif = ".model m\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n" in
+  let full =
+    {
+      Spec.default with
+      label = "fz";
+      design = Spec.Blif blif;
+      flow = "ap+sa";
+      stage_budgets = [ ("sa", 2.5) ];
+      replicas = 2;
+      time_budget = Some 10.0;
+      max_moves = Some 3000;
+    }
+  in
+  List.iter
+    (fun spec ->
+      let text = Json.to_string (Spec.to_json spec) in
+      List.iter spec_loads_as_error_or_valid (Mutate.all ~values:Mutate.json_values text))
+    [ Spec.default; full ]
+
 (* --- job store --- *)
 
 let test_job_store () =
@@ -659,7 +688,11 @@ let () =
         ] );
       ("protocol", [ Alcotest.test_case "codec round trips, total decode" `Quick test_protocol_roundtrip ]);
       ( "spec",
-        [ Alcotest.test_case "one codec, old job.json, decode errors" `Quick test_spec_codec ] );
+        [
+          Alcotest.test_case "one codec, old job.json, decode errors" `Quick test_spec_codec;
+          Alcotest.test_case "truncations, flips and value splices load as Error or valid" `Quick
+            test_spec_mutations;
+        ] );
       ("job-store", [ Alcotest.test_case "durable records, scan diagnostics" `Quick test_job_store ]);
       ( "service",
         [
