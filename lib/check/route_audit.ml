@@ -272,4 +272,20 @@ let run st =
           ~subject:(Printf.sprintf "channel %d" ch)
           "U_D table holds %d nets, recomputation says %d" size ud_census.(ch))
     ud_sets;
+  (* --- pass 4: the retry index holds every net the memo would retry --- *)
+  let index_holds queue name members pending =
+    List.iter
+      (fun net ->
+        if pending net && not (Rs.candidate st queue net) then
+          report ~subject:(net_subject net) "attempt pending in %s but not a retry candidate"
+            name)
+      members
+  in
+  index_holds Rs.Ug "U_G" (Rs.u_g st) (Rs.global_attempt_pending st);
+  for ch = 0 to n_channels - 1 do
+    index_holds (Rs.Ud ch)
+      (Printf.sprintf "channel %d's U_D" ch)
+      (Rs.u_d st ch)
+      (fun net -> Rs.detail_attempt_pending st net ~channel:ch)
+  done;
   List.rev !findings

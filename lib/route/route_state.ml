@@ -52,6 +52,24 @@ type t = {
   v_epoch : int array;  (* per column bucket *)
   g_stamp : int array;  (* per net *)
   d_stamp : int array array;  (* per net, per channel *)
+  (* Retry index over the memo (see the interface): which queued nets
+     the gate must test. *)
+  ug_index : index;
+  ud_index : index array;  (* per channel *)
+  seen : Bytes.t;  (* per net; all zero between [park] calls *)
+}
+
+(* One queue's retry index. [cand] holds a byte per net: set while the
+   gate must test the net. A net whose byte is clear waits in [parked],
+   a segment tree over the column buckets (node 1 is the root, node
+   [leaves + b] is bucket b's leaf), on the nodes that exactly cover the
+   bucket range its predicate reads. Node [n] holds its first [fill.(n)]
+   entries. *)
+and index = {
+  cand : Bytes.t;
+  leaves : int;
+  parked : int array array;
+  fill : int array;
 }
 
 let bucket_width = 8
@@ -121,6 +139,103 @@ let vrun_free t ~col ~vtrack ~slo ~shi =
   let rec loop i = i > shi || (arr.(i) = -1 && loop (i + 1)) in
   loop slo
 
+(* --- retry index --- *)
+
+let index_create ~n_nets ~n_buckets =
+  let leaves = ref 1 in
+  while !leaves < n_buckets do
+    leaves := 2 * !leaves
+  done;
+  {
+    cand = Bytes.make n_nets '\000';
+    leaves = !leaves;
+    parked = Array.make (2 * !leaves) [||];
+    fill = Array.make (2 * !leaves) 0;
+  }
+
+let is_candidate idx net = Bytes.get idx.cand net <> '\000'
+
+(* Marks are not journaled: a spare candidate costs one predicate test.
+   Nor are clears (see [retire]). *)
+let mark idx net = Bytes.set idx.cand net '\001'
+
+(* Append [net] to a node. A full node first drops the entries no longer
+   needed — candidates, repeats and [net]'s own — and grows only when
+   that frees less than half of it, so a node never holds more than
+   twice the nets it parks. *)
+let push t idx node net =
+  let entries = idx.parked.(node) in
+  let n = idx.fill.(node) in
+  if n < Array.length entries then begin
+    entries.(n) <- net;
+    idx.fill.(node) <- n + 1
+  end
+  else begin
+    Bytes.set t.seen net '\001';
+    let kept = ref 0 in
+    for i = 0 to n - 1 do
+      let m = entries.(i) in
+      if (not (is_candidate idx m)) && Bytes.get t.seen m = '\000' then begin
+        Bytes.set t.seen m '\001';
+        entries.(!kept) <- m;
+        incr kept
+      end
+    done;
+    for i = 0 to !kept - 1 do
+      Bytes.set t.seen entries.(i) '\000'
+    done;
+    Bytes.set t.seen net '\000';
+    let entries =
+      if 2 * (!kept + 1) <= Array.length entries then entries
+      else begin
+        let grown = Array.make (max 4 (2 * Array.length entries)) 0 in
+        Array.blit entries 0 grown 0 !kept;
+        idx.parked.(node) <- grown;
+        grown
+      end
+    in
+    entries.(!kept) <- net;
+    idx.fill.(node) <- !kept + 1
+  end
+
+(* Park on the nodes that exactly cover buckets [blo, bhi]: every range
+   holding bucket b has one of them on b's leaf-to-root path. *)
+let park t idx net blo bhi =
+  let lo = ref (idx.leaves + blo) and hi = ref (idx.leaves + bhi + 1) in
+  while !lo < !hi do
+    if !lo land 1 = 1 then begin
+      push t idx !lo net;
+      incr lo
+    end;
+    if !hi land 1 = 1 then begin
+      decr hi;
+      push t idx !hi net
+    end;
+    lo := !lo lsr 1;
+    hi := !hi lsr 1
+  done
+
+(* An epoch bump over buckets [blo, bhi] marks every net parked on a
+   node that meets the range: the range's leaves and their ancestors,
+   level by level. Entries left on other nodes go stale, harmlessly. *)
+let wake idx blo bhi =
+  let lo = ref (idx.leaves + blo) and hi = ref (idx.leaves + bhi) in
+  while !lo >= 1 do
+    for node = !lo to !hi do
+      let entries = idx.parked.(node) in
+      for i = 0 to idx.fill.(node) - 1 do
+        mark idx entries.(i)
+      done;
+      idx.fill.(node) <- 0
+    done;
+    lo := !lo lsr 1;
+    hi := !hi lsr 1
+  done
+
+let mark_row t net =
+  mark t.ug_index net;
+  Array.iter (fun idx -> mark idx net) t.ud_index
+
 (* --- journaled primitive mutations --- *)
 
 let set_owner j arr seg v =
@@ -170,10 +285,18 @@ let set_needs_v j ns v =
     J.record j (fun () -> ns.needs_v <- old)
   end
 
-let set_demands j ns demands =
+(* A net's retry predicates read the buckets of its demand spans and,
+   for U_G, of its pin columns, and pins move only together with a
+   rip-up, which sets the demands. So undoing [set_demands] is what
+   restores those ranges, and a stamp taken over other ranges since may
+   leave the net pending there: the undo marks the net in every queue. *)
+let set_demands t j net demands =
+  let ns = t.nstats.(net) in
   let old = ns.demands in
   ns.demands <- demands;
-  J.record j (fun () -> ns.demands <- old)
+  J.record j (fun () ->
+      ns.demands <- old;
+      mark_row t net)
 
 let set_hroutes j ns hroutes =
   let old = ns.hroutes in
@@ -234,7 +357,8 @@ let free_route_segments t j net =
       set_owner j arr s (-1)
     done;
     let b = bucket vr.v_col in
-    t.v_epoch.(b) <- t.v_epoch.(b) + 1);
+    t.v_epoch.(b) <- t.v_epoch.(b) + 1;
+    wake t.ug_index b b);
   List.iter
     (fun (_, hr) ->
       let ch = hr.h_channel in
@@ -247,7 +371,8 @@ let free_route_segments t j net =
       let blo = bucket segs.(hr.h_slo).I.lo and bhi = bucket segs.(hr.h_shi).I.hi in
       for b = blo to bhi do
         t.h_epoch.(ch).(b) <- t.h_epoch.(ch).(b) + 1
-      done)
+      done;
+      wake t.ud_index.(ch) blo bhi)
     ns.hroutes
 
 let max_epoch epochs blo bhi =
@@ -261,12 +386,17 @@ let max_epoch epochs blo bhi =
 
 (* The spine search window: pin column bbox with a generous margin (an
    over-approximation of any router margin up to 4 is fine — too-wide
-   windows only cost redundant attempts, never missed ones). *)
+   windows only cost redundant attempts, never missed ones), clipped to
+   the fabric's buckets. *)
 let global_window t net =
   let pins = Spr_layout.Placement.net_pin_positions t.place net in
   let cols = List.map snd pins in
   let xlo = List.fold_left min max_int cols and xhi = List.fold_left max min_int cols in
-  (bucket (xlo - 16), bucket (xhi + 16))
+  (max 0 (bucket (xlo - 16)), min (Array.length t.v_epoch - 1) (bucket (xhi + 16)))
+
+let demand_span t net channel = List.assoc_opt channel t.nstats.(net).demands
+
+let detail_window span = (bucket span.I.lo, bucket span.I.hi)
 
 let global_attempt_pending t net =
   t.g_stamp.(net) = -1
@@ -274,31 +404,65 @@ let global_attempt_pending t net =
   let blo, bhi = global_window t net in
   t.g_stamp.(net) < max_epoch t.v_epoch blo bhi
 
-let note_global_failure t net =
-  let blo, bhi = global_window t net in
-  t.g_stamp.(net) <- max_epoch t.v_epoch blo bhi
-
-let demand_span t net channel = List.assoc_opt channel t.nstats.(net).demands
-
 let detail_attempt_pending t net ~channel =
   t.d_stamp.(net).(channel) = -1
   ||
   match demand_span t net channel with
   | None -> false
   | Some span ->
-    t.d_stamp.(net).(channel)
-    < max_epoch t.h_epoch.(channel) (bucket span.I.lo) (bucket span.I.hi)
+    let blo, bhi = detail_window span in
+    t.d_stamp.(net).(channel) < max_epoch t.h_epoch.(channel) blo bhi
+
+(* --- the gate's side of the index --- *)
+
+(* Take a net that is not pending out of the candidates, parked on the
+   bucket range its predicate reads. The clear holds until an epoch
+   there advances, which wakes the net, or its demands change: a rip-up
+   marks the net, [claim_global] queues it only where it is a candidate
+   already, and the undo in [set_demands] marks it. *)
+let retire t idx net (blo, bhi) =
+  Bytes.set idx.cand net '\000';
+  park t idx net blo bhi
+
+type queue = Ug | Ud of int
+
+let queue_of t = function Ug -> t.ug | Ud channel -> t.ud.(channel)
+
+let index_of t = function Ug -> t.ug_index | Ud channel -> t.ud_index.(channel)
+
+let queue_length t q = Q.length (queue_of t q)
+
+let queue_nth t q i = Q.nth (queue_of t q) i
+
+let candidate t q net = is_candidate (index_of t q) net
+
+let drop_candidate t q net =
+  match q with
+  | Ug -> retire t t.ug_index net (global_window t net)
+  | Ud channel -> (
+    match demand_span t net channel with
+    | None -> ()
+    | Some span -> retire t t.ud_index.(channel) net (detail_window span))
+
+let note_global_failure t net =
+  let ((blo, bhi) as window) = global_window t net in
+  t.g_stamp.(net) <- max_epoch t.v_epoch blo bhi;
+  retire t t.ug_index net window
 
 let note_detail_failure t net ~channel =
   match demand_span t net channel with
   | None -> ()
   | Some span ->
-    t.d_stamp.(net).(channel) <-
-      max_epoch t.h_epoch.(channel) (bucket span.I.lo) (bucket span.I.hi)
+    let ((blo, bhi) as window) = detail_window span in
+    t.d_stamp.(net).(channel) <- max_epoch t.h_epoch.(channel) blo bhi;
+    retire t t.ud_index.(channel) net window
 
+(* A stamp reset makes the net pending, so it marks the net in every
+   queue. *)
 let reset_stamps t net =
   t.g_stamp.(net) <- -1;
-  Array.fill t.d_stamp.(net) 0 (Array.length t.d_stamp.(net)) (-1)
+  Array.fill t.d_stamp.(net) 0 (Array.length t.d_stamp.(net)) (-1);
+  mark_row t net
 
 let force_retry = reset_stamps
 
@@ -337,6 +501,13 @@ let set_memo t m =
     Array.iteri (fun i row -> Array.blit row 0 t.d_stamp.(i) 0 (Array.length row)) m.m_d_stamp;
     Array.iteri (fun i row -> Array.blit row 0 t.h_epoch.(i) 0 (Array.length row)) m.m_h_epoch;
     Array.blit m.m_v_epoch 0 t.v_epoch 0 (Array.length t.v_epoch);
+    (* New stamps and epochs void the index: every net is a candidate
+       again and nothing is parked. *)
+    List.iter
+      (fun idx ->
+        Bytes.fill idx.cand 0 (Bytes.length idx.cand) '\001';
+        Array.fill idx.fill 0 (Array.length idx.fill) 0)
+      (t.ug_index :: Array.to_list t.ud_index);
     Ok ()
   end
 
@@ -344,7 +515,7 @@ let set_memo t m =
 
 let queue_detail_demands t j net demands =
   let ns = t.nstats.(net) in
-  set_demands j ns demands;
+  set_demands t j net demands;
   set_missing t j net (List.map fst demands);
   refresh_d t j ns
 
@@ -365,7 +536,7 @@ let rip_up t j net =
     free_route_segments t j net;
     set_vr j ns None;
     set_hroutes j ns [];
-    set_demands j ns [];
+    set_demands t j net [];
     set_missing t j net [];
     let pins = Spr_layout.Placement.net_pin_positions t.place net in
     match distinct_channels pins with
@@ -391,7 +562,10 @@ let claim_global t j net vr =
   set_vr j ns (Some vr);
   set_in_ug t j net false;
   (* The new demands deserve fresh detail attempts regardless of
-     previously recorded failures. *)
+     previously recorded failures. The net needs no mark: while it
+     waited in U_G it stayed a candidate in every channel, since only a
+     rip-up (or the undo of a claim) queues a net there, both mark it
+     everywhere, and no channel clears it while it is out of U_D. *)
   Array.fill t.d_stamp.(net) 0 (Array.length t.d_stamp.(net)) (-1);
   let pins = Spr_layout.Placement.net_pin_positions t.place net in
   queue_detail_demands t j net (channel_spans pins (Some vr.v_col))
@@ -468,8 +642,14 @@ let create place =
       v_epoch = Array.make (n_buckets arch.Arch.cols) 0;
       g_stamp = Array.make n_nets (-1);
       d_stamp = Array.init n_nets (fun _ -> Array.make arch.Arch.n_channels (-1));
+      ug_index = index_create ~n_nets ~n_buckets:(n_buckets arch.Arch.cols);
+      ud_index =
+        Array.init arch.Arch.n_channels (fun _ ->
+            index_create ~n_nets ~n_buckets:(n_buckets arch.Arch.cols));
+      seen = Bytes.make n_nets '\000';
     }
   in
+  (* Ripping every net up resets its stamps, which marks it. *)
   let j = J.create () in
   for net = 0 to n_nets - 1 do
     rip_up t j net
@@ -560,6 +740,10 @@ let check t =
           ns.in_ug
           && Q.key t.ug net <> Spr_layout.Placement.half_perimeter t.place net
         then fail "net %d: ug retry key stale" net;
+        if
+          Q.mem t.ug net && global_attempt_pending t net
+          && not (is_candidate t.ug_index net)
+        then fail "net %d: pending in U_G but not a retry candidate" net;
         if ns.in_ug && (ns.demands <> [] || ns.hroutes <> [] || ns.missing <> []) then
           fail "net %d: globally unrouted but has detail state" net;
         if not ns.in_ug then begin
@@ -588,6 +772,10 @@ let check t =
                   fail "net %d ch %d: missing from ud queue" net ch
                 else if Q.key t.ud.(ch) net <> I.length span then
                   fail "net %d ch %d: ud retry key stale" net ch
+                else if
+                  detail_attempt_pending t net ~channel:ch
+                  && not (is_candidate t.ud_index.(ch) net)
+                then fail "net %d ch %d: pending but not a retry candidate" net ch
               end;
               match List.assoc_opt ch ns.hroutes with
               | None -> ()
@@ -644,6 +832,15 @@ module Debug = struct
   let set_vseg_owner t ~col ~vtrack ~seg owner = t.v_owner.(col).(vtrack).(seg) <- owner
 
   let bump_d_total t delta = t.d_total <- t.d_total + delta
+
+  let clear_candidate t net =
+    let ns = t.nstats.(net) in
+    let idx =
+      match ns.missing with
+      | channel :: _ when not ns.in_ug -> t.ud_index.(channel)
+      | _ -> t.ug_index
+    in
+    Bytes.set idx.cand net '\000'
 end
 
 let snapshot t =

@@ -125,11 +125,42 @@ val clear_dirty : t -> unit
     A queued net whose last routing attempt failed can only succeed after
     relevant resources are freed (or its pins move, which re-queues it
     through {!rip_up}). The state tracks a free-epoch per channel and one
-    for the vertical resources; routers consult these to skip attempts
-    that would fail identically. The epochs are deliberately not
-    journaled: after a rollback the state is exactly the pre-move state,
-    so a recorded failure remains valid, and a spurious pending flag only
-    costs one redundant attempt. *)
+    for the vertical resources, per 8-column bucket; a failure stamps the
+    net with the highest epoch over the buckets its search reads, and the
+    net is pending again once an epoch there passes its stamp. The
+    epochs and stamps are deliberately not journaled: after a rollback
+    the routes are exactly the pre-move routes, so a recorded failure
+    remains valid, and a spurious pending flag only costs one redundant
+    attempt.
+
+    {b Retry index.} Testing every queued net's stamp on every pass
+    would cost O(|U{_G}| + sum |U{_D,R}|) per move, most of it on nets
+    that stay blocked. So each queue also keeps a candidate byte per
+    net, and the router's gate tests the stamps of candidates only. The
+    candidates always include every queued net whose attempt is pending,
+    and may include more:
+    - every net is a candidate at {!create} and after {!set_memo};
+    - {!rip_up} and {!force_retry} reset the net's stamps and mark it in
+      every queue. {!claim_global} resets the detail stamps and needs no
+      mark: a net waiting in U{_G} is a candidate in every channel,
+      since only a rip-up or a rollback queues it there, both mark it
+      everywhere, and no channel clears a net it does not queue;
+    - a net stops being a candidate when its attempt fails
+      ({!note_global_failure}, {!note_detail_failure}) or when the gate
+      finds it not pending ({!drop_candidate}). It is then parked on the
+      bucket range its predicate reads, in a segment tree over the
+      buckets, and an epoch bump that meets the range marks it again.
+
+    A spare candidate costs one test, so marks need no undo. A clear
+    stays sound while the buckets the net's predicates read stay put,
+    and they move only with its demands (a pin moves only together with
+    a rip-up, which resets the demands). A rollback that restores the
+    demands, though, may restore buckets the net's stamp was not taken
+    over, and the net may be pending there; so the journal record that
+    restores a net's demands also marks the net in every queue, and
+    the clears themselves write no journal record, which keeps the
+    failure path free of allocation. The index is not persisted;
+    {!set_memo} rebuilds it. *)
 
 val global_attempt_pending : t -> int -> bool
 
@@ -143,6 +174,23 @@ val force_retry : t -> int -> unit
 (** Clear the net's recorded failures so the next pass re-attempts it
     (used when a router is about to search with different parameters,
     e.g. a widened spine margin). *)
+
+type queue = Ug | Ud of int  (** U{_G}, or one channel's U{_D,R}. *)
+
+val queue_length : t -> queue -> int
+
+val queue_nth : t -> queue -> int -> int
+(** [queue_nth t q i]: the net at rank [i] of the queue's retry order
+    ({!u_g}, {!u_d}), [0 <= i < queue_length t q]. *)
+
+val candidate : t -> queue -> int -> bool
+(** Whether the retry index holds the net as a candidate of the queue.
+    [false] for a queued net implies its attempt is not pending. *)
+
+val drop_candidate : t -> queue -> int -> unit
+(** The gate found a queued candidate not pending: take it out of the
+    candidates and park it until an epoch bump where its predicate
+    reads. *)
 
 type memo = {
   m_g_stamp : int array;  (** per net *)
@@ -180,18 +228,16 @@ val vrun_free : t -> col:int -> vtrack:int -> slo:int -> shi:int -> bool
 val rip_up : t -> Spr_util.Journal.t -> int -> unit
 (** Free every segment of the net, drop its routes, recompute its demand
     from the {e current} placement and pinmaps, and queue it
-    (into U{_G} when it spans channels, else into the relevant U{_D,R}).
-    Call after the placement mutation that invalidated the net. *)
+    (into U{_G} when it spans channels, else into the relevant U{_D,R};
+    a single-channel net's null global route counts as done). Call
+    after the placement mutation that invalidated the net: pins move
+    only together with a rip-up, which is what keeps the retry keys and
+    the retry index current. *)
 
 val claim_global : t -> Spr_util.Journal.t -> int -> vroute -> unit
 (** Record a global route for a net in U{_G}; claims the vertical
     segments (which must be free), computes the per-channel detailed
     demands, and queues them. *)
-
-val satisfy_trivial_global : t -> Spr_util.Journal.t -> int -> unit
-(** For single-channel nets: mark the (null) global route done and queue
-    the detailed demand. Applied automatically by {!rip_up}; exposed for
-    tests. *)
 
 val claim_detail : t -> Spr_util.Journal.t -> int -> hroute -> unit
 (** Record a detailed route for one queued channel demand of the net;
@@ -213,7 +259,8 @@ val embedding : t -> int -> embedding option
 val check : t -> (unit, string) result
 (** Exhaustive invariant check (ownership consistency, coverage,
     contiguity, demand/queue/counter agreement with the current
-    placement). Used by tests; O(fabric + nets). *)
+    placement, and a retry index that holds every queued net whose
+    attempt is pending). Used by tests; O(fabric + nets). *)
 
 module Debug : sig
   (** Deliberate state corruption, for tests only: each setter desyncs
@@ -235,6 +282,11 @@ module Debug : sig
   val set_vseg_owner : t -> col:int -> vtrack:int -> seg:int -> int -> unit
 
   val bump_d_total : t -> int -> unit
+
+  val clear_candidate : t -> int -> unit
+  (** Clear the net's retry-index byte in U{_G}, or else in its first
+      missing channel, without parking it: on a pending net this hides
+      it from the router's gate. *)
 end
 
 val snapshot : t -> string

@@ -69,38 +69,48 @@ let criticality_order config ~len queue =
   | None -> queue
   | Some _ -> List.map snd (sort_queue config (List.map (fun net -> (len net, net)) queue))
 
-(* The two queue snapshots below fix which nets a pass attempts and in
-   which order: the queue filtered by the failure memo, re-ordered by
-   criticality when configured, truncated to [retry_cap]. *)
-
-let ordered_global_queue config st =
-  let place = Route_state.place st in
-  (* U_G arrives "sorted based on the estimated length of its contents
-     ... giving priority to the longer unroutable nets" (paper §3.3). *)
-  let queue =
-    List.filter (fun net -> Route_state.global_attempt_pending st net) (Route_state.u_g st)
-  in
-  let queue =
-    criticality_order config ~len:(fun net -> Spr_layout.Placement.half_perimeter place net)
-      queue
-  in
-  take config.retry_cap queue
-
 let detail_demand_length st ~channel net =
   match List.assoc_opt channel (Route_state.h_demands st net) with
   | Some span -> Spr_util.Interval.length span
   | None -> 0
 
-let ordered_detail_queue config st ~channel =
-  let queue =
-    List.filter
-      (fun net ->
-        Route_state.detail_attempt_pending st net ~channel
-        && List.mem_assoc channel (Route_state.h_demands st net))
-      (Route_state.u_d st channel)
+(* The gate: one scan per queue fixes which nets a pass attempts and in
+   which order. It walks the queue in retry order (U_G "sorted based on
+   the estimated length of its contents ... giving priority to the
+   longer unroutable nets", paper §3.3), skips the nets the retry index
+   does not hold as candidates with a byte test, and tests the failure
+   memo only on candidates, dropping those that fail it from the index.
+   The length order stops at [retry_cap] pending nets; the criticality
+   order scans on and re-sorts every pending net. Either way the window
+   is the queue filtered by the memo, re-ordered by criticality when
+   configured, truncated to [retry_cap]. *)
+let window ?(config = default_config) st queue =
+  let pending, len =
+    match queue with
+    | Route_state.Ug ->
+      ( Route_state.global_attempt_pending st,
+        Spr_layout.Placement.half_perimeter (Route_state.place st) )
+    | Route_state.Ud channel ->
+      ( (fun net ->
+          Route_state.detail_attempt_pending st net ~channel
+          && List.mem_assoc channel (Route_state.h_demands st net)),
+        detail_demand_length st ~channel )
   in
-  let queue = criticality_order config ~len:(detail_demand_length st ~channel) queue in
-  take config.retry_cap queue
+  let n = Route_state.queue_length st queue in
+  let stop = match config.criticality with None -> config.retry_cap | Some _ -> max_int in
+  let rec scan i found acc =
+    if i >= n || found >= stop then List.rev acc
+    else begin
+      let net = Route_state.queue_nth st queue i in
+      if not (Route_state.candidate st queue net) then scan (i + 1) found acc
+      else if pending net then scan (i + 1) (found + 1) (net :: acc)
+      else begin
+        Route_state.drop_candidate st queue net;
+        scan (i + 1) found acc
+      end
+    end
+  in
+  take config.retry_cap (criticality_order config ~len (scan 0 0 []))
 
 let reroute_global ?(config = default_config) ?counters st j =
   let changed = ref [] in
@@ -115,7 +125,7 @@ let reroute_global ?(config = default_config) ?counters st j =
         changed := net :: !changed
       end
       else Route_state.note_global_failure st net)
-    (ordered_global_queue config st);
+    (window ~config st Route_state.Ug);
   List.sort_uniq compare !changed
 
 let reroute_detail ?(config = default_config) ?counters st j =
@@ -132,7 +142,7 @@ let reroute_detail ?(config = default_config) ?counters st j =
           changed := net :: !changed
         end
         else Route_state.note_detail_failure st net ~channel)
-      (ordered_detail_queue config st ~channel)
+      (window ~config st (Route_state.Ud channel))
   done;
   List.sort_uniq compare !changed
 

@@ -44,6 +44,15 @@ val rip_up_cell : Route_state.t -> Spr_util.Journal.t -> int -> int list
 (** Rip up and queue every net attached to the cell; returns the ripped
     net ids (the timing analyzer must re-estimate their delays). *)
 
+val window : ?config:config -> Route_state.t -> Route_state.queue -> int list
+(** The gate both sub-phases use: the nets the next pass attempts from
+    the queue, in attempt order — the queued nets whose attempt the
+    failure memo leaves pending, in retry order (criticality order when
+    configured), cut at [retry_cap]. It tests the memo only on the
+    retry index's candidates ({!Route_state.candidate}) and drops the
+    candidates that are not pending from the index; it changes nothing
+    else. *)
+
 val reroute_global :
   ?config:config -> ?counters:counters -> Route_state.t -> Spr_util.Journal.t -> int list
 (** The global sub-phase alone: work down U{_G} in its explicit retry

@@ -73,6 +73,14 @@ let arch s nl =
       (Printf.sprintf "tracks must be at most the design's %d nets (got %d)" nets s.tracks)
   else Ok (Spr_arch.Arch.size_for ~tracks:s.tracks ~hscheme:s.scheme nl)
 
+(* Each replica runs on a domain of its own and keeps a whole copy of
+   the annealing state, so past the host's cores more replicas only
+   time-share them. Four per core leaves room for a K=4 fleet on one
+   core; 127 keeps a fleet inside the OCaml runtime's 128 domains. *)
+let cores = Domain.recommended_domain_count ()
+
+let max_replicas = min 127 (4 * cores)
+
 let validate s =
   let errors = ref [] in
   let reject fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
@@ -80,6 +88,9 @@ let validate s =
   | Circuit name when Spr_netlist.Circuits.find name = None -> reject "%s" (unknown_circuit name)
   | Circuit _ | Blif _ -> ());
   if s.tracks < 1 then reject "tracks must be >= 1 (got %d)" s.tracks;
+  if s.replicas > max_replicas then
+    reject "replicas must be at most %d, four per core on this %d-core host (got %d)"
+      max_replicas cores s.replicas;
   (match config s ~n:100 with Ok _ -> () | Error e -> reject "%s" e);
   match !errors with [] -> Ok () | errs -> Error (String.concat "; " (List.rev errs))
 

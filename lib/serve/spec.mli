@@ -55,9 +55,17 @@ val arch : t -> Spr_netlist.Netlist.t -> (Spr_arch.Arch.t, string) result
     more tracks than the design has nets: each net takes at most one
     track per channel. *)
 
+val max_replicas : int
+(** The most replicas a spec may ask for on this host: four per core
+    ([Domain.recommended_domain_count]), at most 127. Each replica runs
+    on a domain of its own and keeps a whole copy of the annealing
+    state, so more replicas than cores only time-share them, and the
+    OCaml runtime allows 128 domains in all. *)
+
 val validate : t -> (unit, string) result
-(** Admission: a known circuit, at least one track, and a {!config}
-    that validates; every problem is named in one message. *)
+(** Admission: a known circuit, at least one track, between 1 and
+    {!max_replicas} replicas, and a {!config} that validates; every
+    problem is named in one message. *)
 
 (** {1 JSON} *)
 

@@ -91,6 +91,10 @@ let remove ?j t id =
     true
   end
 
+let nth t i =
+  if i < 0 || i >= t.len then invalid_arg "Iqueue.nth: rank out of range";
+  t.elts.(i)
+
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.elts.(i)

@@ -30,6 +30,12 @@ val add : ?j:Journal.t -> t -> int -> key:int -> unit
 val remove : ?j:Journal.t -> t -> int -> bool
 (** [true] iff the id was queued. *)
 
+val nth : t -> int -> int
+(** [nth t i] is the id at rank [i] of the queue order, for
+    [0 <= i < length t]: a positional read, so a caller can walk the
+    queue and stop early without a list. Raises [Invalid_argument]
+    outside that range. *)
+
 val iter : (int -> unit) -> t -> unit
 (** In queue order: key descending, ties by descending id. *)
 

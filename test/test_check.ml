@@ -196,6 +196,29 @@ let test_mutation_missing () =
     Rs.Debug.clear_missing rs net;
     expect_findings "cleared missing" "route" (Check.Route_audit.run rs)
 
+let test_mutation_retry_index () =
+  let rs = routed_state 8 in
+  (* Rip everything so every routable net is queued with its attempt
+     pending, then hide one U_G net and one U_D net from the gate. *)
+  let j = J.create () in
+  for net = 0 to Nl.n_nets (Rs.netlist rs) - 1 do
+    Rs.rip_up rs j net
+  done;
+  J.commit j;
+  check_findings "after mass rip-up" (Audit.run_all rs);
+  List.iter
+    (fun (label, queued) ->
+      match first_net (fun n -> Rs.routable rs n && queued n) rs with
+      | None -> Alcotest.failf "no net queued in %s" label
+      | Some net ->
+        Rs.Debug.clear_candidate rs net;
+        expect_findings ("cleared retry candidate in " ^ label) "route" (Audit.run_all rs);
+        Alcotest.(check bool) ("Route_state.check sees it in " ^ label) true
+          (Result.is_error (Rs.check rs));
+        Rs.force_retry rs net;
+        check_findings ("force_retry marks it again in " ^ label) (Audit.run_all rs))
+    [ ("U_G", Rs.in_ug_flag rs); ("U_D", fun n -> Rs.missing_channels rs n <> []) ]
+
 let test_mutation_owner () =
   let rs = routed_state 6 in
   let arch = Rs.arch rs in
@@ -639,6 +662,8 @@ let () =
           Alcotest.test_case "route audit sees flipped in_ug" `Quick test_mutation_in_ug;
           Alcotest.test_case "route audit sees dropped missing list" `Quick
             test_mutation_missing;
+          Alcotest.test_case "route audit sees a stale retry index" `Quick
+            test_mutation_retry_index;
           Alcotest.test_case "route audit sees corrupted owner array" `Quick
             test_mutation_owner;
           Alcotest.test_case "place audit sees pad off perimeter" `Quick

@@ -99,59 +99,23 @@ let test_corrupt_inputs () =
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "doubled vroute accepted")
 
-let splice text ~at ~len garbage =
-  String.sub text 0 at ^ garbage ^ String.sub text (at + len) (String.length text - at - len)
-
-let flip_chars c = [ Char.chr (Char.code c lxor 0xff); '-'; '0'; ' '; '\n' ]
-
-let flip text i c = String.mapi (fun j x -> if j = i then c else x) text
-
 (* Out-of-range, negative and malformed values for a numeric field. *)
 let splice_values =
   [ "-3"; "0"; "-1"; "1"; "3"; "x"; ""; "99999"; "-99999"; "99999999999999999999"; "1 2" ]
 
-(* (offset, length) of every run of digits. *)
-let numeric_fields text =
-  let n = String.length text in
-  let rec scan i acc =
-    if i >= n then List.rev acc
-    else if text.[i] >= '0' && text.[i] <= '9' then begin
-      let j = ref i in
-      while !j < n && text.[!j] >= '0' && text.[!j] <= '9' do incr j done;
-      scan !j ((i, !j - i) :: acc)
-    end
-    else scan (i + 1) acc
-  in
-  scan 0 []
-
-(* Every truncation, every single-byte flip, and every numeric field
-   replaced by each of [splice_values]. *)
-let systematic_mutations text =
-  let n = String.length text in
-  let truncations = List.init (n + 1) (fun k -> String.sub text 0 k) in
-  let flips =
-    List.concat_map
-      (fun i -> List.map (flip text i) (flip_chars text.[i]))
-      (List.init n Fun.id)
-  in
-  let splices =
-    List.concat_map
-      (fun (at, len) -> List.map (splice text ~at ~len) splice_values)
-      (numeric_fields text)
-  in
-  truncations @ flips @ splices
-
-(* One of [systematic_mutations], drawn at random. *)
+(* One of [Mutate.all ~values:splice_values], drawn at random. Layout
+   text and round records hold no quoted strings, so every value field
+   is a run of digits. *)
 let random_mutation rng text =
   let pick l = List.nth l (Rng.int rng (List.length l)) in
   match Rng.int rng 3 with
   | 0 -> String.sub text 0 (Rng.int rng (String.length text + 1))
   | 1 ->
     let i = Rng.int rng (String.length text) in
-    flip text i (pick (flip_chars text.[i]))
+    Mutate.flip text i (pick (Mutate.flip_chars text.[i]))
   | _ ->
-    let at, len = pick (numeric_fields text) in
-    splice text ~at ~len (pick splice_values)
+    let at, len = pick (Mutate.value_fields text) in
+    Mutate.splice text ~at ~len (pick splice_values)
 
 (* The v1 loader's property: on any input it returns [Error] or a state
    that passes full validation, and it never raises. *)
@@ -191,7 +155,7 @@ let test_checkpoint_mutations () =
     (fun text ->
       if not (loads_as_error_or_valid nl text) then
         Alcotest.failf "mutated checkpoint loaded as an invalid state:\n%s" text)
-    (systematic_mutations (Cp.to_string st))
+    (Mutate.all ~values:splice_values (Cp.to_string st))
 
 (* --- v2 snapshots: adversarial inputs and rotation fallback --- *)
 
@@ -469,7 +433,7 @@ let test_round_record_mutations () =
         (fun text ->
           if not (decodes_in_range text) then
             Alcotest.failf "mutated record decoded out of range:\n%S" text)
-        (systematic_mutations text))
+        (Mutate.all ~values:splice_values text))
     [ Cp.Round.encode exchange_round; killing_record ]
 
 let test_round_record_garbage =
@@ -479,7 +443,7 @@ let test_round_record_garbage =
       let text = if kills then killing_record else Cp.Round.encode exchange_round in
       let at = at mod (String.length text + 1) in
       let len = min len (String.length text - at) in
-      decodes_in_range (splice text ~at ~len garbage))
+      decodes_in_range (Mutate.splice text ~at ~len garbage))
 
 (* --- Eco --- *)
 

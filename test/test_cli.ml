@@ -356,6 +356,16 @@ let test_bad_parallel_flags () =
   (match status with
   | Unix.WEXITED 0 -> Alcotest.fail "--parallel 0 accepted"
   | _ -> ());
+  (* Admission bounds the fleet by the host, naming the field and the
+     bound, before any replica state is built. *)
+  let status, out = run_cli [ "route"; "--circuit"; "s1"; "--parallel"; "100000" ] in
+  (match status with
+  | Unix.WEXITED 0 -> Alcotest.fail "--parallel 100000 accepted"
+  | _ -> ());
+  Alcotest.(check bool) "the refusal names replicas and the bound" true
+    (has_substring
+       ~sub:(Printf.sprintf "replicas must be at most %d" Spr_serve.Spec.max_replicas)
+       out);
   let status, _ =
     run_cli [ "route"; "--circuit"; "s1"; "--parallel"; "2"; "--exchange"; "best:0" ]
   in

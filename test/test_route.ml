@@ -12,9 +12,9 @@ module I = Spr_util.Interval
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let make_state ?(n_cells = 80) ?(seed = 5) ?(tracks = 16) () =
+let make_state ?(n_cells = 80) ?(seed = 5) ?(tracks = 16) ?aspect ?vtracks () =
   let nl = Gen.generate (Gen.default ~n_cells) ~seed in
-  let arch = Arch.size_for ~tracks nl in
+  let arch = Arch.size_for ?aspect ?vtracks ~tracks nl in
   let rng = Rng.create (seed + 1) in
   let place = P.create_exn arch nl ~rng in
   (Rs.create place, nl, arch)
@@ -295,6 +295,120 @@ let test_global_attempt_on_trivial_net () =
       Alcotest.(check bool) "no-op on sinkless net" false (Gr.attempt st j net)
   done
 
+(* --- retry index: the gate returns exactly the reference window --- *)
+
+(* The gate the retry index replaced, kept here as the reference: the
+   whole queue filtered by the failure memo, re-ordered by criticality
+   when configured, cut at the cap. *)
+let reference_window (config : Router.config) st queue =
+  let members, pending, len =
+    match queue with
+    | Rs.Ug -> (Rs.u_g st, Rs.global_attempt_pending st, P.half_perimeter (Rs.place st))
+    | Rs.Ud channel ->
+      ( Rs.u_d st channel,
+        (fun net ->
+          Rs.detail_attempt_pending st net ~channel
+          && List.mem_assoc channel (Rs.h_demands st net)),
+        fun net -> I.length (List.assoc channel (Rs.h_demands st net)) )
+  in
+  let ordered =
+    let pending = List.filter pending members in
+    match config.Router.criticality with
+    | None -> pending
+    | Some crit -> List.sort (fun a b -> compare (crit b, len b, b) (crit a, len a, a)) pending
+  in
+  List.filteri (fun i _ -> i < config.Router.retry_cap) ordered
+
+(* One reroute pass whose windows are each checked against the reference
+   first: U_G before the global sub-phase, every channel before the
+   detailed one (attempts in one channel leave the other channels'
+   windows as they are). *)
+let checked_pass config st j ~label =
+  let check queue =
+    let expected = reference_window config st queue in
+    let got = Router.window ~config st queue in
+    if got <> expected then
+      Alcotest.failf "%s: %s window [%s], reference [%s]" label
+        (match queue with Rs.Ug -> "U_G" | Rs.Ud ch -> Printf.sprintf "U_D ch %d" ch)
+        (String.concat " " (List.map string_of_int got))
+        (String.concat " " (List.map string_of_int expected))
+  in
+  check Rs.Ug;
+  ignore (Router.reroute_global ~config st j : int list);
+  for ch = 0 to (Rs.arch st).Arch.n_channels - 1 do
+    check (Rs.Ud ch)
+  done;
+  ignore (Router.reroute_detail ~config st j : int list)
+
+(* Random transactions on a congested design: three rows of 157 columns,
+   so that a spine search window (the pins +/-16 columns) covers a
+   fraction of the fabric, and one vertical track per column, so that
+   global routing fails often. Each transaction either moves or
+   rips up 1-3 cells, as an annealing move does, or rips up one queued
+   net alone, or attempts one queued net directly (as the selfcheck's
+   op does, bypassing the memo); then it runs one or two checked passes
+   (two is Eco's shape) and commits or rolls back. Between
+   transactions it sometimes forces a queued net's retry or restores an
+   earlier memo. *)
+let test_retry_index_exact =
+  QCheck.Test.make ~name:"retry index gate equals the filter-sort-take reference" ~count:12
+    QCheck.(triple small_int bool bool)
+    (fun (seed, by_criticality, capped) ->
+      let st, nl, arch =
+        make_state ~n_cells:400 ~aspect:60.0 ~seed:(seed mod 17) ~tracks:12 ~vtracks:1 ()
+      in
+      let config =
+        {
+          Router.default_config with
+          retry_cap = (if capped then 3 else max_int);
+          criticality =
+            (if by_criticality then Some (fun net -> float_of_int (net * 7 mod 5)) else None);
+        }
+      in
+      Router.route_all st;
+      let place = Rs.place st in
+      let rng = Rng.create (seed + 101) in
+      let queued () =
+        Rs.u_g st @ List.concat (List.init arch.Arch.n_channels (Rs.u_d st))
+      in
+      let memos = ref [ Rs.memo st ] in
+      for step = 1 to 80 do
+        let label = Printf.sprintf "seed %d step %d" seed step in
+        let j = J.create () in
+        (match (Rng.int rng 4, queued ()) with
+        | 0, (_ :: _ as nets) -> Rs.rip_up st j (Rng.pick_list rng nets)
+        | 1, (_ :: _ as nets) ->
+          let net = Rng.pick_list rng nets in
+          if Rs.in_ug_flag st net then ignore (Gr.attempt st j net : bool);
+          List.iter
+            (fun channel -> ignore (Dr.attempt st j ~net ~channel : bool))
+            (Rs.missing_channels st net)
+        | _ ->
+          for _ = 0 to Rng.int rng 3 do
+            let a = P.random_occupied_slot place rng and b = P.random_slot place rng in
+            if Rng.bool rng && a <> b && P.swap_legal place a b then begin
+              let cells = List.filter_map (P.cell_at place) [ a; b ] in
+              P.swap_slots place a b;
+              J.record j (fun () -> P.swap_slots place a b);
+              List.iter (fun cell -> ignore (Router.rip_up_cell st j cell : int list)) cells
+            end
+            else ignore (Router.rip_up_cell st j (Rng.int rng (Nl.n_cells nl)) : int list)
+          done);
+        for _ = 0 to Rng.int rng 2 do
+          checked_pass config st j ~label
+        done;
+        if Rng.bool rng then J.commit j else J.rollback j;
+        (match (Rng.int rng 6, queued ()) with
+        | 0, (_ :: _ as nets) -> Rs.force_retry st (Rng.pick_list rng nets)
+        | 1, _ -> (
+          match Rs.set_memo st (Rng.pick_list rng !memos) with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: set_memo: %s" label e)
+        | _ -> memos := Rs.memo st :: !memos);
+        check_ok st label
+      done;
+      true)
+
 (* --- counters --- *)
 
 let test_counts_consistent =
@@ -490,4 +604,5 @@ let () =
           Alcotest.test_case "best_track none for oversize span" `Quick test_best_track_none_when_full;
           Alcotest.test_case "global attempt on sinkless nets" `Quick test_global_attempt_on_trivial_net;
         ] );
+      ("retry index", [ qtest test_retry_index_exact ]);
     ]

@@ -362,6 +362,11 @@ let job_outcome ~state_dir id =
     | Some (g, d, delay_ns) ->
       Ok { Spr_check.Crash.o_layout = layout; o_g = g; o_d = d; o_critical_delay = delay_ns })
 
+let has_substring ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec scan i = i + n <= m && (String.sub s i n = sub || scan (i + 1)) in
+  n = 0 || scan 0
+
 let quick_spec ?(label = "quick") ?(seed = 3) () =
   { Spec.default with label; seed; effort = Spr_experiments.Profiles.Quick }
 
@@ -510,6 +515,11 @@ let test_admission_and_cancel () =
       (match Client.submit ~socket { (quick_spec ()) with tracks = 0 } with
       | Ok (Protocol.Rejected (Protocol.Invalid _)) -> ()
       | _ -> Alcotest.fail "invalid spec not rejected");
+      (match Client.submit ~socket { (quick_spec ()) with replicas = 100000 } with
+      | Ok (Protocol.Rejected (Protocol.Invalid msg)) ->
+        Alcotest.(check bool) "the refusal names replicas and the bound" true
+          (has_substring ~sub:(Printf.sprintf "replicas must be at most %d" Spec.max_replicas) msg)
+      | _ -> Alcotest.fail "100000 replicas not rejected");
       match Client.open_submit ~socket (long_spec ()) with
       | Error _ -> Alcotest.fail "first job rejected"
       | Ok (running_conn, running_id) -> (

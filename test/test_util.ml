@@ -340,6 +340,10 @@ let test_iqueue_ordering () =
   Alcotest.(check bool) "remove absent" false (Iqueue.remove q 1);
   Alcotest.(check (list int)) "after removal" [ 0; 7; 4 ] (Iqueue.to_list q);
   Alcotest.(check int) "length" 3 (Iqueue.length q);
+  Alcotest.(check (list int)) "positional reads follow queue order" (Iqueue.to_list q)
+    (List.init (Iqueue.length q) (Iqueue.nth q));
+  Alcotest.check_raises "rank past the end" (Invalid_argument "Iqueue.nth: rank out of range")
+    (fun () -> ignore (Iqueue.nth q 3));
   check_ok "iqueue check" (Iqueue.check q)
 
 let test_iqueue_canonical =
