@@ -110,15 +110,15 @@ let spec_term =
     Arg.(value & opt string d.flow
          & info [ "flow" ] ~docv:"FLOW"
              ~doc:"Flow preset: $(b,sa) (the simultaneous anneal), $(b,ap+sa) (analytical seed \
-                   placement, then the anneal at reduced temperature), $(b,ap+greedy+route), \
-                   $(b,seq) (the sequential baseline), or any +-joined chain of stages \
-                   (ap, sa, greedy, route, sta).")
+                   placement, then the anneal at reduced temperature), $(b,ap+greedy+route) \
+                   (analytical seed, greedy descent, sequential routing) or $(b,seq) (the \
+                   sequential baseline).")
   in
   let stage_budgets =
     Arg.(value & opt_all (pair ~sep:'=' string float) d.stage_budgets
          & info [ "stage-budget" ] ~docv:"STAGE=SECONDS"
              ~doc:"Wall-clock budget for one flow stage (repeatable), e.g. --stage-budget ap=5 \
-                   --stage-budget sa=60.")
+                   --stage-budget sa=60. The stages ap, greedy, route and sa take a budget.")
   in
   let time_budget =
     Arg.(value & opt (some float) d.time_budget
@@ -676,7 +676,6 @@ let serve state_dir socket workers max_queue job_timeout kill_grace drain_grace 
         default_time_budget = job_timeout;
         kill_grace;
         drain_grace;
-        timeout_slack = 5.0;
       };
     `Ok ()
   end

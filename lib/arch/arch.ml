@@ -1,7 +1,3 @@
-type vscheme =
-  | V_full
-  | V_span of int
-
 type t = {
   rows : int;
   cols : int;
@@ -13,12 +9,15 @@ type t = {
   vsegs : Spr_util.Interval.t array array array;
 }
 
-(* Stagger vertical cut positions with column and track so that spine
-   failures at one column can be recovered at a neighbour. *)
-let vertical_track ~n_channels ~col ~vtrack = function
-  | V_full -> [| Spr_util.Interval.make 0 (n_channels - 1) |]
-  | V_span span ->
-    let span = max 1 (min span n_channels) in
+(* The first half of a column's vertical tracks (rounded up) are one
+   segment spanning every channel; the rest are cut into segments of
+   half the channels, with the cut positions staggered by column and
+   track so that spine failures at one column can be recovered at a
+   neighbour. *)
+let vertical_track ~n_channels ~vtracks ~col ~vtrack =
+  if vtrack < (vtracks + 1) / 2 then [| Spr_util.Interval.make 0 (n_channels - 1) |]
+  else begin
+    let span = max 2 (n_channels / 2) in
     let offset = (col + (vtrack * 2)) mod span in
     let segs = ref [] in
     let pos = ref 0 in
@@ -30,37 +29,21 @@ let vertical_track ~n_channels ~col ~vtrack = function
       pos := !pos + len
     done;
     Array.of_list (List.rev !segs)
+  end
 
-let default_vschemes ~vtracks ~n_channels =
-  let half = max 2 (n_channels / 2) in
-  Array.init vtracks (fun v -> if v < (vtracks + 1) / 2 then V_full else V_span half)
-
-let create ~rows ~cols ~tracks ?(hscheme = Segmentation.Actel_like) ?(vtracks = 5) ?vschemes ()
-    =
+let create ~rows ~cols ~tracks ?(hscheme = Segmentation.Actel_like) ?(vtracks = 5) () =
   if rows < 1 || cols < 2 || tracks < 1 || vtracks < 1 then
     invalid_arg "Arch.create: non-positive dimensions";
   let n_channels = rows + 1 in
-  let vschemes =
-    match vschemes with
-    | Some v ->
-      if Array.length v <> vtracks then
-        invalid_arg "Arch.create: vschemes length must equal vtracks";
-      v
-    | None -> default_vschemes ~vtracks ~n_channels
-  in
   let hsegs =
     Array.init n_channels (fun channel ->
         Array.init tracks (fun track -> Segmentation.track hscheme ~cols ~channel ~track))
   in
   let vsegs =
     Array.init cols (fun col ->
-        Array.init vtracks (fun vtrack ->
-            vertical_track ~n_channels ~col ~vtrack vschemes.(vtrack)))
+        Array.init vtracks (fun vtrack -> vertical_track ~n_channels ~vtracks ~col ~vtrack))
   in
   { rows; cols; tracks; vtracks; n_channels; hscheme; hsegs; vsegs }
-
-let with_tracks t tracks =
-  create ~rows:t.rows ~cols:t.cols ~tracks ~hscheme:t.hscheme ~vtracks:t.vtracks ()
 
 let n_slots t = t.rows * t.cols
 
@@ -121,7 +104,10 @@ let avg_hseg_length t =
    vertical track budget accordingly. *)
 let default_vtracks_for ~rows = max 5 ((rows + 1) / 2)
 
-let size_for ?(aspect = 3.0) ?(utilization = 0.85) ?(tracks = 24) ?hscheme ?vtracks nl =
+(* Slots per cell are [1 / utilization]. *)
+let utilization = 0.85
+
+let size_for ?(aspect = 3.0) ?(tracks = 24) ?hscheme ?vtracks nl =
   let n_cells = Spr_netlist.Netlist.n_cells nl in
   let counts = Spr_netlist.Netlist.counts nl in
   let n_io = counts.Spr_netlist.Netlist.n_input + counts.Spr_netlist.Netlist.n_output in

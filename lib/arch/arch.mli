@@ -7,10 +7,6 @@
     tracks, segmented over channel spans, used as feedthrough spines by
     the global router. *)
 
-type vscheme =
-  | V_full  (** One vertical segment spanning all channels. *)
-  | V_span of int  (** Vertical segments each spanning the given number of channels. *)
-
 type t = private {
   rows : int;
   cols : int;
@@ -30,17 +26,12 @@ val create :
   tracks:int ->
   ?hscheme:Segmentation.scheme ->
   ?vtracks:int ->
-  ?vschemes:vscheme array ->
   unit ->
   t
-(** Defaults: [hscheme = Actel_like], [vtracks = 5], and a vertical mix
-    of full-span tracks (the first half, rounded up) plus half-span
-    tracks. [vschemes], when given, must have length [vtracks]. Raises
+(** Defaults: [hscheme = Actel_like] and [vtracks = 5]. The vertical
+    tracks mix full-span tracks (the first half, rounded up) with
+    tracks cut into segments of half the channels. Raises
     [Invalid_argument] on non-positive dimensions. *)
-
-val with_tracks : t -> int -> t
-(** Same fabric with a different horizontal track count (used by the
-    Table 2 minimum-width search). *)
 
 (** {1 Capacity} *)
 
@@ -71,17 +62,16 @@ val avg_hseg_length : t -> float
 
 val size_for :
   ?aspect:float ->
-  ?utilization:float ->
   ?tracks:int ->
   ?hscheme:Segmentation.scheme ->
   ?vtracks:int ->
   Spr_netlist.Netlist.t ->
   t
-(** Pick fabric dimensions for a netlist: total slots =
-    [cells / utilization] (default 0.85), [cols / rows ~ aspect]
-    (default 3.0, row-based die are wide), widened if needed until the
-    perimeter holds all I/O pads. Default [tracks = 24]; when [vtracks]
-    is omitted it scales with the row count ([max 5 ((rows+1)/2)]) since
-    taller fabrics see more feedthrough demand per column. *)
+(** Pick fabric dimensions for a netlist: total slots = [cells / 0.85],
+    [cols / rows ~ aspect] (default 3.0, row-based die are wide),
+    widened if needed until the perimeter holds all I/O pads. Default
+    [tracks = 24]; when [vtracks] is omitted it scales with the row
+    count ([max 5 ((rows+1)/2)]) since taller fabrics see more
+    feedthrough demand per column. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,8 +1,8 @@
-let run_all ?eps ?sta rs =
+let run_all ?sta rs =
   let place_findings = Place_audit.run (Spr_route.Route_state.place rs) in
   let route_findings = Route_audit.run rs in
   let sta_findings =
-    match sta with None -> [] | Some sta -> Sta_audit.run ?eps sta rs
+    match sta with None -> [] | Some sta -> Sta_audit.run sta rs
   in
   place_findings @ route_findings @ sta_findings
 

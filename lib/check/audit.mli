@@ -5,10 +5,9 @@
     runs it on the final layout; the property harness ({!Prop} over
     {!Spr_ops}) runs it after every generated operation. *)
 
-val run_all : ?eps:float -> ?sta:Spr_timing.Sta.t -> Spr_route.Route_state.t -> Finding.t list
+val run_all : ?sta:Spr_timing.Sta.t -> Spr_route.Route_state.t -> Finding.t list
 (** Place audit (over the state's placement), route audit, and — when
-    [sta] is given — the timing audit. [eps] is forwarded to
-    {!Sta_audit.run}. *)
+    [sta] is given — the timing audit. *)
 
 val result : Finding.t list -> (unit, string) Stdlib.result
 (** [Ok ()] on no findings, else every finding joined into one

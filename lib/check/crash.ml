@@ -55,11 +55,11 @@ let attempt runner ~kill_after =
   | r -> r
   | exception exn -> Error ("exception: " ^ Printexc.to_string exn)
 
-(* Shrink a failing kill index toward 1: at each step try the classic
+(* Shrink a failing kill point toward 1: at each step try the classic
    integer-shrink candidates (1, half, predecessor) and keep the
    smallest one that still fails. Every candidate costs a full
-   crash+resume cycle, so the candidate list is deliberately short. *)
-let shrink runner ~kill_after ~error =
+   kill+resume cycle, so the candidate list is deliberately short. *)
+let shrink attempt ~kill_after ~error =
   let rec go k err =
     let candidates =
       List.sort_uniq compare [ 1; k / 2; k - 1 ] |> List.filter (fun c -> c >= 1 && c < k)
@@ -67,7 +67,7 @@ let shrink runner ~kill_after ~error =
     let rec first_failing = function
       | [] -> None
       | c :: rest -> (
-        match attempt runner ~kill_after:c with
+        match attempt c with
         | Ok () -> first_failing rest
         | Error e -> Some (c, e))
     in
@@ -77,20 +77,23 @@ let shrink runner ~kill_after ~error =
   in
   go kill_after error
 
-let check_equivalence ?(attempts = 3) ~rng ~max_kill runner =
+let search ~attempts ~rng ~max_kill attempt =
   let max_kill = max 1 max_kill in
   let rec loop i =
     if i >= attempts then Ok ()
     else begin
       let kill_after = 1 + Spr_util.Rng.int rng max_kill in
-      match attempt runner ~kill_after with
+      match attempt kill_after with
       | Ok () -> loop (i + 1)
       | Error error ->
-        let k, e = shrink runner ~kill_after ~error in
+        let k, e = shrink attempt ~kill_after ~error in
         Error { f_kill_after = k; f_shrunk_from = kill_after; f_error = e }
     end
   in
   loop 0
+
+let check_equivalence ?(attempts = 3) ~rng ~max_kill runner =
+  search ~attempts ~rng ~max_kill (fun kill_after -> attempt runner ~kill_after)
 
 (* --- corruption injectors --- *)
 

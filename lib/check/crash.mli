@@ -46,6 +46,22 @@ type failure = {
 
 val failure_to_string : failure -> string
 
+val search :
+  attempts:int ->
+  rng:Spr_util.Rng.t ->
+  max_kill:int ->
+  (int -> (unit, string) Stdlib.result) ->
+  (unit, failure) Stdlib.result
+(** The kill-and-resume search both harnesses run ({!check_equivalence}
+    here, {!Service.check_recovery} over the daemon). [search ~attempts
+    ~rng ~max_kill attempt] samples [attempts] kill points uniformly
+    from [\[1, max_kill\]] and runs [attempt k], one full kill+resume
+    cycle at kill point [k]: [Ok ()] when the property held or the kill
+    point was never reached, [Error] with the mismatch otherwise. On the
+    first failure it shrinks the kill point toward 1 — each candidate
+    replayed through [attempt] — and reports the smallest still-failing
+    one. *)
+
 val check_equivalence :
   ?attempts:int ->
   rng:Spr_util.Rng.t ->

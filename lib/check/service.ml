@@ -41,18 +41,6 @@ let garbage_frames ~rng ~n =
         (* Pure binary junk. *)
         junk rng (1 + Spr_util.Rng.int rng 64))
 
-(* --- fault vocabulary --- *)
-
-type fault = Kill_worker | Kill_daemon | Client_disconnect | Garbage_frame
-
-let fault_to_string = function
-  | Kill_worker -> "kill-worker"
-  | Kill_daemon -> "kill-daemon"
-  | Client_disconnect -> "client-disconnect"
-  | Garbage_frame -> "garbage-frame"
-
-let all_faults = [ Kill_worker; Kill_daemon; Client_disconnect; Garbage_frame ]
-
 (* --- recovery equivalence --- *)
 
 type runner = {
@@ -62,7 +50,7 @@ type runner = {
   reset : unit -> unit;
 }
 
-type failure = {
+type failure = Crash.failure = {
   f_kill_after : int;
   f_shrunk_from : int;
   f_error : string;
@@ -72,27 +60,24 @@ let failure_to_string f =
   Printf.sprintf "service recovery failed at kill_after_snapshots=%d (shrunk from %d): %s"
     f.f_kill_after f.f_shrunk_from f.f_error
 
-(* One interrupt+recover cycle. [Ok true]: property held. [Ok false]:
-   vacuous (job finished first). [Error]: mismatch or harness trouble. *)
+(* One interrupt+recover cycle. [Ok ()]: the property held, or the job
+   finished before the kill point (vacuous). [Error]: mismatch or
+   harness trouble. *)
 let attempt runner ~reference ~kill_after =
   match
     runner.reset ();
     match runner.interrupted ~kill_after_snapshots:kill_after with
     | Error e -> Error ("interrupt: " ^ e)
-    | Ok false -> Ok false
+    | Ok false -> Ok ()
     | Ok true -> (
       match runner.recover () with
       | Error e -> Error ("recover: " ^ e)
-      | Ok got -> (
-        match Crash.compare_outcomes ~reference got with
-        | Ok () -> Ok true
-        | Error e -> Error e))
+      | Ok got -> Crash.compare_outcomes ~reference got)
   with
   | r -> r
   | exception exn -> Error ("runner raised: " ^ Printexc.to_string exn)
 
 let check_recovery ?(attempts = 2) ~rng ~max_kill runner =
-  let max_kill = max 1 max_kill in
   match runner.reference () with
   | Error e ->
     Error { f_kill_after = 0; f_shrunk_from = 0; f_error = "reference: " ^ e }
@@ -100,35 +85,5 @@ let check_recovery ?(attempts = 2) ~rng ~max_kill runner =
     Error
       { f_kill_after = 0; f_shrunk_from = 0; f_error = "reference raised: " ^ Printexc.to_string exn }
   | Ok reference ->
-    (* Same shrink discipline as {!Crash}: candidates 1 / half /
-       predecessor, each replayed through a full interrupt+recover
-       cycle, keeping the smallest that still fails. *)
-    let shrink ~kill_after ~error =
-      let rec go k err =
-        let candidates =
-          List.sort_uniq compare [ 1; k / 2; k - 1 ] |> List.filter (fun c -> c >= 1 && c < k)
-        in
-        let rec first_failing = function
-          | [] -> None
-          | c :: rest -> (
-            match attempt runner ~reference ~kill_after:c with
-            | Ok _ -> first_failing rest
-            | Error e -> Some (c, e))
-        in
-        match first_failing candidates with
-        | Some (c, e) -> go c e
-        | None -> (k, err)
-      in
-      go kill_after error
-    in
-    let rec go i =
-      if i >= attempts then Ok ()
-      else
-        let kill_after = 1 + Spr_util.Rng.int rng max_kill in
-        match attempt runner ~reference ~kill_after with
-        | Ok _ -> go (i + 1)
-        | Error error ->
-          let k, e = shrink ~kill_after ~error in
-          Error { f_kill_after = k; f_shrunk_from = kill_after; f_error = e }
-    in
-    go 0
+    Crash.search ~attempts ~rng ~max_kill (fun kill_after ->
+        attempt runner ~reference ~kill_after)

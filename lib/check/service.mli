@@ -25,18 +25,6 @@
 
 val garbage_frames : rng:Spr_util.Rng.t -> n:int -> string list
 
-(** {1 Fault vocabulary} *)
-
-type fault =
-  | Kill_worker  (** SIGKILL one job's worker; only that job may fail. *)
-  | Kill_daemon  (** SIGKILL daemon and workers; restart must recover. *)
-  | Client_disconnect  (** Drop a streaming client; its job keeps running. *)
-  | Garbage_frame  (** Feed the socket bytes that are not a frame. *)
-
-val fault_to_string : fault -> string
-
-val all_faults : fault list
-
 (** {1 Recovery equivalence} *)
 
 type runner = {
@@ -53,7 +41,7 @@ type runner = {
   reset : unit -> unit;  (** Wipe the interrupted service's state. *)
 }
 
-type failure = {
+type failure = Crash.failure = {
   f_kill_after : int;  (** Smallest failing snapshot count found. *)
   f_shrunk_from : int;
   f_error : string;
@@ -67,7 +55,7 @@ val check_recovery :
   max_kill:int ->
   runner ->
   (unit, failure) Stdlib.result
-(** Sample [attempts] (default 2) snapshot counts from [\[1, max_kill\]];
-    for each, interrupt, recover, and compare against the reference
-    (computed once). First mismatch shrinks toward 1. The harness never
-    raises; closure exceptions become failures. *)
+(** {!Crash.search} over snapshot counts: sample [attempts] (default 2)
+    from [\[1, max_kill\]]; for each, interrupt, recover, and compare
+    against the reference (computed once). First mismatch shrinks toward
+    1. The harness never raises; closure exceptions become failures. *)

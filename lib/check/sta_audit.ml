@@ -4,7 +4,10 @@ module Kind = Spr_netlist.Cell_kind
 module Sta = Spr_timing.Sta
 module Dm = Spr_timing.Delay_model
 
-let run ?(eps = 1e-6) sta rs =
+(* Tolerance, in ns, on arrivals and the critical delay. *)
+let eps = 1e-6
+
+let run sta rs =
   let nl = Rs.netlist rs in
   let dm = Sta.delay_model sta in
   let findings = ref [] in

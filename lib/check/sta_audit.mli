@@ -7,9 +7,9 @@
     rebuilds the full timing picture independently — levelization, net
     delays via {!Spr_timing.Net_delay.sink_delays}, arrivals in level
     order — and compares per-cell output arrivals and the critical delay
-    within [eps]. *)
+    within 1e-6 ns. *)
 
-val run : ?eps:float -> Spr_timing.Sta.t -> Spr_route.Route_state.t -> Finding.t list
-(** [run sta rs] — [rs] must be the state [sta] was created over.
-    Default [eps] is [1e-6] ns. Empty when the incremental arrivals match
-    the oracle. Cost: one full STA. *)
+val run : Spr_timing.Sta.t -> Spr_route.Route_state.t -> Finding.t list
+(** [run sta rs] — [rs] must be the state [sta] was created over. Empty
+    when the incremental arrivals match the oracle. Cost: one full
+    STA. *)

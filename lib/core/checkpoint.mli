@@ -7,9 +7,7 @@
 
     Restoring replays the routing through the normal claiming paths, so a
     loaded state satisfies every {!Spr_route.Route_state.check} invariant
-    or the load fails with a diagnostic. Fabrics with custom [vschemes]
-    are not representable (the format records the default scheme
-    parameters); such layouts round-trip only if built with defaults. *)
+    or the load fails with a diagnostic. *)
 
 val to_string : Spr_route.Route_state.t -> string
 

@@ -17,7 +17,6 @@ type budget = {
   time_budget : float option;
   max_moves : int option;
   stop_after_accepted : int option;
-  poll : (unit -> bool) option;
 }
 
 type persistence = {
@@ -79,7 +78,7 @@ let default =
     anneal = None;
     moves = { pinmap_move_prob = 0.15; enable_pinmap_moves = true; max_swap_tries = 8 };
     weights = { g_per_net = 0.04; d_per_net = 0.02; t_emphasis = 1.0 };
-    budget = { time_budget = None; max_moves = None; stop_after_accepted = None; poll = None };
+    budget = { time_budget = None; max_moves = None; stop_after_accepted = None };
     persistence =
       { run_dir = None; snapshot_every = 1; snapshot_keep = 3; final_checkpoint = true };
     validation = { validate = false; validate_every = 50 };
@@ -96,11 +95,9 @@ let default =
   }
 
 (* --- flow vocabulary ---
-   The stage names and named presets live here (not in [Spr_flow])
-   so [validated] can reject bad flows without a dependency on the
-   flow engine, which sits above this library. *)
-
-let flow_stage_names = [ "ap"; "sa"; "greedy"; "route"; "sta" ]
+   The named presets live here (not in [Spr_flow]) so [validated] can
+   reject bad flows without a dependency on the flow engine, which sits
+   above this library. *)
 
 let flow_presets =
   [
@@ -112,58 +109,17 @@ let flow_presets =
 
 let flow_preset_names = List.map fst flow_presets
 
-(* Stage-order sanity shared by named presets and ad-hoc '+' chains:
-   [ap] places from scratch so it can only open a flow; [route] needs
-   a placement to route; [sta] needs routing to time. *)
-let check_stage_order stages =
-  let rec walk ~placed ~routed ~pos = function
-    | [] -> Ok ()
-    | "ap" :: rest ->
-      if pos > 0 then Error "stage ap must come first (it places from scratch)"
-      else walk ~placed:true ~routed ~pos:(pos + 1) rest
-    | "sa" :: rest -> walk ~placed:true ~routed:true ~pos:(pos + 1) rest
-    | "greedy" :: rest -> walk ~placed:true ~routed ~pos:(pos + 1) rest
-    | "route" :: rest ->
-      if not placed then Error "stage route needs a preceding placement stage (ap|sa|greedy)"
-      else walk ~placed ~routed:true ~pos:(pos + 1) rest
-    | "sta" :: rest ->
-      if not routed then Error "stage sta needs a preceding routing stage (sa|route)"
-      else walk ~placed ~routed ~pos:(pos + 1) rest
-    | s :: _ -> Error (Printf.sprintf "unknown stage %s" s)
-  in
-  walk ~placed:false ~routed:false ~pos:0 stages
+(* The stages that poll a deadline; [sta] runs one full analysis and
+   reads none. *)
+let budgeted_stages = [ "ap"; "greedy"; "route"; "sa" ]
 
 let flow_stages_of_preset name =
-  let valid () =
-    Printf.sprintf "valid presets: %s; or any '+'-joined chain of stages %s"
-      (String.concat ", " flow_preset_names)
-      (String.concat "|" flow_stage_names)
-  in
   match List.assoc_opt name flow_presets with
   | Some stages -> Ok stages
   | None ->
-    let stages = String.split_on_char '+' name in
-    if name = "" || List.exists (fun s -> s = "") stages then
-      Error (Printf.sprintf "empty flow preset %S; %s" name (valid ()))
-    else begin
-      let unknown = List.filter (fun s -> not (List.mem s flow_stage_names)) stages in
-      match unknown with
-      | _ :: _ ->
-        Error
-          (Printf.sprintf "unknown flow stage%s %s in preset %s; %s"
-             (if List.length unknown > 1 then "s" else "")
-             (String.concat ", " unknown) name (valid ()))
-      | [] -> (
-        let dup =
-          List.filter (fun s -> List.length (List.filter (( = ) s) stages) > 1) stages
-        in
-        match dup with
-        | d :: _ -> Error (Printf.sprintf "stage %s repeats in preset %s" d name)
-        | [] -> (
-          match check_stage_order stages with
-          | Error e -> Error (Printf.sprintf "%s (preset %s)" e name)
-          | Ok () -> Ok stages))
-    end
+    Error
+      (Printf.sprintf "unknown flow preset %S; valid presets: %s" name
+         (String.concat ", " flow_preset_names))
 
 (* The one place configuration sanity lives. Nonsense is rejected
    with a message naming every offending field; the historical
@@ -207,9 +163,9 @@ let validated t =
   | Ok stages ->
     List.iter
       (fun (stage, seconds) ->
-        if not (List.mem stage flow_stage_names) then
-          reject "stage_budget for unknown stage %s (valid stages: %s)" stage
-            (String.concat "|" flow_stage_names)
+        if not (List.mem stage budgeted_stages) then
+          reject "stage_budget for stage %s: only stages %s take a budget" stage
+            (String.concat ", " budgeted_stages)
         else if not (List.mem stage stages) then
           reject "stage_budget for stage %s absent from flow %s" stage t.flow.preset;
         if not (Float.is_finite seconds && seconds > 0.0) then
@@ -264,8 +220,6 @@ let with_max_moves m t = { t with budget = { t.budget with max_moves = Some m } 
 
 let with_stop_after_accepted k t =
   { t with budget = { t.budget with stop_after_accepted = Some k } }
-
-let with_cancel_poll f t = { t with budget = { t.budget with poll = Some f } }
 
 let with_run_dir ?snapshot_every ?snapshot_keep dir t =
   {

@@ -36,13 +36,6 @@ type budget = {
           moves have been accepted, cumulative across resumes. In a
           fleet, any replica tripping it stops the whole
           fleet. *)
-  poll : (unit -> bool) option;
-      (** External cancellation hook, polled between moves alongside
-          the budgets: the first poll returning [true] stops the run
-          gracefully as [Interrupt] (final checkpoint, best-so-far
-          result) — the service layer's per-job cancellation rides
-          this. The closure runs on every replica's domain and must
-          be cheap and thread-safe. *)
 }
 
 type persistence = {
@@ -113,15 +106,16 @@ type obs = {
 
 type flow = {
   preset : string;
-      (** Named flow preset ([sa], [ap+sa], [ap+greedy+route], [seq])
-          or any ['+']-joined chain of valid stage names. The tool's
-          own entry points only ever run the [sa] stage; the full
-          multi-stage interpretation lives in [Spr_flow] (which sits
-          above this library) — the vocabulary and validation live
-          here so {!validated} rejects bad flows up front. *)
+      (** One of the four flow presets: [sa], [ap+sa],
+          [ap+greedy+route] or [seq]. The tool's own entry points only
+          ever run the [sa] stage; the full multi-stage interpretation
+          lives in [Spr_flow] (which sits above this library) — the
+          presets and their validation live here so {!validated}
+          rejects bad flows up front. *)
   stage_budgets : (string * float) list;
-      (** Per-stage wall-second budgets, keyed by stage name. Every
-          key must be a stage of the chosen preset and every budget a
+      (** Per-stage wall-second budgets, keyed by stage name. Only
+          [ap], [greedy], [route] and [sa] take a budget; every key
+          must be a stage of the chosen preset and every budget a
           positive finite number of seconds. *)
 }
 
@@ -184,8 +178,6 @@ val with_max_moves : int -> t -> t
 
 val with_stop_after_accepted : int -> t -> t
 
-val with_cancel_poll : (unit -> bool) -> t -> t
-
 val with_run_dir : ?snapshot_every:int -> ?snapshot_keep:int -> string -> t -> t
 
 val with_final_checkpoint : bool -> t -> t
@@ -206,18 +198,12 @@ val with_on_event : (Spr_obs.Trace.event -> unit) -> t -> t
 
 (** {2 Flow vocabulary} *)
 
-val flow_stage_names : string list
-(** The five stage names: [ap; sa; greedy; route; sta]. *)
-
 val flow_preset_names : string list
 (** The registered named presets: [sa; ap+sa; ap+greedy+route; seq]. *)
 
 val flow_stages_of_preset : string -> (string list, string) Stdlib.result
-(** Resolve a preset name (or an ad-hoc ['+']-joined stage chain) to
-    its stage list. Rejects unknown stage names, repeats, and
-    impossible orders ([ap] anywhere but first, [route] with nothing
-    placed, [sta] with nothing routed), with a message listing the
-    valid presets. *)
+(** Resolve a preset name to its stage list; any other name is
+    rejected with a message listing the four presets. *)
 
 val with_flow_preset : string -> t -> t
 

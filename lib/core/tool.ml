@@ -268,8 +268,6 @@ let anneal_session ?resume ?start_temperature ~ctx ~(config : Config.t) ~rng ~be
     | None ->
       stop_reason :=
         (if interrupt_requested () || Atomic.get ctx.rep_stop then Some Interrupt
-         else if (match config.budget.poll with Some f -> f () | None -> false) then
-           Some Interrupt
          else
            match config.budget.max_moves with
            | Some m when moves >= m -> Some Move_budget
@@ -290,7 +288,6 @@ let anneal_session ?resume ?start_temperature ~ctx ~(config : Config.t) ~rng ~be
     || config.budget.time_budget <> None
     || config.budget.max_moves <> None
     || config.budget.stop_after_accepted <> None
-    || config.budget.poll <> None
   in
   let ckpt_dir =
     match config.persistence.run_dir with

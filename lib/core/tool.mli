@@ -158,7 +158,7 @@ val run :
     one. [arch] is ignored for a resumed replica — the restored layout
     carries its fabric — and the annealing schedule comes from the
     snapshot. Interruption (signals, {!request_interrupt}, any
-    replica's wall-clock budget, cancel poll or stop injection) stops
+    replica's wall-clock budget or stop injection) stops
     every replica gracefully and freezes further rounds; a move budget
     stops only the replica that spent it.
 

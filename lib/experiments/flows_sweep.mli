@@ -35,12 +35,12 @@ type comparison = {
   move_ratio : float;  (** Mean seeded/cold annealing-move ratio. *)
   quality_held : int;
       (** Cells where the seeded flow's unrouted count is equal-or-better
-          and its critical delay within the slack factor. *)
+          and its critical delay at most 2% worse. *)
 }
 
-val compare_seeded :
-  ?baseline:string -> ?seeded:string -> ?slack:float -> row list -> comparison
-(** Defaults: [baseline = "sa"], [seeded = "ap+sa"], [slack = 1.02]. *)
+val compare_seeded : row list -> comparison
+(** Pairs each [sa] row with the [ap+sa] row of the same circuit and
+    seed ([ap+sa] is the seeded flow, [sa] the cold-start baseline). *)
 
 val render : row list -> string
 

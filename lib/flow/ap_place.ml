@@ -2,26 +2,17 @@ module P = Spr_layout.Placement
 module A = Spr_arch.Arch
 module N = Spr_netlist.Netlist
 
-type config = {
-  passes : int;
-  cg_iters : int;
-  cg_tol : float;
-  jitter : float;
-  timing_passes : int;
-  timing_emphasis : float;
-  delay_model : Spr_timing.Delay_model.t;
-}
+(* Outer bound2bound reweighting passes, the conjugate-gradient
+   iteration cap and relative residual per solve, and the half-width (in
+   slot units) of the symmetry-breaking jitter around the fabric
+   center. *)
+let passes = 10
 
-let default_config =
-  {
-    passes = 6;
-    cg_iters = 120;
-    cg_tol = 1e-6;
-    jitter = 0.35;
-    timing_passes = 0;
-    timing_emphasis = 2.0;
-    delay_model = Spr_timing.Delay_model.default;
-  }
+let cg_iters = 200
+
+let cg_tol = 1e-6
+
+let jitter = 0.15
 
 type result = {
   ap_slots : P.slot array;
@@ -141,7 +132,7 @@ let b2b_eps = 0.5
    current positions [pos] (all cells), the solve updates the movable
    entries in place. [mov_index.(cell)] is the cell's movable index or
    -1 for a fixed pad. *)
-let solve_axis ~cfg ~nets ~net_weight ~mov_index ~mov_cells ~pos ~lo ~hi =
+let solve_axis ~nets ~mov_index ~mov_cells ~pos ~lo ~hi =
   let m = Array.length mov_cells in
   let sys = { diag = Array.make m 0.0; rhs = Array.make m 0.0; edges = [] } in
   let center = (lo +. hi) /. 2.0 in
@@ -152,8 +143,8 @@ let solve_axis ~cfg ~nets ~net_weight ~mov_index ~mov_cells ~pos ~lo ~hi =
     else if ia >= 0 then add_anchor sys ia w pos.(b)
     else if ib >= 0 then add_anchor sys ib w pos.(a)
   in
-  Array.iteri
-    (fun net cells ->
+  Array.iter
+    (fun cells ->
       let p = Array.length cells in
       if p >= 2 then begin
         let blo = ref cells.(0) and bhi = ref cells.(0) in
@@ -162,7 +153,7 @@ let solve_axis ~cfg ~nets ~net_weight ~mov_index ~mov_cells ~pos ~lo ~hi =
             if pos.(c) < pos.(!blo) then blo := c;
             if pos.(c) > pos.(!bhi) then bhi := c)
           cells;
-        let w0 = 2.0 *. net_weight.(net) /. float_of_int (p - 1) in
+        let w0 = 2.0 /. float_of_int (p - 1) in
         connect (w0 /. (pos.(!bhi) -. pos.(!blo) +. b2b_eps)) !blo !bhi;
         Array.iter
           (fun c ->
@@ -174,7 +165,7 @@ let solve_axis ~cfg ~nets ~net_weight ~mov_index ~mov_cells ~pos ~lo ~hi =
       end)
     nets;
   let x = Array.map (fun c -> pos.(c)) mov_cells in
-  cg_solve ~iters:cfg.cg_iters ~tol:cfg.cg_tol sys x;
+  cg_solve ~iters:cg_iters ~tol:cg_tol sys x;
   Array.iteri (fun i c -> pos.(c) <- Float.min hi (Float.max lo x.(i))) mov_cells
 
 (* Sorted spreading onto the row fabric: movable cells sorted by
@@ -273,30 +264,10 @@ let hpwl_of ~nets ~slots =
     nets;
   !total
 
-(* Quick route + STA over a legalized guess, turned into per-net
-   weights [1 + emphasis * criticality]. *)
-let timing_weights cfg arch nl ~slots ~pinmaps =
-  match P.create_from arch nl ~slots ~pinmaps with
-  | Error _ -> None
-  | Ok place ->
-    let rs = Spr_route.Route_state.create place in
-    Spr_route.Router.route_all ~passes:1 rs;
-    let sta = Spr_timing.Sta.create cfg.delay_model rs in
-    let dmax = Float.max 1e-9 (Spr_timing.Sta.critical_delay sta) in
-    Some
-      (Array.map
-         (fun (net : N.net) ->
-           let crit =
-             Float.min 1.0 (Float.max 0.0 (Spr_timing.Sta.arrival_out sta net.N.driver /. dmax))
-           in
-           1.0 +. (cfg.timing_emphasis *. crit))
-         (N.nets nl))
-
-let run ?(config = default_config) ?(deadline = fun () -> false) ~seed arch nl =
+let run ?(deadline = fun () -> false) ~seed arch nl =
   match A.check_fits arch nl with
   | Error e -> Error e
   | Ok () ->
-    let cfg = { config with passes = max 1 config.passes; cg_iters = max 1 config.cg_iters } in
     let n = N.n_cells nl in
     let rows = arch.A.rows and cols = arch.A.cols in
     let nets = net_cells nl in
@@ -326,7 +297,7 @@ let run ?(config = default_config) ?(deadline = fun () -> false) ~seed arch nl =
          symmetry of the first bound2bound pass. *)
       let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
       let rng = Spr_util.Rng.create (seed lxor 0x41505f) in
-      let jit () = cfg.jitter *. ((2.0 *. Spr_util.Rng.float rng 1.0) -. 1.0) in
+      let jit () = jitter *. ((2.0 *. Spr_util.Rng.float rng 1.0) -. 1.0) in
       for c = 0 to n - 1 do
         match pad_slot.(c) with
         | Some { P.row; col } ->
@@ -336,36 +307,15 @@ let run ?(config = default_config) ?(deadline = fun () -> false) ~seed arch nl =
           xs.(c) <- (float_of_int (cols - 1) /. 2.0) +. jit ();
           ys.(c) <- (float_of_int (rows - 1) /. 2.0) +. jit ()
       done;
-      let net_weight = Array.make (N.n_nets nl) 1.0 in
-      let solve_passes k =
-        let pass = ref 0 in
-        while !pass < k && not (deadline ()) do
-          incr pass;
-          solve_axis ~cfg ~nets ~net_weight ~mov_index ~mov_cells ~pos:xs ~lo:0.0
-            ~hi:(float_of_int (cols - 1));
-          solve_axis ~cfg ~nets ~net_weight ~mov_index ~mov_cells ~pos:ys ~lo:0.0
-            ~hi:(float_of_int (rows - 1))
-        done
+      let pass = ref 0 in
+      while !pass < passes && not (deadline ()) do
+        incr pass;
+        solve_axis ~nets ~mov_index ~mov_cells ~pos:xs ~lo:0.0 ~hi:(float_of_int (cols - 1));
+        solve_axis ~nets ~mov_index ~mov_cells ~pos:ys ~lo:0.0 ~hi:(float_of_int (rows - 1))
+      done;
+      let mov_slot = legalize arch ~pad_slot ~mov_cells ~xs ~ys in
+      let slots =
+        Array.init n (fun c -> match pad_slot.(c) with Some s -> s | None -> mov_slot.(c))
       in
-      solve_passes cfg.passes;
-      let finish () =
-        let mov_slot = legalize arch ~pad_slot ~mov_cells ~xs ~ys in
-        let slots =
-          Array.init n (fun c ->
-              match pad_slot.(c) with Some s -> s | None -> mov_slot.(c))
-        in
-        (slots, Array.make n 0)
-      in
-      let slots, pinmaps = finish () in
-      let slots, pinmaps =
-        if cfg.timing_passes <= 0 || deadline () then (slots, pinmaps)
-        else
-          match timing_weights cfg arch nl ~slots ~pinmaps with
-          | None -> (slots, pinmaps)
-          | Some weights ->
-            Array.blit weights 0 net_weight 0 (Array.length weights);
-            solve_passes cfg.timing_passes;
-            finish ()
-      in
-      Ok { ap_slots = slots; ap_pinmaps = pinmaps; ap_hpwl = hpwl_of ~nets ~slots }
+      Ok { ap_slots = slots; ap_pinmaps = Array.make n 0; ap_hpwl = hpwl_of ~nets ~slots }
     end

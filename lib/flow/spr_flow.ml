@@ -226,17 +226,7 @@ let run_ap st ~(config : C.t) ~want_events arch nl =
   let deadline = stage_deadline config "ap" in
   let out, seconds =
     record_stage st ~want_events ~name:"ap" (fun () ->
-        let ap_config =
-          {
-            Ap_place.default_config with
-            delay_model = config.C.delay_model;
-            passes = 10;
-            cg_iters = 200;
-            jitter = 0.15;
-            timing_passes = 0;
-          }
-        in
-        Ap_place.run ~config:ap_config ~deadline ~seed:config.C.seed arch nl)
+        Ap_place.run ~deadline ~seed:config.C.seed arch nl)
   in
   match out with
   | Error e -> Error (Tool.Invalid_design e)
@@ -260,14 +250,8 @@ let run_greedy st ~(config : C.t) ~want_events arch nl =
   | None -> (
     let out, seconds =
       record_stage st ~want_events ~name:"greedy" (fun () ->
-          let place_cfg =
-            {
-              Spr_seq.Seq_place.default_config with
-              Spr_seq.Seq_place.seed = config.C.seed;
-              anneal = config.C.anneal;
-            }
-          in
-          Spr_seq.Seq_place.run ~config:place_cfg ~should_stop arch nl)
+          Spr_seq.Seq_place.run ~seed:config.C.seed ?anneal:config.C.anneal ~should_stop arch
+            nl)
     in
     match out with
     | Error e -> Error (Tool.Invalid_design e)
@@ -303,7 +287,7 @@ let run_route st ~(config : C.t) ~want_events =
     record_stage st ~want_events ~name:"route" (fun () ->
         let rs = Rs.create place in
         let rng = Spr_util.Rng.create (config.C.seed + 0x5E01) in
-        Spr_seq.Seq_route.run ~router:config.C.router ~improve_iters:25 ~should_stop ~rng rs;
+        Spr_seq.Seq_route.run ~router:config.C.router ~should_stop ~rng rs;
         rs)
   in
   st.rs <- Some rs;

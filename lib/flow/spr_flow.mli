@@ -15,19 +15,19 @@
     - [route] — the baseline sequential router with rip-up-and-retry;
     - [sta] — a full static timing analysis of the routed state.
 
-    The flow vocabulary, the named presets ([sa], [ap+sa],
-    [ap+greedy+route], [seq]) and the validation rules live in
+    The four presets ([sa], [ap+sa], [ap+greedy+route], [seq]) are the
+    only flows; they and their validation live in
     {!Spr_core.Tool.Config} (the [flow] sub-record) so every entry
     point rejects bad flows up front; this module is the interpreter.
     The [sa] stage is one {!Spr_core.Tool.run} over the configured
     fleet, so preset [sa] is exactly that run.
 
     Per-stage wall-clock budgets ([Config.flow.stage_budgets]) bound
-    each stage; completed stage boundaries are persisted under
-    [Config.persistence.run_dir] ([flow.json] plus a v1 layout
-    checkpoint per stage) so an interrupted multi-stage flow resumes at
-    the last boundary, while an in-flight [sa] stage rides the existing
-    V2 snapshot machinery. With [Config.obs.trace_path] set, the stage
+    the [ap], [greedy], [route] and [sa] stages; completed stage
+    boundaries are persisted under [Config.persistence.run_dir]
+    ([flow.json] plus a v1 layout checkpoint per stage) so an
+    interrupted multi-stage flow resumes at the last boundary, while an
+    in-flight [sa] stage rides the existing V2 snapshot machinery. With [Config.obs.trace_path] set, the stage
     spans of the whole flow land in one [spr-trace-1] stream. *)
 
 module Ap_place = Ap_place

@@ -21,7 +21,7 @@ let find name = List.find_opt (fun s -> s.spec_name = name) all
 
 let make spec =
   let params = Generator.default ~n_cells:spec.spec_cells in
-  Generator.generate ~name:spec.spec_name params ~seed:spec.spec_seed
+  Generator.generate params ~seed:spec.spec_seed
 
 let make_by_name name =
   match find name with

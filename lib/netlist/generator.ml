@@ -38,7 +38,7 @@ let draw_fanin rng max_fanin =
   let k = if r < 0.12 then 1 else if r < 0.42 then 2 else if r < 0.78 then 3 else 4 in
   min k max_fanin
 
-let generate ?name:_ params ~seed =
+let generate params ~seed =
   let rng = Spr_util.Rng.create seed in
   let n = params.n_cells in
   let n_pi = frac_count n params.pi_frac 2 in

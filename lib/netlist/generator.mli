@@ -23,6 +23,6 @@ val default : n_cells:int -> params
 (** MCNC-like defaults: 8% inputs, 6% outputs, 8% flip-flops, max fanin 4,
     locality 0.65 over a window of 24, feedback 0.5. *)
 
-val generate : ?name:string -> params -> seed:int -> Netlist.t
+val generate : params -> seed:int -> Netlist.t
 (** Raises [Invalid_argument] if the parameters are infeasible
     (e.g. [n_cells] too small to hold two inputs and one output). *)

@@ -7,8 +7,6 @@ let side_equal a b =
   | Top, Top | Bottom, Bottom -> true
   | (Top | Bottom), _ -> false
 
-let side_to_string = function Top -> "top" | Bottom -> "bottom"
-
 let equal a b = Array.length a = Array.length b && Array.for_all2 side_equal a b
 
 let copy = Array.copy

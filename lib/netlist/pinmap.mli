@@ -18,8 +18,6 @@ type t = side array
 
 val side_equal : side -> side -> bool
 
-val side_to_string : side -> string
-
 val palette : n_pins:int -> t array
 (** Compile-time palette of legal pinmaps for a cell with [n_pins] pins
     (paper §3.2: "a manageable palette of pinmap alternatives").

@@ -135,7 +135,10 @@ let fm_pass nl ~nets_of_cell ~cells_of_net ~balance_lo ~balance_hi side =
   List.iteri (fun i c -> if i >= !best_idx then side.(c) <- not side.(c)) all_moves;
   !best
 
-let bipartition ?(balance = 0.10) ?(max_passes = 12) ~rng nl =
+(* FM passes run until one gains nothing, at most this many. *)
+let max_passes = 12
+
+let bipartition ?(balance = 0.10) ~rng nl =
   let n = Nl.n_cells nl in
   if n < 2 then { side = Array.make n false; cut_nets = 0; passes = 0 }
   else begin

@@ -18,13 +18,13 @@ type result = {
 
 val bipartition :
   ?balance:float ->
-  ?max_passes:int ->
   rng:Spr_util.Rng.t ->
   Spr_netlist.Netlist.t ->
   result
 (** [balance] (default 0.10) allows each side to deviate from half the
-    cells by that fraction of the total. [max_passes] defaults to 12.
-    The initial partition is a random balanced split drawn from [rng]. *)
+    cells by that fraction of the total. Passes run until one gains
+    nothing, at most 12. The initial partition is a random balanced
+    split drawn from [rng]. *)
 
 val cut_size : Spr_netlist.Netlist.t -> bool array -> int
 (** Nets spanning both sides under the given assignment. *)

@@ -40,11 +40,11 @@ let circle t ~cx ~cy ~r ?(stroke = "none") ?(fill = "black") () =
   addf t "<circle cx=\"%.2f\" cy=\"%.2f\" r=\"%.2f\" stroke=\"%s\" fill=\"%s\"/>\n" cx cy r
     stroke fill
 
-let text t ~x ~y ?(size = 10.0) ?(fill = "black") ?(anchor = "start") s =
+let text t ~x ~y ?(size = 10.0) ?(fill = "black") s =
   addf t
     "<text x=\"%.2f\" y=\"%.2f\" font-size=\"%.1f\" font-family=\"monospace\" fill=\"%s\" \
-     text-anchor=\"%s\">%s</text>\n"
-    x y size fill anchor (escape s)
+     text-anchor=\"start\">%s</text>\n"
+    x y size fill (escape s)
 
 let comment t s = addf t "<!-- %s -->\n" (escape s)
 

@@ -16,8 +16,7 @@ val line :
 val circle :
   t -> cx:float -> cy:float -> r:float -> ?stroke:string -> ?fill:string -> unit -> unit
 
-val text :
-  t -> x:float -> y:float -> ?size:float -> ?fill:string -> ?anchor:string -> string -> unit
+val text : t -> x:float -> y:float -> ?size:float -> ?fill:string -> string -> unit
 
 val comment : t -> string -> unit
 

@@ -1,6 +1,9 @@
 module I = Spr_util.Interval
 
-let best_track ?(antifuse_weight = 3.0) st ~channel ~span =
+(* Cost of one antifuse, in column units of wastage. *)
+let antifuse_weight = 3.0
+
+let best_track st ~channel ~span =
   let arch = Route_state.arch st in
   let best = ref None in
   for track = 0 to arch.Spr_arch.Arch.tracks - 1 do
@@ -20,18 +23,18 @@ let best_track ?(antifuse_weight = 3.0) st ~channel ~span =
 
 (* The search half of [attempt]: the run the net's demand in [channel]
    would claim, if any. *)
-let plan ?antifuse_weight st ~net ~channel =
+let plan st ~net ~channel =
   match List.assoc_opt channel (Route_state.h_demands st net) with
   | None -> None
   | Some span -> (
-    match best_track ?antifuse_weight st ~channel ~span with
+    match best_track st ~channel ~span with
     | None -> None
     | Some (track, slo, shi, _) ->
       Some
         { Route_state.h_channel = channel; h_track = track; h_slo = slo; h_shi = shi; h_span = span })
 
-let attempt ?antifuse_weight st j ~net ~channel =
-  match plan ?antifuse_weight st ~net ~channel with
+let attempt st j ~net ~channel =
+  match plan st ~net ~channel with
   | None -> false
   | Some hr ->
     Route_state.claim_detail st j net hr;

@@ -4,22 +4,20 @@
     single track covering its column span. Among the feasible tracks the
     router picks the one minimizing
 
-    {v wastage + antifuse_weight * n_segments v}
+    {v wastage + 3.0 * n_segments v}
 
-    where wastage is the covered length beyond the span. Low wastage
-    constructively minimizes net length and preserves long segments for
-    long nets; the antifuse term avoids chaining many short segments,
-    which would accrue antifuse delay. *)
+    where wastage is the covered length beyond the span and each
+    antifuse costs 3.0 column units. Low wastage constructively
+    minimizes net length and preserves long segments for long nets; the
+    antifuse term avoids chaining many short segments, which would
+    accrue antifuse delay. *)
 
-val attempt :
-  ?antifuse_weight:float -> Route_state.t -> Spr_util.Journal.t -> net:int -> channel:int -> bool
+val attempt : Route_state.t -> Spr_util.Journal.t -> net:int -> channel:int -> bool
 (** [attempt st j ~net ~channel] tries to detail-route the net's queued
     demand in [channel] (the net must be missing there); claims the
-    winning track run via {!Route_state.claim_detail}. Default
-    [antifuse_weight] is 3.0 column units per antifuse. *)
+    winning track run via {!Route_state.claim_detail}. *)
 
 val best_track :
-  ?antifuse_weight:float ->
   Route_state.t ->
   channel:int ->
   span:Spr_util.Interval.t ->

@@ -829,8 +829,6 @@ module Debug = struct
 
   let set_hseg_owner t ~channel ~track ~seg owner = t.h_owner.(channel).(track).(seg) <- owner
 
-  let set_vseg_owner t ~col ~vtrack ~seg owner = t.v_owner.(col).(vtrack).(seg) <- owner
-
   let bump_d_total t delta = t.d_total <- t.d_total + delta
 
   let clear_candidate t net =

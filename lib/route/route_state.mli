@@ -279,8 +279,6 @@ module Debug : sig
 
   val set_hseg_owner : t -> channel:int -> track:int -> seg:int -> int -> unit
 
-  val set_vseg_owner : t -> col:int -> vtrack:int -> seg:int -> int -> unit
-
   val bump_d_total : t -> int -> unit
 
   val clear_candidate : t -> int -> unit

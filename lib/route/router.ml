@@ -1,7 +1,6 @@
 type config = {
   spine_margin : int;
   spine_candidates : int;
-  antifuse_weight : float;
   retry_cap : int;
   criticality : (int -> float) option;
 }
@@ -10,7 +9,6 @@ let default_config =
   {
     spine_margin = 2;
     spine_candidates = 24;
-    antifuse_weight = 3.0;
     retry_cap = 64;
     criticality = None;
   }
@@ -136,8 +134,7 @@ let reroute_detail ?(config = default_config) ?counters st j =
     List.iter
       (fun net ->
         tally counters (fun c -> c.detail_attempts);
-        if Detail_router.attempt ~antifuse_weight:config.antifuse_weight st j ~net ~channel
-        then begin
+        if Detail_router.attempt st j ~net ~channel then begin
           tally counters (fun c -> c.detail_routed);
           changed := net :: !changed
         end

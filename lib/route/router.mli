@@ -10,7 +10,6 @@
 type config = {
   spine_margin : int;  (** Columns the spine may sit outside the pin bbox. *)
   spine_candidates : int;  (** Bound on spine columns probed per attempt. *)
-  antifuse_weight : float;  (** Detailed-route cost per segment used. *)
   retry_cap : int;
       (** Upper bound on queued nets attempted per pass and per queue; keeps
           the per-move cost bounded when the design is badly unroutable.

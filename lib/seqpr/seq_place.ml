@@ -1,28 +1,20 @@
 module P = Spr_layout.Placement
 
-type config = {
-  seed : int;
-  vertical_weight : float;
-  congestion_weight : float;
-  channel_fill : float;
-  anneal : Spr_anneal.Engine.config option;
-  max_swap_tries : int;
-}
+(* Cost of one channel of vertical span, in column units; weight of the
+   congestion penalty; fraction of [tracks * cols] of a channel usable
+   before the penalty engages; attempts to find a legal swap per
+   move. *)
+let vertical_weight = 2.0
 
-let default_config =
-  {
-    seed = 1;
-    vertical_weight = 2.0;
-    congestion_weight = 0.02;
-    channel_fill = 0.55;
-    anneal = None;
-    max_swap_tries = 8;
-  }
+let congestion_weight = 0.02
+
+let channel_fill = 0.55
+
+let max_swap_tries = 8
 
 (* Net contribution caches so a move only touches the nets on the two
    perturbed cells. *)
 type state = {
-  cfg : config;
   place : P.t;
   nl : Spr_netlist.Netlist.t;
   hpwl : float array;  (* per net: x-span + vw * channel-span *)
@@ -60,15 +52,15 @@ let channel_loads place net =
     Hashtbl.fold (fun ch (lo, hi) acc -> (ch, float_of_int (hi - lo + 1)) :: acc) tbl []
   end
 
-let net_hpwl cfg place net =
+let net_hpwl place net =
   match net_spans place net with
   | None -> 0.0
   | Some (xlo, xhi, clo, chi) ->
-    float_of_int (xhi - xlo) +. (cfg.vertical_weight *. float_of_int (chi - clo))
+    float_of_int (xhi - xlo) +. (vertical_weight *. float_of_int (chi - clo))
 
 let apply_net_update s net =
   let old_h = s.hpwl.(net) in
-  let fresh_h = net_hpwl s.cfg s.place net in
+  let fresh_h = net_hpwl s.place net in
   s.total_hpwl <- s.total_hpwl -. old_h +. fresh_h;
   s.hpwl.(net) <- fresh_h;
   let old_loads = s.chan_of_net.(net) in
@@ -85,16 +77,15 @@ let apply_net_update s net =
   s.chan_of_net.(net) <- fresh_loads;
   (old_h, old_loads)
 
-let create cfg place =
+let create place =
   let nl = P.netlist place in
   let arch = P.arch place in
   let n_nets = Spr_netlist.Netlist.n_nets nl in
   let capacity =
-    cfg.channel_fill *. float_of_int (arch.Spr_arch.Arch.tracks * arch.Spr_arch.Arch.cols)
+    channel_fill *. float_of_int (arch.Spr_arch.Arch.tracks * arch.Spr_arch.Arch.cols)
   in
   let s =
     {
-      cfg;
       place;
       nl;
       hpwl = Array.make n_nets 0.0;
@@ -111,7 +102,7 @@ let create cfg place =
   done;
   s
 
-let cost s = s.total_hpwl +. (s.cfg.congestion_weight *. s.cong_penalty)
+let cost s = s.total_hpwl +. (congestion_weight *. s.cong_penalty)
 
 let propose s rng =
   assert (s.undo = None);
@@ -123,7 +114,7 @@ let propose s rng =
       if a <> b && P.swap_legal s.place a b then Some (a, b) else find (tries - 1)
     end
   in
-  match find s.cfg.max_swap_tries with
+  match find max_swap_tries with
   | None -> false
   | Some (a, b) ->
     let occupants = List.filter_map (fun slot -> P.cell_at s.place slot) [ a; b ] in
@@ -157,14 +148,14 @@ let propose s rng =
             saved);
     true
 
-let run ?(config = default_config) ?(should_stop = fun () -> false) arch nl =
-  let rng = Spr_util.Rng.create config.seed in
+let run ~seed ?anneal ?(should_stop = fun () -> false) arch nl =
+  let rng = Spr_util.Rng.create seed in
   match P.create arch nl ~rng with
   | Error e -> Error e
   | Ok place ->
-    let s = create config place in
+    let s = create place in
     let report =
-      Spr_anneal.Engine.run ?config:config.anneal
+      Spr_anneal.Engine.run ?config:anneal
         ~should_stop:(fun ~moves:_ ~accepted:_ -> should_stop ())
         ~rng
         ~cost:(fun () -> cost s)
@@ -184,8 +175,8 @@ let run ?(config = default_config) ?(should_stop = fun () -> false) arch nl =
 (* Zero-temperature descent over an existing placement: keep proposing
    swaps, keep only the improving ones. The flow engine's greedy stage
    rides this when a previous stage already produced a placement. *)
-let refine ?(config = default_config) ?(should_stop = fun () -> false) ~rng ~moves place =
-  let s = create config place in
+let refine ?(should_stop = fun () -> false) ~rng ~moves place =
+  let s = create place in
   let accepted = ref 0 in
   let step = ref 0 in
   while !step < moves && not (should_stop ()) do
@@ -211,7 +202,7 @@ let wirelength place =
   let nl = P.netlist place in
   let total = ref 0.0 in
   for net = 0 to Spr_netlist.Netlist.n_nets nl - 1 do
-    total := !total +. net_hpwl { default_config with vertical_weight = 2.0 } place net
+    total := !total +. net_hpwl place net
   done;
   !total
 
@@ -222,7 +213,7 @@ let recompute_totals s =
   let hpwl = ref 0.0 in
   let demand = Array.make (Array.length s.chan_demand) 0.0 in
   for net = 0 to Spr_netlist.Netlist.n_nets nl - 1 do
-    hpwl := !hpwl +. net_hpwl s.cfg s.place net;
+    hpwl := !hpwl +. net_hpwl s.place net;
     List.iter (fun (ch, len) -> demand.(ch) <- demand.(ch) +. len) (channel_loads s.place net)
   done;
   let penalty =
@@ -230,12 +221,12 @@ let recompute_totals s =
   in
   (!hpwl, penalty, demand)
 
-let self_test ?(moves = 500) config arch nl ~seed =
+let self_test ?(moves = 500) arch nl ~seed =
   let rng = Spr_util.Rng.create seed in
   match P.create arch nl ~rng with
   | Error e -> Error e
   | Ok place ->
-    let s = create config place in
+    let s = create place in
     let check step =
       let hpwl, penalty, demand = recompute_totals s in
       if Float.abs (hpwl -. s.total_hpwl) > 1e-6 then

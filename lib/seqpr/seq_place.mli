@@ -4,35 +4,28 @@
 
     This is the "sequential" side of the paper's comparison: the placer
     sees neither the channel segmentation nor antifuse delays — exactly
-    the blindness (paper §2.1) that the simultaneous tool removes. *)
+    the blindness (paper §2.1) that the simultaneous tool removes.
 
-type config = {
-  seed : int;
-  vertical_weight : float;
-      (** Cost of one channel of vertical span, in column units. *)
-  congestion_weight : float;
-  channel_fill : float;
-      (** Fraction of [tracks * cols] of a channel usable before the
-          congestion penalty engages. *)
-  anneal : Spr_anneal.Engine.config option;
-  max_swap_tries : int;
-}
-
-val default_config : config
+    One channel of vertical span costs 2 column units. A channel's
+    congestion penalty (weight 0.02) is the square of its demand beyond
+    55% of [tracks * cols], and a move makes up to 8 attempts to find a
+    legal swap. *)
 
 val run :
-  ?config:config ->
+  seed:int ->
+  ?anneal:Spr_anneal.Engine.config ->
   ?should_stop:(unit -> bool) ->
   Spr_arch.Arch.t ->
   Spr_netlist.Netlist.t ->
   (Spr_layout.Placement.t * Spr_anneal.Engine.report, string) Stdlib.result
 (** Produces a placement (default pinmaps) optimized for estimated
-    wirelength and congestion only. [?should_stop] is polled between
-    annealing moves (the flow engine's stage budget rides it); the run
-    then returns the placement as annealed so far. *)
+    wirelength and congestion only, annealing under [?anneal] (sized to
+    the netlist when absent) from a random placement drawn from [seed].
+    [?should_stop] is polled between annealing moves (the flow engine's
+    stage budget rides it); the run then returns the placement as
+    annealed so far. *)
 
 val refine :
-  ?config:config ->
   ?should_stop:(unit -> bool) ->
   rng:Spr_util.Rng.t ->
   moves:int ->
@@ -50,7 +43,6 @@ val wirelength : Spr_layout.Placement.t -> float
 
 val self_test :
   ?moves:int ->
-  config ->
   Spr_arch.Arch.t ->
   Spr_netlist.Netlist.t ->
   seed:int ->

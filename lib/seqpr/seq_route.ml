@@ -65,14 +65,16 @@ let global_blockers st net =
     match !best with Some (_, owners) -> owners | None -> []
   end
 
-let run ?(router = Router.default_config) ?(improve_iters = 25) ?(should_stop = fun () -> false)
-    ~rng st =
+(* Rip-up-and-retry iterations after the first routing. *)
+let max_iters = 25
+
+let run ?(router = Router.default_config) ?(should_stop = fun () -> false) ~rng st =
   let uncapped = { router with Router.retry_cap = max_int } in
   Router.route_all ~config:uncapped ~passes:3 st;
   let arch = Rs.arch st in
   let j = Spr_util.Journal.create () in
   let iter = ref 0 in
-  while (not (Rs.fully_routed st)) && !iter < improve_iters && not (should_stop ()) do
+  while (not (Rs.fully_routed st)) && !iter < max_iters && not (should_stop ()) do
     incr iter;
     (* Collect victims for every currently failed net, rip them up
        together with the failed nets, and re-attempt longest first. *)

@@ -10,12 +10,12 @@
 
 val run :
   ?router:Spr_route.Router.config ->
-  ?improve_iters:int ->
   ?should_stop:(unit -> bool) ->
   rng:Spr_util.Rng.t ->
   Spr_route.Route_state.t ->
   unit
-(** [improve_iters] defaults to 25. The state is left with whatever could
-    be routed; inspect {!Spr_route.Route_state.fully_routed}.
-    [?should_stop] is polled between rip-up-and-retry iterations, so a
-    stage budget bounds the loop without leaving the state mid-commit. *)
+(** The rip-up-and-retry loop runs at most 25 iterations. The state is
+    left with whatever could be routed; inspect
+    {!Spr_route.Route_state.fully_routed}. [?should_stop] is polled
+    between rip-up-and-retry iterations, so a stage budget bounds the
+    loop without leaving the state mid-commit. *)

@@ -8,7 +8,6 @@ type config = {
   default_time_budget : float option;
   kill_grace : float;
   drain_grace : float;
-  timeout_slack : float;
 }
 
 let default_config ~state_dir =
@@ -20,8 +19,12 @@ let default_config ~state_dir =
     default_time_budget = None;
     kill_grace = 5.0;
     drain_grace = 10.0;
-    timeout_slack = 5.0;
   }
+
+(* Hard-backstop margin over a job's own time budget: the daemon
+   SIGTERMs at budget + slack (the worker should have stopped itself at
+   its budget). *)
+let timeout_slack = 5.0
 
 let socket_path cfg =
   match cfg.socket_path with
@@ -156,7 +159,7 @@ let start_job st (j : Job.t) =
     Unix.set_nonblock r;
     transition st j (Job.Running pid);
     let deadline =
-      Option.map (fun b -> now () +. b +. st.cfg.timeout_slack) j.Job.spec.Spec.time_budget
+      Option.map (fun b -> now () +. b +. timeout_slack) j.Job.spec.Spec.time_budget
     in
     Hashtbl.replace st.running pid
       {

@@ -13,6 +13,9 @@
     beyond it is rejected with [Overloaded] carrying a suggested
     backoff derived from queue depth and the rolling mean job duration.
 
+    Hard timeout: a job still running 5 s past its own [time_budget] is
+    SIGTERMed, and SIGKILLed [kill_grace] seconds later.
+
     Graceful drain: SIGTERM/SIGINT stop the daemon accepting
     connections, SIGTERM every worker (which checkpoints and exits with
     an interrupted result), park the interrupted jobs, and exit.
@@ -39,10 +42,6 @@ type config = {
   kill_grace : float;
       (** Seconds between the hard-timeout SIGTERM and the SIGKILL. *)
   drain_grace : float;  (** Seconds drain waits before SIGKILL. *)
-  timeout_slack : float;
-      (** Hard-backstop margin over a job's own [time_budget]: the
-          daemon SIGTERMs at [budget + slack] (the worker should have
-          stopped itself at [budget]). *)
 }
 
 val default_config : state_dir:string -> config

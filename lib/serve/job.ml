@@ -18,6 +18,11 @@ type t = {
   mutable updated_at : float;
 }
 
+let id_of_dirname name =
+  if String.length name = 12 && String.sub name 0 4 = "job-" then
+    int_of_string_opt (String.sub name 4 8)
+  else None
+
 (* --- JSON --- *)
 
 let state_to_json = function
@@ -31,7 +36,12 @@ let state_to_json = function
 let state_of_json_exn j =
   match J.dstr j "st" with
   | "queued" -> Queued
-  | "running" -> Running (J.dint j "pid")
+  | "running" ->
+    (* A recovering daemon SIGKILLs this pid; kill(2) reads 0 and -1 as
+       "the process group" and "every process". *)
+    let pid = J.dint j "pid" in
+    if pid <= 0 then J.fail "worker pid must be positive (got %d)" pid;
+    Running pid
   | "parked" -> Parked
   | "done" -> Done (J.dstr j "status")
   | "failed" -> Failed (J.dstr j "error")
@@ -55,8 +65,10 @@ let of_json =
   J.decode ~what:"job record" (fun j ->
       let s = J.dstr j "schema" in
       if s <> schema then J.fail "unknown job schema %s" s;
+      let id = J.dstr j "id" in
+      if id_of_dirname id = None then J.fail "malformed job id %S" id;
       {
-        id = J.dstr j "id";
+        id;
         spec = J.ok (Spec.of_json (J.get j "spec"));
         state = state_of_json_exn (J.get j "state");
         submitted_at = J.dfloat j "submitted_at";
@@ -84,11 +96,6 @@ let layout_file ~state_dir t = in_dir ~state_dir t "layout.ckpt"
 let log_file ~state_dir t = in_dir ~state_dir t "log.txt"
 
 let job_file ~state_dir t = in_dir ~state_dir t "job.json"
-
-let id_of_dirname name =
-  if String.length name = 12 && String.sub name 0 4 = "job-" then
-    int_of_string_opt (String.sub name 4 8)
-  else None
 
 let fresh_id ~state_dir =
   let next =

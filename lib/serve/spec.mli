@@ -27,7 +27,7 @@ type t = {
   scheme : Spr_arch.Segmentation.scheme;
   seed : int;
   effort : Spr_experiments.Profiles.effort;
-  flow : string;  (** Flow preset or [+]-joined stage chain. *)
+  flow : string;  (** Flow preset: [sa], [ap+sa], [ap+greedy+route] or [seq]. *)
   stage_budgets : (string * float) list;  (** Wall seconds per flow stage. *)
   replicas : int;
   exchange : Spr_anneal.Portfolio.exchange;

@@ -35,8 +35,6 @@ let add_edge t a b ~res =
   t.adj.(b) <- (a, res) :: t.adj.(b);
   t.n_edges <- t.n_edges + 1
 
-let n_nodes t = t.n
-
 (* Orient the undirected tree from [root] with BFS; nets can be deep
    chains, so no recursion anywhere below. *)
 let orient t ~root =

@@ -20,8 +20,6 @@ val add_cap : t -> node:int -> cap:float -> unit
 val add_edge : t -> int -> int -> res:float -> unit
 (** Undirected resistive connection. The final graph must be a tree. *)
 
-val n_nodes : t -> int
-
 val elmore : t -> root:int -> float array
 (** Per-node Elmore delay from [root]. Raises [Invalid_argument] if the
     graph is not a connected tree containing [root]. *)

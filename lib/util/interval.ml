@@ -18,8 +18,6 @@ let adjacent a b = a.hi + 1 = b.lo || b.hi + 1 = a.lo
 
 let hull a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
 
-let expand t n = { lo = t.lo - n; hi = t.hi + n }
-
 let clamp t ~lo ~hi =
   let lo' = max t.lo lo and hi' = min t.hi hi in
   assert (lo' <= hi');

@@ -27,9 +27,6 @@ val adjacent : t -> t -> bool
 val hull : t -> t -> t
 (** Smallest interval containing both. *)
 
-val expand : t -> int -> t
-(** [expand t n] grows each side by [n] (clamped below at nothing). *)
-
 val clamp : t -> lo:int -> hi:int -> t
 (** Intersect with [\[lo, hi\]]; requires a non-empty intersection. *)
 

@@ -47,13 +47,6 @@ let dump t = { d_n = t.n; d_mean = t.mean; d_m2 = t.m2; d_min = t.min_v; d_max =
 
 let restore d = { n = d.d_n; mean = d.d_mean; m2 = d.d_m2; min_v = d.d_min; max_v = d.d_max }
 
-let copy_into ~src ~dst =
-  dst.n <- src.n;
-  dst.mean <- src.mean;
-  dst.m2 <- src.m2;
-  dst.min_v <- src.min_v;
-  dst.max_v <- src.max_v
-
 let mean_of xs =
   match xs with
   | [] -> 0.0

@@ -49,7 +49,4 @@ val dump : t -> dump
 val restore : dump -> t
 (** Fresh accumulator in exactly the dumped state. *)
 
-val copy_into : src:t -> dst:t -> unit
-(** Overwrite [dst]'s state with [src]'s. *)
-
 val mean_of : float list -> float

@@ -101,10 +101,7 @@ let test_find_cover_examples () =
 
 let test_create_validation () =
   Alcotest.check_raises "bad dims" (Invalid_argument "Arch.create: non-positive dimensions")
-    (fun () -> ignore (Arch.create ~rows:0 ~cols:5 ~tracks:3 ()));
-  Alcotest.check_raises "vschemes length"
-    (Invalid_argument "Arch.create: vschemes length must equal vtracks") (fun () ->
-      ignore (Arch.create ~rows:3 ~cols:6 ~tracks:3 ~vtracks:2 ~vschemes:[| Arch.V_full |] ()))
+    (fun () -> ignore (Arch.create ~rows:0 ~cols:5 ~tracks:3 ()))
 
 let test_arch_shape () =
   let a = Arch.create ~rows:4 ~cols:12 ~tracks:6 () in
@@ -123,17 +120,18 @@ let test_arch_shape () =
   done;
   for col = 0 to a.Arch.cols - 1 do
     for vt = 0 to a.Arch.vtracks - 1 do
-      Alcotest.(check bool) "vseg partition" true
-        (is_partition (Arch.vsegments a ~col ~vtrack:vt) a.Arch.n_channels)
+      let segs = Arch.vsegments a ~col ~vtrack:vt in
+      Alcotest.(check bool) "vseg partition" true (is_partition segs a.Arch.n_channels);
+      (* the first half of the vtracks (rounded up) span every channel,
+         the rest are cut into spans of at most half the channels *)
+      if vt < (a.Arch.vtracks + 1) / 2 then
+        Alcotest.(check int) "full vtrack is one segment" 1 (Array.length segs)
+      else
+        Array.iter
+          (fun seg -> Alcotest.(check bool) "half-span bound" true (I.length seg <= 2))
+          segs
     done
   done
-
-let test_with_tracks () =
-  let a = Arch.create ~rows:3 ~cols:9 ~tracks:4 () in
-  let b = Arch.with_tracks a 7 in
-  Alcotest.(check int) "tracks changed" 7 b.Arch.tracks;
-  Alcotest.(check int) "rows kept" a.Arch.rows b.Arch.rows;
-  Alcotest.(check int) "cols kept" a.Arch.cols b.Arch.cols
 
 let test_size_for_fits =
   QCheck.Test.make ~name:"size_for produces a fabric that fits" ~count:25
@@ -158,25 +156,6 @@ let test_check_fits_errors () =
   match Arch.check_fits narrow io_heavy with
   | Error msg -> Alcotest.(check bool) "perimeter error" true (String.length msg > 0)
   | Ok () -> ()
-
-let test_custom_vschemes () =
-  let a =
-    Arch.create ~rows:5 ~cols:10 ~tracks:4 ~vtracks:3
-      ~vschemes:[| Arch.V_full; Arch.V_span 2; Arch.V_span 3 |] ()
-  in
-  (* vtrack 0 is one full segment; the others partition into spans *)
-  for col = 0 to a.Arch.cols - 1 do
-    Alcotest.(check int) "full vtrack one segment" 1
-      (Array.length (Arch.vsegments a ~col ~vtrack:0));
-    for vt = 0 to 2 do
-      Alcotest.(check bool) "vsegments partition channels" true
-        (is_partition (Arch.vsegments a ~col ~vtrack:vt) a.Arch.n_channels)
-    done;
-    (* spans bounded by the requested size *)
-    Array.iter
-      (fun seg -> Alcotest.(check bool) "span size bound" true (I.length seg <= 2))
-      (Arch.vsegments a ~col ~vtrack:1)
-  done
 
 let test_vtracks_scale () =
   let small = Gen.generate (Gen.default ~n_cells:100) ~seed:3 in
@@ -205,10 +184,8 @@ let () =
         [
           Alcotest.test_case "create validation" `Quick test_create_validation;
           Alcotest.test_case "shape and partitions" `Quick test_arch_shape;
-          Alcotest.test_case "with_tracks" `Quick test_with_tracks;
           Alcotest.test_case "check_fits errors" `Quick test_check_fits_errors;
           Alcotest.test_case "vtracks scale with rows" `Quick test_vtracks_scale;
-          Alcotest.test_case "custom vertical schemes" `Quick test_custom_vschemes;
           qtest test_size_for_fits;
         ] );
     ]

@@ -305,28 +305,28 @@ let test_fleet_stop_does_not_leak () =
   Alcotest.(check bool) "next run completes" true (next.Tool.status = Tool.Completed);
   Alcotest.(check bool) "next run anneals" true (next.Tool.anneal_report.Engine.n_moves > 100)
 
-(* A fleet of one reports wall-clock seconds as its wall time: a cancel
-   poll that sleeps between moves shows up in wall time, not in CPU. *)
+(* A fleet of one reports wall-clock seconds as its wall time: an event
+   hook that sleeps shows up in wall time, not in CPU. *)
 let test_wall_seconds_are_wall () =
   let arch, nl = small_case () in
   let slept = ref 0.0 in
-  let poll () =
+  let on_event _ =
     let t0 = Unix.gettimeofday () in
-    Unix.sleepf 0.002;
-    slept := !slept +. (Unix.gettimeofday () -. t0);
-    false
+    Unix.sleepf 0.03;
+    slept := !slept +. (Unix.gettimeofday () -. t0)
   in
   let config =
     Tool.Config.(
       quick_config (Nl.n_cells nl) |> with_validate false |> with_max_moves 150
-      |> with_cancel_poll poll)
+      |> with_on_event on_event)
   in
   let r = (Tool.run_exn ~config arch nl).Tool.p_report in
+  if !slept <= 0.0 then Alcotest.fail "the event hook never ran";
   if r.Spr_obs.Report.r_wall_seconds < !slept then
-    Alcotest.failf "wall %.3f s is below the %.3f s the poll slept" r.Spr_obs.Report.r_wall_seconds
+    Alcotest.failf "wall %.3f s is below the %.3f s the hook slept" r.Spr_obs.Report.r_wall_seconds
       !slept;
   if r.Spr_obs.Report.r_cpu_seconds >= !slept then
-    Alcotest.failf "cpu %.3f s counts the %.3f s the poll slept" r.Spr_obs.Report.r_cpu_seconds
+    Alcotest.failf "cpu %.3f s counts the %.3f s the hook slept" r.Spr_obs.Report.r_cpu_seconds
       !slept
 
 let test_dynamics_module () =

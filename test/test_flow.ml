@@ -58,27 +58,43 @@ let test_presets_resolve () =
       | Error e -> Alcotest.failf "preset %s rejected: %s" name e)
     Flow.preset_names
 
+(* Only the four presets run: an unknown name and a '+'-joined chain of
+   stages are refused alike. *)
 let test_bad_preset_rejected () =
-  let arch, nl, config = preset ~seed:3 () in
-  let config = Config.with_flow_preset "warp9" config in
-  match Flow.run ~config arch nl with
-  | Error (Tool.Invalid_config msg) ->
-    (* The error must teach: every valid preset is listed. *)
-    List.iter
-      (fun name ->
-        Alcotest.(check bool)
-          (Printf.sprintf "error lists %s" name)
-          true (contains ~needle:name msg))
-      Flow.preset_names
-  | Error e -> Alcotest.failf "wrong error class: %s" (Tool.error_to_string e)
-  | Ok _ -> Alcotest.fail "bogus preset accepted"
+  let arch, nl, base = preset ~seed:3 () in
+  List.iter
+    (fun flow ->
+      let config = Config.with_flow_preset flow base in
+      match Flow.run ~config arch nl with
+      | Error (Tool.Invalid_config msg) ->
+        (* The error must teach: every valid preset is listed. *)
+        List.iter
+          (fun name ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: error lists %s" flow name)
+              true (contains ~needle:name msg))
+          Flow.preset_names
+      | Error e -> Alcotest.failf "%s: wrong error class: %s" flow (Tool.error_to_string e)
+      | Ok _ -> Alcotest.failf "flow %s accepted" flow)
+    [ "warp9"; "greedy+sa" ]
 
 let test_bad_stage_budget_rejected () =
   let _, _, config = preset ~seed:3 () in
-  let config = Config.with_stage_budget "sa" (-2.0) config in
-  match Config.validated config with
+  (match Config.validated (Config.with_stage_budget "sa" (-2.0) config) with
   | Error msg -> Alcotest.(check bool) "mentions budget" true (String.length msg > 0)
-  | Ok _ -> Alcotest.fail "negative stage budget accepted"
+  | Ok _ -> Alcotest.fail "negative stage budget accepted");
+  (* sta runs one full analysis and reads no deadline, so a budget for
+     it would be silently ignored; the error names the stages that take
+     one. *)
+  let seq = Config.with_flow_preset "seq" config in
+  match Config.validated (Config.with_stage_budget "sta" 1.0 seq) with
+  | Error msg ->
+    List.iter
+      (fun stage ->
+        Alcotest.(check bool) (Printf.sprintf "error names %s: %s" stage msg) true
+          (contains ~needle:stage msg))
+      [ "sta"; "ap"; "greedy"; "route"; "sa" ]
+  | Ok _ -> Alcotest.fail "stage budget for sta accepted"
 
 let test_stage_budget_builder_overwrites () =
   let _, _, config = preset ~seed:3 () in
@@ -231,6 +247,48 @@ let test_corrupt_seed_temperature_reprobes () =
             resumed.Flow.f_critical_delay)
         [ ("NaN", Float.nan); ("-1", -1.0); ("0", 0.0) ])
 
+(* flow.json is read back on every resume. Every truncation, byte flip
+   and value splice of a finished seq run's manifest (883 mutants, about
+   3 s under a short anneal) must resume from a stage checkpoint or
+   start fresh — both land on the uninterrupted run's layout — and never
+   raise. *)
+let test_flow_json_mutations () =
+  let nl = Gen.generate (Gen.default ~n_cells:12) ~seed:6 in
+  let arch = Arch.size_for ~tracks:8 nl in
+  let dir = "flow-json-fuzz" in
+  let config =
+    Config.(
+      default |> with_seed 6 |> with_flow_preset "seq"
+      |> with_anneal
+           { (Engine.default_config ~n:12) with Engine.moves_per_temp = 40; max_temperatures = 4 })
+  in
+  let flow_json = Filename.concat dir "flow.json" in
+  rmrf dir;
+  Fun.protect
+    ~finally:(fun () -> rmrf dir)
+    (fun () ->
+      let reference = Flow.run_exn ~config:(Config.with_run_dir dir config) arch nl in
+      let layout = Rs.snapshot reference.Flow.f_route in
+      let text = In_channel.with_open_bin flow_json In_channel.input_all in
+      let restored = ref 0 and fresh = ref 0 in
+      List.iter
+        (fun mutant ->
+          Out_channel.with_open_bin flow_json (fun oc -> output_string oc mutant);
+          match Flow.run ~config ~resume_dir:dir arch nl with
+          | exception e ->
+            Alcotest.failf "resume raised %s on flow.json:\n%s" (Printexc.to_string e) mutant
+          | Error e ->
+            Alcotest.failf "resume failed (%s) on flow.json:\n%s" (Tool.error_to_string e) mutant
+          | Ok r ->
+            if Rs.snapshot r.Flow.f_route <> layout then
+              Alcotest.failf "resume left the reference layout on flow.json:\n%s" mutant;
+            if List.exists (fun s -> s.Flow.sg_detail = "restored from checkpoint") r.Flow.f_stages
+            then incr restored
+            else incr fresh)
+        (Mutate.all ~values:Mutate.json_values text);
+      Alcotest.(check bool) "some mutants resumed from a stage checkpoint" true (!restored > 0);
+      Alcotest.(check bool) "some mutants started fresh" true (!fresh > 0))
+
 (* A Ctrl-C that lands during an earlier stage is still pending when
    the sa stage starts, so the anneal stops after its first move. *)
 let test_interrupt_survives_earlier_stage () =
@@ -313,6 +371,8 @@ let () =
             test_interrupt_survives_earlier_stage;
           Alcotest.test_case "a corrupted seed temperature is re-probed" `Quick
             test_corrupt_seed_temperature_reprobes;
+          Alcotest.test_case "flow.json truncations, flips and value splices resume or start fresh"
+            `Quick test_flow_json_mutations;
         ] );
       ( "serve",
         [

@@ -14,16 +14,11 @@ let small_case ?(n_cells = 60) ?(seed = 7) ?(tracks = 20) () =
   let arch = Arch.size_for ~tracks nl in
   (arch, nl)
 
-let quick_place n =
+let quick_anneal n =
   {
-    Seq_place.default_config with
-    Seq_place.anneal =
-      Some
-        {
-          (Engine.default_config ~n) with
-          Engine.moves_per_temp = max 200 (4 * n);
-          max_temperatures = 40;
-        };
+    (Engine.default_config ~n) with
+    Engine.moves_per_temp = max 200 (4 * n);
+    max_temperatures = 40;
   }
 
 let test_placer_reduces_wirelength () =
@@ -31,7 +26,7 @@ let test_placer_reduces_wirelength () =
   (* random placement wirelength as the baseline *)
   let random_place = P.create_exn arch nl ~rng:(Rng.create 99) in
   let wl_random = Seq_place.wirelength random_place in
-  match Seq_place.run ~config:(quick_place (Nl.n_cells nl)) arch nl with
+  match Seq_place.run ~seed:1 ~anneal:(quick_anneal (Nl.n_cells nl)) arch nl with
   | Error e -> Alcotest.fail e
   | Ok (place, report) ->
     let wl = Seq_place.wirelength place in
@@ -44,7 +39,7 @@ let test_placer_reduces_wirelength () =
 
 let test_placer_keeps_default_pinmaps () =
   let arch, nl = small_case () in
-  match Seq_place.run ~config:(quick_place (Nl.n_cells nl)) arch nl with
+  match Seq_place.run ~seed:1 ~anneal:(quick_anneal (Nl.n_cells nl)) arch nl with
   | Error e -> Alcotest.fail e
   | Ok (place, _) ->
     for c = 0 to Nl.n_cells nl - 1 do
@@ -53,7 +48,7 @@ let test_placer_keeps_default_pinmaps () =
 
 let test_seq_route_completes () =
   let arch, nl = small_case ~tracks:26 () in
-  match Seq_place.run ~config:(quick_place (Nl.n_cells nl)) arch nl with
+  match Seq_place.run ~seed:1 ~anneal:(quick_anneal (Nl.n_cells nl)) arch nl with
   | Error e -> Alcotest.fail e
   | Ok (place, _) ->
     let st = Rs.create place in
@@ -67,7 +62,7 @@ let test_seq_route_beats_plain_route_all () =
   (* The rip-up-and-retry loop should never leave more nets unrouted
      than a plain route_all on the same placement. *)
   let arch, nl = small_case ~tracks:12 () in
-  match Seq_place.run ~config:(quick_place (Nl.n_cells nl)) arch nl with
+  match Seq_place.run ~seed:1 ~anneal:(quick_anneal (Nl.n_cells nl)) arch nl with
   | Error e -> Alcotest.fail e
   | Ok (place, _) ->
     let plain = Rs.create place in
@@ -83,7 +78,7 @@ let test_seq_route_beats_plain_route_all () =
 let seq_config ~seed n =
   Spr_core.Tool.Config.(
     default |> with_seed seed
-    |> with_anneal (Option.get (quick_place n).Seq_place.anneal)
+    |> with_anneal (quick_anneal n)
     |> with_flow_preset "seq")
 
 let test_flow_end_to_end () =
@@ -127,7 +122,7 @@ let test_flow_rejects_cycles () =
 
 let test_placer_bookkeeping_oracle () =
   let arch, nl = small_case () in
-  match Seq_place.self_test Seq_place.default_config arch nl ~seed:21 with
+  match Seq_place.self_test arch nl ~seed:21 with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 

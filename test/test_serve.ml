@@ -10,6 +10,7 @@ module Frame = Spr_serve.Frame
 module Protocol = Spr_serve.Protocol
 module Job = Spr_serve.Job
 module Spec = Spr_serve.Spec
+module Worker = Spr_serve.Worker
 module Client = Spr_serve.Client
 module Json = Spr_obs.Json
 module Trace = Spr_obs.Trace
@@ -249,6 +250,68 @@ let test_job_store () =
     Alcotest.(check string) "label round-trips" "b" b'.Job.spec.Spec.label
   | _ -> Alcotest.fail "scan order");
   rmrf state_dir
+
+(* The job record loader's property: on any input it returns [Error] or
+   a job whose id names a job directory, whose worker pid (a recovering
+   daemon SIGKILLs it) is positive, and whose spec [Spec.validate] and
+   [Spec.config] take without raising. *)
+let job_loads_as_error_or_valid text =
+  let loaded =
+    try Ok (Result.bind (Json.parse text) Job.of_json)
+    with e -> Error (Printexc.to_string e)
+  in
+  match loaded with
+  | Error e -> Alcotest.failf "job loader raised %s on:\n%s" e text
+  | Ok (Error _) -> ()
+  | Ok (Ok j) -> (
+    if not (String.length j.Job.id = 12 && String.starts_with ~prefix:"job-" j.Job.id) then
+      Alcotest.failf "job loader accepted id %S from:\n%s" j.Job.id text;
+    (match j.Job.state with
+    | Job.Running pid when pid <= 0 ->
+      Alcotest.failf "job loader accepted pid %d from:\n%s" pid text
+    | _ -> ());
+    try ignore (Spec.validate j.Job.spec, Spec.config j.Job.spec ~n:100)
+    with e -> Alcotest.failf "loaded spec raised %s on:\n%s" (Printexc.to_string e) text)
+
+let test_job_mutations () =
+  let spec =
+    { Spec.default with label = "fz"; flow = "ap+sa"; stage_budgets = [ ("sa", 2.5) ] }
+  in
+  List.iter
+    (fun state ->
+      let job =
+        { Job.id = "job-00000042"; spec; state; submitted_at = 1.5; updated_at = 2.25 }
+      in
+      let text = Json.to_string (Job.to_json job) in
+      List.iter job_loads_as_error_or_valid (Mutate.all ~values:Mutate.json_values text))
+    [ Job.Running 4242; Job.Done "completed" ]
+
+(* The daemon reads outcome.json to finish a job whose result frame it
+   missed: any bytes there must read as an outcome or an [Error]. *)
+let test_outcome_mutations () =
+  let path = "serve-outcome-fuzz.json" in
+  let report = Json.Obj [ ("schema", Json.String "spr-report-1"); ("wall_s", Json.Float 1.5) ] in
+  let outcomes =
+    [
+      Worker.outcome_to_json ~ok:true ~status:(Some "completed") ~error:None ~report:(Some report);
+      Worker.outcome_to_json ~ok:false ~status:None ~error:(Some "worker raised") ~report:None;
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      List.iter
+        (fun json ->
+          let text = Json.to_string ~indent:true json ^ "\n" in
+          List.iter
+            (fun mutant ->
+              Out_channel.with_open_bin path (fun oc -> output_string oc mutant);
+              match Worker.read_outcome path with
+              | Ok _ | Error _ -> ()
+              | exception e ->
+                Alcotest.failf "outcome loader raised %s on:\n%s" (Printexc.to_string e) mutant)
+            (Mutate.all ~values:Mutate.json_values text))
+        outcomes)
 
 (* --- end-to-end helpers --- *)
 
@@ -703,7 +766,14 @@ let () =
           Alcotest.test_case "truncations, flips and value splices load as Error or valid" `Quick
             test_spec_mutations;
         ] );
-      ("job-store", [ Alcotest.test_case "durable records, scan diagnostics" `Quick test_job_store ]);
+      ( "job-store",
+        [
+          Alcotest.test_case "durable records, scan diagnostics" `Quick test_job_store;
+          Alcotest.test_case "job.json truncations, flips and value splices load as Error or valid"
+            `Quick test_job_mutations;
+          Alcotest.test_case "outcome.json truncations, flips and value splices never raise"
+            `Quick test_outcome_mutations;
+        ] );
       ( "service",
         [
           Alcotest.test_case "submit streams and completes" `Quick test_submit_completes;
