@@ -338,10 +338,10 @@ let route spec_flags (run : run_flags) (o : outputs) =
     in
     (match run.resume, run_dir with
     | Some dir, _ ->
-      (* Each replica continues from its own newest loadable snapshot
-         (or restarts from scratch without one) and recorded rounds
-         replay from the run directory; a multi-stage flow first skips
-         the stages flow.json records as done. *)
+      (* A multi-stage flow first skips to its latest loadable stage
+         checkpoint; then each sa replica continues from its own newest
+         loadable snapshot (or restarts from scratch without one) and
+         recorded rounds replay from the run directory. *)
       Printf.printf "resuming flow %s with %d replica%s from %s\n%!" spec.flow spec.replicas
         (if spec.replicas = 1 then "" else "s")
         dir
@@ -353,8 +353,10 @@ let route spec_flags (run : run_flags) (o : outputs) =
      design's bytes are not kept alive through it. *)
   let outcome =
     let* flow, config, arch, nl, run_dir = prepared in
-    Spr_core.Tool.install_signal_handlers ();
-    match Spr_flow.run ~config ?resume_dir:run.resume arch nl with
+    match
+      Spr_core.Tool.with_signal_handlers (fun () ->
+          Spr_flow.run ~config ?resume_dir:run.resume arch nl)
+    with
     | Error e ->
       Error (Printf.sprintf "flow %s failed: %s" flow (Spr_core.Tool.error_to_string e))
     | Ok r -> print_result ~flow ~config ~run_dir o nl r

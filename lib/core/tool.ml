@@ -16,21 +16,33 @@ type config = Config.t
 
 let default_config = Config.default
 
-type stop_reason = Outcome.stop_reason = Time_budget | Move_budget | Interrupt
+type stop_reason = Time_budget | Move_budget | Interrupt
 
-type status = Outcome.status = Completed | Interrupted of stop_reason
+type status = Completed | Interrupted of stop_reason
 
-let stop_reason_to_string = Outcome.stop_reason_to_string
+let stop_reason_to_string = function
+  | Time_budget -> "time budget"
+  | Move_budget -> "move budget"
+  | Interrupt -> "interrupt"
 
-type error = Outcome.error =
+let status_to_string = function
+  | Completed -> "completed"
+  | Interrupted reason -> Printf.sprintf "interrupted (%s)" (stop_reason_to_string reason)
+
+type error =
   | Invalid_config of string
   | Invalid_design of string
   | Audit_failed of Spr_check.Finding.t list
   | Resume_failed of string
 
-exception Tool_error = Outcome.Error
+exception Tool_error of error
 
-let error_to_string = Outcome.error_to_string
+let error_to_string = function
+  | Invalid_config msg -> "invalid configuration: " ^ msg
+  | Invalid_design msg -> "invalid design: " ^ msg
+  | Audit_failed findings ->
+    "invariant audit failed:\n" ^ Spr_check.Finding.summarize findings
+  | Resume_failed msg -> "resume failed: " ^ msg
 
 (* --- graceful interruption ---
    Set only by a signal or [request_interrupt]: a fleet spreads one
@@ -46,15 +58,10 @@ let reset_interrupt () = Atomic.set interrupt_flag false
 
 let interrupt_requested () = Atomic.get interrupt_flag
 
-let install_signal_handlers () =
-  let handle _ = request_interrupt () in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
-
-(* Re-entrant variant for embedders (the service daemon, tests, any
-   host process with its own signal discipline): the previous SIGINT
-   and SIGTERM behaviours are saved and restored however the thunk
-   exits, so a nested run cannot clobber the host's handlers. *)
+(* SIGINT and SIGTERM raise the flag while the thunk runs. The previous
+   behaviours are saved and restored however the thunk exits, so a run
+   hosted by another process (the service worker, tests) cannot clobber
+   the host's handlers. *)
 let with_signal_handlers f =
   let handle _ = request_interrupt () in
   let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle handle) in
@@ -137,6 +144,17 @@ let timing_router ~(config : Config.t) ~sta nl =
     { config.router with Router.criticality = Some crit }
   end
 
+(* The move pipeline around a canonical layout, fresh, resumed or
+   adopted. The router's criticality closure captures [sta], so every
+   new timing picture needs a new pipeline. *)
+let new_pipeline ?profile ~(config : Config.t) ~weights rs sta =
+  Move_pipeline.create ?profile
+    ~router:(timing_router ~config ~sta (P.netlist (Rs.place rs)))
+    ~pinmap_move_prob:config.moves.pinmap_move_prob
+    ~enable_pinmap_moves:config.moves.enable_pinmap_moves
+    ~max_swap_tries:config.moves.max_swap_tries ~place:(Rs.place rs) ~rs ~sta ~weights
+    ~journal:(J.create ()) ()
+
 (* A replica's view of the fleet it runs in. *)
 type replica_ctx = {
   rep_index : int;
@@ -152,9 +170,7 @@ type replica_ctx = {
 (* Swap the session onto a broadcast layout: decode it, rebuild the
    timing picture canonically, and build a fresh pipeline around the
    new state — continuing the existing profile, weights, dynamics and
-   RNG stream. The criticality closure inside the router config
-   captures the STA, so the pipeline rebuild also re-derives the
-   router config. *)
+   RNG stream. *)
 let adopt_layout ~(config : Config.t) s (r : Scheduler.round_record) =
   let nl = P.netlist s.place in
   match Checkpoint.of_string nl r.Scheduler.payload with
@@ -166,13 +182,7 @@ let adopt_layout ~(config : Config.t) s (r : Scheduler.round_record) =
     let place = Rs.place rs in
     let sta = Sta.create config.delay_model rs in
     let pipeline =
-      Move_pipeline.create
-        ~profile:(Move_pipeline.profile s.pipeline)
-        ~router:(timing_router ~config ~sta nl)
-        ~pinmap_move_prob:config.moves.pinmap_move_prob
-        ~enable_pinmap_moves:config.moves.enable_pinmap_moves
-        ~max_swap_tries:config.moves.max_swap_tries ~place ~rs ~sta ~weights:s.weights
-        ~journal:(J.create ()) ()
+      new_pipeline ~profile:(Move_pipeline.profile s.pipeline) ~config ~weights:s.weights rs sta
     in
     s.place <- place;
     s.rs <- rs;
@@ -428,7 +438,7 @@ let run_session ?resume ?start_temperature ~ctx ~(config : Config.t) ~rng ~t_sta
       Spr_obs.Report.r_label = run_label config;
       r_seed = config.seed;
       r_replicas = 1;
-      r_status = Outcome.status_to_string status;
+      r_status = status_to_string status;
       r_fully_routed = Rs.fully_routed rs;
       r_g_unrouted = g;
       r_d_unrouted = d;
@@ -495,20 +505,13 @@ let run_fresh ?seed_place ?start_temperature ~ctx ~(config : Config.t) arch nl =
         ~d_per_net:config.weights.d_per_net ~t_emphasis:config.weights.t_emphasis
         ~initial_delay ()
     in
-    let pipeline =
-      Move_pipeline.create ~router:(timing_router ~config ~sta nl)
-        ~pinmap_move_prob:config.moves.pinmap_move_prob
-        ~enable_pinmap_moves:config.moves.enable_pinmap_moves
-        ~max_swap_tries:config.moves.max_swap_tries ~place ~rs ~sta ~weights
-        ~journal:(J.create ()) ()
-    in
     let s =
       {
         place;
         rs;
         sta;
         weights;
-        pipeline;
+        pipeline = new_pipeline ~config ~weights rs sta;
         dyn = Dynamics.create ~n_cells:(Spr_netlist.Netlist.n_cells nl);
         accepted_since_audit = 0;
       }
@@ -536,20 +539,13 @@ let run_resumed ~ctx ~(config : Config.t) ~(resume : Checkpoint.V2.loaded) nl =
     let sta = Sta.create config.delay_model rs in
     let rng = Spr_util.Rng.of_state data.Checkpoint.V2.rng_state in
     let weights = Spr_anneal.Weights.restore data.Checkpoint.V2.weights in
-    let pipeline =
-      Move_pipeline.create ~router:(timing_router ~config ~sta nl)
-        ~pinmap_move_prob:config.moves.pinmap_move_prob
-        ~enable_pinmap_moves:config.moves.enable_pinmap_moves
-        ~max_swap_tries:config.moves.max_swap_tries ~place ~rs ~sta ~weights
-        ~journal:(J.create ()) ()
-    in
     let s =
       {
         place;
         rs;
         sta;
         weights;
-        pipeline;
+        pipeline = new_pipeline ~config ~weights rs sta;
         dyn =
           Dynamics.restore ~n_cells ~flags:data.Checkpoint.V2.dyn_flags
             ~samples:data.Checkpoint.V2.dyn_samples;
@@ -578,7 +574,7 @@ let replica_end_event ~replica (r : result) =
     ev =
       Spr_obs.Trace.Replica_end
         {
-          status = Outcome.status_to_string r.status;
+          status = status_to_string r.status;
           g = r.g;
           d = r.d;
           delay_ns = r.critical_delay;
@@ -619,7 +615,7 @@ let trace_events ~(config : Config.t) nl (p : fleet) =
     run_event
       (Spr_obs.Trace.Run_end
          {
-           status = Outcome.status_to_string best.status;
+           status = status_to_string best.status;
            g = best.g;
            d = best.d;
            delay_ns = best.critical_delay;

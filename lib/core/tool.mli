@@ -20,7 +20,7 @@
     files. Running again with [?resume_dir] continues from the newest
     loadable snapshot mid-schedule, bit-identically to the
     uninterrupted run. Budgets and {!request_interrupt} (or the
-    SIGINT/SIGTERM handlers from {!install_signal_handlers}) stop the
+    SIGINT/SIGTERM handlers of {!with_signal_handlers}) stop the
     run between moves — the in-flight move always completes — write a
     final checkpoint, and return the best layout seen so far tagged
     [Interrupted].
@@ -46,13 +46,16 @@ val default_config : config
 
 (** {1 Outcomes}
 
-    Stop reasons, statuses and errors are defined once in {!Outcome}
-    and re-exported here by type equation, so [Tool.Completed],
-    [Outcome.Completed] and friends are the same constructors. *)
+    How a run ends: every entry point of the core and flow layers, and
+    the CLI and service worker on top of them, report success, early
+    stops and failures with these types. *)
 
-type stop_reason = Outcome.stop_reason = Time_budget | Move_budget | Interrupt
+type stop_reason =
+  | Time_budget  (** wall-clock budget exhausted *)
+  | Move_budget  (** cumulative move budget exhausted *)
+  | Interrupt  (** signal, {!request_interrupt}, or fault injection *)
 
-type status = Outcome.status =
+type status =
   | Completed
   | Interrupted of stop_reason
       (** The run stopped early; the result holds the best-so-far
@@ -61,7 +64,11 @@ type status = Outcome.status =
 
 val stop_reason_to_string : stop_reason -> string
 
-type error = Outcome.error =
+val status_to_string : status -> string
+(** ["completed"] or ["interrupted (<reason>)"]: the status text of
+    reports, traces and the service's outcomes. *)
+
+type error =
   | Invalid_config of string
       (** {!Config.validated} rejected the configuration. *)
   | Invalid_design of string
@@ -72,8 +79,7 @@ type error = Outcome.error =
   | Resume_failed of string  (** The snapshot does not match the design. *)
 
 exception Tool_error of error
-(** Raised only by the [_exn] entry points. The same exception as
-    {!Outcome.Error} (a rebinding), so either name catches it. *)
+(** Raised only by the [_exn] entry points. *)
 
 val error_to_string : error -> string
 
@@ -133,6 +139,10 @@ type fleet = {
 
 val best_result : fleet -> result
 (** [p.p_results.(p.p_best_replica)]. *)
+
+val best_metric : rs:Spr_route.Route_state.t -> sta:Spr_timing.Sta.t -> float
+(** The weight-independent metric behind [best_cost]: unrouted nets
+    (G + D) times 1e9 plus the critical delay in ns. *)
 
 val run :
   ?config:config ->
@@ -198,9 +208,10 @@ val audit_result : result -> Spr_check.Finding.t list
     Only a signal or {!request_interrupt} raises it — a fleet spreads
     one replica's own stop through a per-run flag — so it stays raised
     until {!reset_interrupt}, and a Ctrl-C during an earlier flow stage
-    still stops the anneal. The CLI installs handlers so Ctrl-C
-    finishes the in-flight moves, writes final checkpoints and returns
-    the best-so-far result instead of dying mid-update. *)
+    still stops the anneal. The CLI and the service worker run their
+    flow inside {!with_signal_handlers}, so Ctrl-C or SIGTERM finishes
+    the in-flight moves, writes final checkpoints and returns the
+    best-so-far result instead of dying mid-update. *)
 
 val request_interrupt : unit -> unit
 
@@ -208,13 +219,8 @@ val reset_interrupt : unit -> unit
 
 val interrupt_requested : unit -> bool
 
-val install_signal_handlers : unit -> unit
-(** Route SIGINT and SIGTERM to {!request_interrupt}. Process-wide and
-    permanent — for a plain CLI run that owns the process. Embedders
-    should prefer {!with_signal_handlers}. *)
-
 val with_signal_handlers : (unit -> 'a) -> 'a
-(** Re-entrant form: install the interrupt handlers for the duration of
-    the thunk and restore the {e previous} SIGINT/SIGTERM behaviours
-    afterwards (exception-safe), so nested or daemon-hosted runs do not
-    clobber the host process's signal discipline. *)
+(** Route SIGINT and SIGTERM to {!request_interrupt} for the duration
+    of the thunk and restore the {e previous} behaviours afterwards
+    (exception-safe), so a nested or daemon-hosted run does not clobber
+    the host process's signal discipline. *)

@@ -5,7 +5,6 @@ module Tool = Spr_core.Tool
 module C = Spr_core.Tool.Config
 module Checkpoint = Spr_core.Checkpoint
 module Trace = Spr_obs.Trace
-module J = Spr_obs.Json
 module Ap_place = Ap_place
 
 type stage_record = {
@@ -49,7 +48,6 @@ type st = {
   mutable fleet : Tool.fleet option;
   mutable stages : stage_record list;  (* reversed *)
   mutable flow_events : Trace.event list;
-  mutable completed : string list;  (* reversed *)
 }
 
 let fresh_st () =
@@ -61,7 +59,6 @@ let fresh_st () =
     fleet = None;
     stages = [];
     flow_events = [];
-    completed = [];
   }
 
 let push_stage st ~name ~seconds ~detail =
@@ -89,76 +86,39 @@ let stage_deadline (config : C.t) name =
 
 (* --- stage-boundary persistence ---
 
-   [flow.json] records which stages of which preset have completed and
-   the probed seed temperature (bit-exact hex); each completed stage
-   leaves a v1 layout checkpoint next to it. The in-flight sa stage
-   additionally rides the existing V2 snapshot machinery through
-   [Tool.run ~resume_dir]. *)
-
-let flow_schema = "spr-flow-1"
-
-let flow_file dir = Filename.concat dir "flow.json"
+   Every completed stage that produces a layout ([ap], [greedy],
+   [route]) leaves a v1 layout checkpoint [stage-NN-<stage>.ckpt] in the
+   run directory, the last stage of a preset included; these files are
+   the flow's only progress record. [sta] is recomputed on resume, and
+   [sa] resumes from its own V2 snapshots through [Tool.run
+   ~resume_dir]. *)
 
 let stage_ckpt dir idx name = Filename.concat dir (Printf.sprintf "stage-%02d-%s.ckpt" idx name)
 
-let write_flow_state ~dir ~preset st =
-  let json =
-    J.Obj
-      [
-        ("schema", J.String flow_schema);
-        ("preset", J.String preset);
-        ("completed", J.List (List.rev_map (fun s -> J.String s) st.completed));
-        ( "seed_temperature",
-          match st.seed_temp with
-          | None -> J.Null
-          | Some t -> J.String (Spr_util.Persist.float_to_hex t) );
-      ]
-  in
-  Spr_util.Persist.ensure_dir dir;
-  Spr_util.Persist.atomic_write (flow_file dir) (J.to_string ~indent:true json ^ "\n")
+let leaves_checkpoint = function "ap" | "greedy" | "route" -> true | _ -> false
 
-type flow_state = {
-  fs_completed : string list;
-  fs_seed_temp : float option;
-}
-
-(* Only a finite, positive seed temperature is trusted; anything else
-   reads as absent, so the resumed flow re-probes and replays the
-   uninterrupted run. *)
-let read_flow_state ~dir ~preset =
-  let path = flow_file dir in
-  Result.bind (Spr_util.Persist.read_file path) (fun text ->
-      Result.map_error (Printf.sprintf "%s: %s" path)
-        (Result.bind (J.parse text)
-           (J.decode ~what:"flow state" (fun j ->
-                let schema = J.dstr j "schema" in
-                if schema <> flow_schema then J.fail "unknown schema %s" schema;
-                let p = J.dstr j "preset" in
-                if p <> preset then J.fail "flow is for preset %s, not %s" p preset;
-                let seed_temp =
-                  match J.member "seed_temperature" j with
-                  | Some (J.String h) -> (
-                    match Spr_util.Persist.float_of_hex h with
-                    | Some t when Float.is_finite t && t > 0.0 -> Some t
-                    | _ -> None)
-                  | _ -> None
-                in
-                let completed = J.dlist j "completed" in
-                {
-                  fs_completed = List.map (J.expect "string" J.to_str "completed") completed;
-                  fs_seed_temp = seed_temp;
-                }))))
-
-(* Persist a completed non-final stage: its layout (an unrouted state
-   when the stage only placed) plus the updated flow manifest. *)
+(* The layout of a completed stage: an unrouted state when the stage
+   only placed. *)
 let persist_stage ~(config : C.t) ~idx ~name st =
   match config.C.persistence.C.run_dir with
   | None -> ()
   | Some dir ->
     let rs = match st.rs with Some rs -> rs | None -> Rs.create (Option.get st.place) in
     Spr_util.Persist.ensure_dir dir;
-    Checkpoint.save rs (stage_ckpt dir idx name);
-    write_flow_state ~dir ~preset:config.C.flow.C.preset st
+    Checkpoint.save rs (stage_ckpt dir idx name)
+
+(* Checkpoints of the stages a run is about to execute were left by an
+   earlier run in the same directory; a kill before this run rewrites
+   them must not resume onto that run's layouts. *)
+let drop_stale ~(config : C.t) ~from stages =
+  Option.iter
+    (fun dir ->
+      List.iteri
+        (fun idx name ->
+          let path = stage_ckpt dir idx name in
+          if idx >= from && Sys.file_exists path then Sys.remove path)
+        stages)
+    config.C.persistence.C.run_dir
 
 (* --- seed temperature probe ---
 
@@ -167,7 +127,9 @@ let persist_stage ~(config : C.t) ~idx ~name st =
    always reject) a batch of moves through a throwaway pipeline,
    measuring the uphill deltas under the same composite cost the
    anneal will use. T0 = avg_uphill / -ln(chi_seeded). Runs with a
-   dedicated rng, so it never perturbs the real run. *)
+   dedicated rng, so it never perturbs the real run, and depends only on
+   the seed placement and the config, so a resume re-probes the T0 of
+   the uninterrupted run. *)
 
 let probe_temperature ~(config : C.t) arch nl ~slots ~pinmaps =
   match P.create_from arch nl ~slots ~pinmaps with
@@ -310,25 +272,19 @@ let run_sta st ~(config : C.t) ~want_events =
    output is deferred: the sa sub-run records events in memory (when a
    trace was requested) and the flow assembles the final file, so the
    stage spans of the whole flow land in one [spr-trace-1] stream. *)
-let run_sa st ~(config : C.t) ~(orig : C.t) ?resume_dir ~multi_stage arch nl =
-  let seed =
-    match st.place with Some place -> Some (seed_data place nl) | None -> None
-  in
-  (match seed, st.seed_temp with
-  | Some (slots, pinmaps), None ->
-    let (), _ =
-      record_stage st ~want_events:(multi_stage && orig.C.obs.C.trace_path <> None)
-        ~name:"probe" (fun () ->
-          st.seed_temp <- probe_temperature ~config arch nl ~slots ~pinmaps)
-    in
-    (* The temperature must survive a crash inside sa: a replica that
-       lost its V2 snapshots restarts the seeded anneal and must melt
-       to the same schedule. *)
-    (match config.C.persistence.C.run_dir with
-    | Some dir -> write_flow_state ~dir ~preset:config.C.flow.C.preset st
-    | None -> ())
-  | _ -> ());
-  let seed_place = seed in
+let run_sa st ~(config : C.t) ~want_events ?resume_dir ~multi_stage arch nl =
+  let seed_place = Option.map (fun place -> seed_data place nl) st.place in
+  (* Probed on every run, resumes included: a replica that lost its V2
+     snapshots restarts the seeded anneal and must open at the
+     uninterrupted run's T0. *)
+  Option.iter
+    (fun (slots, pinmaps) ->
+      let t0, _ =
+        record_stage st ~want_events ~name:"probe" (fun () ->
+            probe_temperature ~config arch nl ~slots ~pinmaps)
+      in
+      st.seed_temp <- t0)
+    seed_place;
   let start_temperature = st.seed_temp in
   (* A seeded anneal starts past the melt, so the full cooling-count
      cap (sized for melt -> freeze) would let it wander for the whole
@@ -375,11 +331,7 @@ let run_sa st ~(config : C.t) ~(orig : C.t) ?resume_dir ~multi_stage arch nl =
       {
         config with
         C.obs =
-          {
-            config.C.obs with
-            C.trace_path = None;
-            record = config.C.obs.C.record || orig.C.obs.C.trace_path <> None;
-          };
+          { config.C.obs with C.trace_path = None; record = config.C.obs.C.record || want_events };
       }
     else config
   in
@@ -406,35 +358,28 @@ let run_sa st ~(config : C.t) ~(orig : C.t) ?resume_dir ~multi_stage arch nl =
 
 (* --- resume --- *)
 
-(* Skip the longest prefix of [stages] that a previous run completed,
-   restoring the last completed stage's layout. Unloadable state means
-   a fresh start (mirroring [Tool.run]'s per-replica fallback):
-   determinism replays the lost trajectory. *)
-let restore ~resume_dir ~preset ~stages st nl =
-  match read_flow_state ~dir:resume_dir ~preset with
-  | Error _ -> 0
-  | Ok fs ->
-    let rec prefix i = function
-      | s :: rest, c :: crest when s = c -> prefix (i + 1) (rest, crest)
-      | _ -> i
-    in
-    let k = prefix 0 (stages, fs.fs_completed) in
-    st.seed_temp <- fs.fs_seed_temp;
-    if k = 0 then 0
-    else begin
-      let name = List.nth stages (k - 1) in
-      match Checkpoint.load nl (stage_ckpt resume_dir (k - 1) name) with
-      | Error _ -> 0
+(* Restore the latest stage checkpoint that loads, trying earlier ones
+   when it does not, and return how many stages it skips; with none, the
+   flow starts fresh (mirroring [Tool.run]'s per-replica fallback).
+   Determinism replays whatever was lost. *)
+let restore ~resume_dir ~stages st nl =
+  let rec latest = function
+    | [] -> 0
+    | (idx, name) :: earlier -> (
+      match Checkpoint.load nl (stage_ckpt resume_dir idx name) with
+      | Error _ -> latest earlier
       | Ok rs ->
         st.place <- Some (Rs.place rs);
         st.rs <- Some rs;
-        st.completed <- List.rev (List.filteri (fun i _ -> i < k) stages);
         List.iteri
           (fun i s ->
-            if i < k then push_stage st ~name:s ~seconds:0.0 ~detail:"restored from checkpoint")
+            if i <= idx then push_stage st ~name:s ~seconds:0.0 ~detail:"restored from checkpoint")
           stages;
-        k
-    end
+        idx + 1)
+  in
+  List.mapi (fun idx name -> (idx, name)) stages
+  |> List.filter (fun (_, name) -> leaves_checkpoint name)
+  |> List.rev |> latest
 
 (* --- trace assembly --- *)
 
@@ -453,7 +398,7 @@ let write_flow_trace ~(orig : C.t) ~path st nl wall_seconds =
     let sta = Option.get st.sta in
     let g = Rs.g_count rs and d = Rs.d_count rs in
     let delay_ns = Sta.critical_delay sta in
-    let best_cost = (float_of_int (g + d) *. 1e9) +. delay_ns in
+    let best_cost = Tool.best_metric ~rs ~sta in
     let start =
       fleet
         (Trace.Run_start
@@ -465,10 +410,8 @@ let write_flow_trace ~(orig : C.t) ~path st nl wall_seconds =
              n_nets = Spr_netlist.Netlist.n_nets nl;
            })
     in
-    let stop =
-      fleet
-        (Trace.Run_end { status = "completed"; g; d; delay_ns; best_cost; wall_seconds })
-    in
+    let status = Tool.status_to_string Tool.Completed in
+    let stop = fleet (Trace.Run_end { status; g; d; delay_ns; best_cost; wall_seconds }) in
     Trace.to_file path ((start :: st.flow_events) @ [ stop ])
 
 (* --- the engine --- *)
@@ -499,10 +442,10 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
       let watch = Spr_util.Clock.start () in
       let skip =
         match resume_dir with
-        | Some dir when multi_stage -> restore ~resume_dir:dir ~preset ~stages st nl
+        | Some dir when multi_stage -> restore ~resume_dir:dir ~stages st nl
         | _ -> 0
       in
-      let n_stages = List.length stages in
+      if multi_stage then drop_stale ~config ~from:skip stages;
       let rec execute idx = function
         | [] -> Ok ()
         | stage :: rest -> (
@@ -518,32 +461,15 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
                 (* Pass the resume dir through so an in-flight sa
                    continues from its V2 snapshots; a fresh sa with no
                    snapshots starts deterministically from the seed. *)
-                run_sa st ~config ~orig:config ?resume_dir ~multi_stage arch nl
+                run_sa st ~config ~want_events ?resume_dir ~multi_stage arch nl
               | other ->
                 Error (Tool.Invalid_config (Printf.sprintf "unknown flow stage %s" other))
           in
           match outcome with
           | Error e -> Error e
           | Ok () ->
-            (* An interrupted sa stage (signal, stop injection, budget)
-               is not complete: leaving it off the manifest makes a
-               later resume re-enter it through its V2 snapshots. *)
-            let stage_complete =
-              stage <> "sa"
-              ||
-              match st.fleet with
-              | Some p -> (Tool.best_result p).Tool.status = Tool.Completed
-              | None -> true
-            in
-            if idx >= skip && stage_complete then begin
-              st.completed <- stage :: st.completed;
-              if multi_stage && stage <> "sa" && idx < n_stages - 1 then
-                persist_stage ~config ~idx ~name:stage st
-              else if multi_stage && config.C.persistence.C.run_dir <> None then
-                Option.iter
-                  (fun dir -> write_flow_state ~dir ~preset st)
-                  config.C.persistence.C.run_dir
-            end;
+            if idx >= skip && leaves_checkpoint stage then
+              persist_stage ~config ~idx ~name:stage st;
             execute (idx + 1) rest)
       in
       match execute 0 stages with

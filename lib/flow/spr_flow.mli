@@ -23,11 +23,13 @@
     fleet, so preset [sa] is exactly that run.
 
     Per-stage wall-clock budgets ([Config.flow.stage_budgets]) bound
-    the [ap], [greedy], [route] and [sa] stages; completed stage
-    boundaries are persisted under [Config.persistence.run_dir]
-    ([flow.json] plus a v1 layout checkpoint per stage) so an
-    interrupted multi-stage flow resumes at the last boundary, while an
-    in-flight [sa] stage rides the existing V2 snapshot machinery. With [Config.obs.trace_path] set, the stage
+    the [ap], [greedy], [route] and [sa] stages. Under
+    [Config.persistence.run_dir], every completed stage that produces a
+    layout ([ap], [greedy], [route], a preset's last stage included)
+    writes a v1 layout checkpoint [stage-NN-<stage>.ckpt]; these files
+    are the flow's only progress record. [sta] is recomputed on resume,
+    and an [sa] stage rides the V2 snapshot machinery of
+    {!Spr_core.Tool.run}. With [Config.obs.trace_path] set, the stage
     spans of the whole flow land in one [spr-trace-1] stream. *)
 
 module Ap_place = Ap_place
@@ -79,10 +81,13 @@ val run :
   Spr_netlist.Netlist.t ->
   (result, Spr_core.Tool.error) Stdlib.result
 (** Run [config.flow.preset]. [?resume_dir] resumes a multi-stage flow
-    from its last persisted stage boundary (and an in-flight [sa] from
-    its V2 snapshots); a directory holding no usable state, or state
-    from a different preset, starts fresh — determinism replays the
-    lost trajectory. *)
+    after the latest stage checkpoint that loads (trying earlier ones
+    when it does not) and an [sa] stage from its V2 snapshots; a seeded
+    [sa] re-probes its T0 from the restored placement. A directory with
+    no loadable stage checkpoint starts fresh — determinism replays the
+    lost trajectory. A run first deletes the stage checkpoints of the
+    stages it is about to execute, which an earlier run in the same
+    directory may have left. *)
 
 val run_exn :
   ?config:Spr_core.Tool.config ->

@@ -78,7 +78,9 @@ type t = {
   r_label : string;  (** circuit / run label *)
   r_seed : int;
   r_replicas : int;  (** 1 for a serial run *)
-  r_status : string;  (** [Outcome.status_to_string] *)
+  r_status : string;
+      (** [Spr_core.Tool.status_to_string]: ["completed"] or
+          ["interrupted (<reason>)"] *)
   r_fully_routed : bool;
   r_g_unrouted : int;  (** nets without a global route *)
   r_d_unrouted : int;  (** nets without a detail route *)

@@ -138,6 +138,10 @@ let scan ~state_dir =
                | Ok j -> (
                  match of_json j with
                  | Error e -> (jobs, Printf.sprintf "%s: %s" path e :: bad)
+                 | Ok job when job.id <> id ->
+                   (* Trusting it would queue, fence and write outcomes
+                      under another job's directory. *)
+                   (jobs, Printf.sprintf "%s: record is for %s" path job.id :: bad)
                  | Ok job -> (job :: jobs, bad))))
            ([], [])
     in

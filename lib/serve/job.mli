@@ -80,5 +80,5 @@ val save : state_dir:string -> t -> unit
 
 val scan : state_dir:string -> t list * string list
 (** All recoverable jobs in ascending id order, plus one diagnostic per
-    job directory whose [job.json] is missing or malformed (those are
-    skipped, never trusted). *)
+    job directory whose [job.json] is missing, malformed or names another
+    job's id (those are skipped, never trusted). *)

@@ -87,10 +87,11 @@ let main ~state_dir ~job ~pipe =
         let run_dir = Job.run_dir ~state_dir job in
         Spr_util.Persist.ensure_dir run_dir;
         match
-          (* Resume-or-fresh is one call: a multi-stage flow restarts at
-             its last persisted stage boundary, and sa replicas with V2
-             snapshots in the run dir pick up where they stopped; anything
-             without usable state starts deterministically from scratch.
+          (* Resume-or-fresh is one call: a multi-stage flow restarts
+             after its latest loadable stage checkpoint, and sa replicas
+             with V2 snapshots in the run dir pick up where they stopped;
+             anything without usable state starts deterministically from
+             scratch.
              SIGTERM lands in Tool's handler and stops the run gracefully
              between moves. *)
           Spr_core.Tool.with_signal_handlers (fun () ->
@@ -103,10 +104,10 @@ let main ~state_dir ~job ~pipe =
           let status, report =
             match r.Spr_flow.f_fleet with
             | Some p ->
-              ( Spr_core.Outcome.status_to_string
+              ( Spr_core.Tool.status_to_string
                   (Spr_core.Tool.best_result p).Spr_core.Tool.status,
                 Some (Spr_obs.Report.to_json p.Spr_core.Tool.p_report) )
-            | None -> ("completed", None)
+            | None -> (Spr_core.Tool.status_to_string Spr_core.Tool.Completed, None)
           in
           (* Outcome before result frame: if the daemon dies between the
              two, restart recovery still finds the result on disk. *)

@@ -180,8 +180,8 @@ let test_ap_sa_kill_resume () =
       let reference = Flow.run_exn ~config:(Config.with_run_dir ref_dir base) arch nl in
       (* Crash inside the sa stage: periodic snapshots survive, the
          final checkpoint does not — as after a real kill -9. The ap
-         stage's checkpoint and flow.json were written at the stage
-         boundary before sa began. *)
+         stage's checkpoint was written at the stage boundary before sa
+         began. *)
       let _crashed =
         Flow.run_exn
           ~config:
@@ -207,87 +207,135 @@ let test_ap_sa_kill_resume () =
       Alcotest.(check bool) "same seed temperature" true
         (reference.Flow.f_seed_temperature = resumed.Flow.f_seed_temperature))
 
-(* flow.json's seed temperature is trusted only when finite and
-   positive. A corrupted one (NaN, negative, zero) reads as absent, so a
-   resume that lost its sa snapshots re-probes T0 and replays the
-   uninterrupted run instead of annealing at the corrupted value. *)
-let test_corrupt_seed_temperature_reprobes () =
-  let module J = Spr_obs.Json in
-  let module Pe = Spr_util.Persist in
+let remove_files dir ~prefix =
+  Array.iter
+    (fun f -> if String.starts_with ~prefix f then Sys.remove (Filename.concat dir f))
+    (Sys.readdir dir)
+
+let restored_stages (r : Flow.result) =
+  List.filter_map
+    (fun s -> if s.Flow.sg_detail = "restored from checkpoint" then Some s.Flow.sg_name else None)
+    r.Flow.f_stages
+
+(* A resume that lost every sa snapshot restarts the seeded anneal from
+   the restored ap layout. The probe is deterministic, so it re-probes
+   the uninterrupted run's T0 and replays that run exactly. *)
+let test_lost_snapshots_reprobe () =
   let arch, nl, base = preset ~seed:23 () in
-  let dir = "flow-seed-temp" in
+  let dir = "flow-lost-snapshots" in
   let config = Config.(base |> with_flow_preset "ap+sa" |> with_run_dir dir) in
-  let flow_json = Filename.concat dir "flow.json" in
-  let corrupt t =
-    Array.iter
-      (fun f -> if String.starts_with ~prefix:"snap-" f then Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-    match Result.bind (Pe.read_file flow_json) J.parse with
-    | Ok (J.Obj fields) ->
-      let set (k, v) = (k, if k = "seed_temperature" then J.String (Pe.float_to_hex t) else v) in
-      Pe.atomic_write flow_json (J.to_string (J.Obj (List.map set fields)))
-    | Ok _ -> Alcotest.fail "flow.json is not an object"
-    | Error e -> Alcotest.failf "flow.json: %s" e
-  in
   rmrf dir;
   Fun.protect
     ~finally:(fun () -> rmrf dir)
     (fun () ->
       let reference = Flow.run_exn ~config arch nl in
-      List.iter
-        (fun (label, t) ->
-          corrupt t;
-          let resumed = Flow.run_exn ~config ~resume_dir:dir arch nl in
-          Alcotest.(check bool) (label ^ ": re-probed the seed temperature") true
-            (reference.Flow.f_seed_temperature = resumed.Flow.f_seed_temperature);
-          Alcotest.(check string) (label ^ ": resumed run lands exactly on the reference")
-            (Rs.snapshot reference.Flow.f_route)
-            (Rs.snapshot resumed.Flow.f_route);
-          Alcotest.(check (float 0.0)) (label ^ ": same delay") reference.Flow.f_critical_delay
-            resumed.Flow.f_critical_delay)
-        [ ("NaN", Float.nan); ("-1", -1.0); ("0", 0.0) ])
+      remove_files dir ~prefix:"snap-";
+      let resumed = Flow.run_exn ~config ~resume_dir:dir arch nl in
+      Alcotest.(check (list string)) "ap restored" [ "ap" ] (restored_stages resumed);
+      Alcotest.(check bool) "a seeded anneal ran" true (reference.Flow.f_seed_temperature <> None);
+      Alcotest.(check bool) "re-probed the seed temperature" true
+        (reference.Flow.f_seed_temperature = resumed.Flow.f_seed_temperature);
+      Alcotest.(check string) "resumed run lands exactly on the reference"
+        (Rs.snapshot reference.Flow.f_route)
+        (Rs.snapshot resumed.Flow.f_route);
+      Alcotest.(check (float 0.0)) "same delay" reference.Flow.f_critical_delay
+        resumed.Flow.f_critical_delay)
 
-(* flow.json is read back on every resume. Every truncation, byte flip
-   and value splice of a finished seq run's manifest (883 mutants, about
-   3 s under a short anneal) must resume from a stage checkpoint or
-   start fresh — both land on the uninterrupted run's layout — and never
-   raise. *)
-let test_flow_json_mutations () =
-  let nl = Gen.generate (Gen.default ~n_cells:12) ~seed:6 in
-  let arch = Arch.size_for ~tracks:8 nl in
-  let dir = "flow-json-fuzz" in
-  let config =
-    Config.(
-      default |> with_seed 6 |> with_flow_preset "seq"
-      |> with_anneal
-           { (Engine.default_config ~n:12) with Engine.moves_per_temp = 40; max_temperatures = 4 })
-  in
-  let flow_json = Filename.concat dir "flow.json" in
+(* Every layout stage leaves a checkpoint, the last one included, so a
+   finished seq run resumes with greedy and route restored and only sta
+   recomputed. *)
+let test_finished_seq_resumes () =
+  let arch, nl, base = preset ~seed:9 () in
+  let dir = "flow-seq-finished" in
+  let config = Config.(base |> with_flow_preset "seq" |> with_run_dir dir) in
   rmrf dir;
   Fun.protect
     ~finally:(fun () -> rmrf dir)
     (fun () ->
-      let reference = Flow.run_exn ~config:(Config.with_run_dir dir config) arch nl in
-      let layout = Rs.snapshot reference.Flow.f_route in
-      let text = In_channel.with_open_bin flow_json In_channel.input_all in
-      let restored = ref 0 and fresh = ref 0 in
+      let reference = Flow.run_exn ~config arch nl in
+      let resumed = Flow.run_exn ~config ~resume_dir:dir arch nl in
+      Alcotest.(check (list string)) "greedy and route restored" [ "greedy"; "route" ]
+        (restored_stages resumed);
+      Alcotest.(check (list string)) "every stage reported" [ "greedy"; "route"; "sta" ]
+        (List.map (fun s -> s.Flow.sg_name) resumed.Flow.f_stages);
+      Alcotest.(check string) "resumed run lands exactly on the reference"
+        (Rs.snapshot reference.Flow.f_route)
+        (Rs.snapshot resumed.Flow.f_route);
+      Alcotest.(check int) "same g" reference.Flow.f_g resumed.Flow.f_g;
+      Alcotest.(check int) "same d" reference.Flow.f_d resumed.Flow.f_d;
+      Alcotest.(check (float 0.0)) "same delay" reference.Flow.f_critical_delay
+        resumed.Flow.f_critical_delay)
+
+(* A finished seq run whose route checkpoint is torn or gone resumes
+   from the greedy checkpoint before it, and with no stage checkpoint
+   left starts fresh; every resume lands on the uninterrupted layout
+   and none raises. *)
+let test_lost_last_stage_checkpoint () =
+  let arch, nl, base = preset ~seed:9 () in
+  let dir = "flow-seq-lost-stage" in
+  let config = Config.(base |> with_flow_preset "seq" |> with_run_dir dir) in
+  let greedy = Filename.concat dir "stage-00-greedy.ckpt" in
+  let route = Filename.concat dir "stage-01-route.ckpt" in
+  let write path text = Out_channel.with_open_bin path (fun oc -> output_string oc text) in
+  rmrf dir;
+  Fun.protect
+    ~finally:(fun () -> rmrf dir)
+    (fun () ->
+      let reference = Flow.run_exn ~config arch nl in
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      let greedy_text = read greedy and route_text = read route in
       List.iter
-        (fun mutant ->
-          Out_channel.with_open_bin flow_json (fun oc -> output_string oc mutant);
+        (fun (label, damage, restored) ->
+          write greedy greedy_text;
+          write route route_text;
+          damage ();
           match Flow.run ~config ~resume_dir:dir arch nl with
-          | exception e ->
-            Alcotest.failf "resume raised %s on flow.json:\n%s" (Printexc.to_string e) mutant
-          | Error e ->
-            Alcotest.failf "resume failed (%s) on flow.json:\n%s" (Tool.error_to_string e) mutant
+          | exception e -> Alcotest.failf "%s: resume raised %s" label (Printexc.to_string e)
+          | Error e -> Alcotest.failf "%s: resume failed: %s" label (Tool.error_to_string e)
           | Ok r ->
-            if Rs.snapshot r.Flow.f_route <> layout then
-              Alcotest.failf "resume left the reference layout on flow.json:\n%s" mutant;
-            if List.exists (fun s -> s.Flow.sg_detail = "restored from checkpoint") r.Flow.f_stages
-            then incr restored
-            else incr fresh)
-        (Mutate.all ~values:Mutate.json_values text);
-      Alcotest.(check bool) "some mutants resumed from a stage checkpoint" true (!restored > 0);
-      Alcotest.(check bool) "some mutants started fresh" true (!fresh > 0))
+            Alcotest.(check (list string)) (label ^ ": restored stages") restored
+              (restored_stages r);
+            Alcotest.(check string) (label ^ ": lands on the reference")
+              (Rs.snapshot reference.Flow.f_route)
+              (Rs.snapshot r.Flow.f_route);
+            Alcotest.(check (float 0.0)) (label ^ ": same delay")
+              reference.Flow.f_critical_delay r.Flow.f_critical_delay)
+        [
+          ( "truncated route checkpoint",
+            (fun () -> write route (String.sub route_text 0 (String.length route_text / 2))),
+            [ "greedy" ] );
+          ("deleted route checkpoint", (fun () -> Sys.remove route), [ "greedy" ]);
+          ("no stage checkpoint", (fun () -> remove_files dir ~prefix:"stage-"), []);
+        ])
+
+(* A fresh run that reuses an earlier run's directory drops that run's
+   stage checkpoints before its first stage, so if it dies before
+   writing its own (here: on a fabric too small for greedy), its resume
+   starts fresh instead of restoring the earlier run's layout. *)
+let test_reused_run_dir () =
+  let arch, nl, base = preset ~seed:9 () in
+  let dir = "flow-seq-reused" in
+  let seq seed = Config.(base |> with_seed seed |> with_flow_preset "seq") in
+  let tiny = Arch.size_for ~tracks:18 (Gen.generate (Gen.default ~n_cells:8) ~seed:1) in
+  rmrf dir;
+  Fun.protect
+    ~finally:(fun () -> rmrf dir)
+    (fun () ->
+      let earlier = Flow.run_exn ~config:(Config.with_run_dir dir (seq 9)) arch nl in
+      (match Flow.run ~config:(Config.with_run_dir dir (seq 10)) tiny nl with
+      | Error (Tool.Invalid_design _) -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Tool.error_to_string e)
+      | Ok _ -> Alcotest.fail "a 48-cell design fit an 8-cell fabric");
+      let reference = Flow.run_exn ~config:(seq 10) arch nl in
+      Alcotest.(check bool) "the two runs differ" false
+        (Rs.snapshot earlier.Flow.f_route = Rs.snapshot reference.Flow.f_route);
+      let resumed =
+        Flow.run_exn ~config:(Config.with_run_dir dir (seq 10)) ~resume_dir:dir arch nl
+      in
+      Alcotest.(check (list string)) "nothing restored" [] (restored_stages resumed);
+      Alcotest.(check string) "resumed run lands on its own uninterrupted layout"
+        (Rs.snapshot reference.Flow.f_route)
+        (Rs.snapshot resumed.Flow.f_route))
 
 (* A Ctrl-C that lands during an earlier stage is still pending when
    the sa stage starts, so the anneal stops after its first move. *)
@@ -369,10 +417,14 @@ let () =
           Alcotest.test_case "ap+sa kill mid-sa and resume" `Quick test_ap_sa_kill_resume;
           Alcotest.test_case "an interrupt during ap still stops sa" `Quick
             test_interrupt_survives_earlier_stage;
-          Alcotest.test_case "a corrupted seed temperature is re-probed" `Quick
-            test_corrupt_seed_temperature_reprobes;
-          Alcotest.test_case "flow.json truncations, flips and value splices resume or start fresh"
-            `Quick test_flow_json_mutations;
+          Alcotest.test_case "a resume that lost its sa snapshots re-probes and replays" `Quick
+            test_lost_snapshots_reprobe;
+          Alcotest.test_case "a finished seq flow resumes without re-running a stage" `Quick
+            test_finished_seq_resumes;
+          Alcotest.test_case "a lost last stage checkpoint falls back to the one before" `Quick
+            test_lost_last_stage_checkpoint;
+          Alcotest.test_case "a fresh run drops an earlier run's stage checkpoints" `Quick
+            test_reused_run_dir;
         ] );
       ( "serve",
         [

@@ -241,9 +241,18 @@ let test_job_store () =
   let oc = open_out (Filename.concat cdir "job.json") in
   output_string oc "{not json";
   close_out oc;
+  (* a well-formed record in another job's directory is a diagnostic
+     too: its id must name the directory it was read from *)
+  let ddir = Job.dir ~state_dir "job-00000004" in
+  Spr_util.Persist.ensure_dir ddir;
+  Spr_util.Persist.atomic_write (Filename.concat ddir "job.json")
+    (In_channel.with_open_bin (Filename.concat (Job.dir ~state_dir a.Job.id) "job.json")
+       In_channel.input_all);
   let jobs, bad = Job.scan ~state_dir in
   Alcotest.(check int) "two good jobs" 2 (List.length jobs);
-  Alcotest.(check int) "one diagnostic" 1 (List.length bad);
+  Alcotest.(check int) "two diagnostics" 2 (List.length bad);
+  Alcotest.(check bool) "the copied record is the new diagnostic" true
+    (List.exists (String.starts_with ~prefix:ddir) bad);
   (match jobs with
   | [ a'; b' ] ->
     Alcotest.(check bool) "running state round-trips" true (a'.Job.state = Job.Running 1234);
