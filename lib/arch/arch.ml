@@ -7,6 +7,7 @@ type t = {
   hscheme : Segmentation.scheme;
   hsegs : Spr_util.Interval.t array array array;
   vsegs : Spr_util.Interval.t array array array;
+  avg_hseg : float;
 }
 
 (* The first half of a column's vertical tracks (rounded up) are one
@@ -43,7 +44,8 @@ let create ~rows ~cols ~tracks ?(hscheme = Segmentation.Actel_like) ?(vtracks = 
     Array.init cols (fun col ->
         Array.init vtracks (fun vtrack -> vertical_track ~n_channels ~vtracks ~col ~vtrack))
   in
-  { rows; cols; tracks; vtracks; n_channels; hscheme; hsegs; vsegs }
+  let avg_hseg = Segmentation.average_segment_length hscheme ~cols ~tracks in
+  { rows; cols; tracks; vtracks; n_channels; hscheme; hsegs; vsegs; avg_hseg }
 
 let n_slots t = t.rows * t.cols
 
@@ -96,8 +98,7 @@ let find_cover segs (span : Spr_util.Interval.t) =
     Some (first, extend first)
   end
 
-let avg_hseg_length t =
-  Segmentation.average_segment_length t.hscheme ~cols:t.cols ~tracks:t.tracks
+let avg_hseg_length t = t.avg_hseg
 
 (* Taller fabrics have more channels to cross, so feedthrough demand per
    column grows with the row count; real antifuse families scale their

@@ -18,6 +18,7 @@ type t = private {
       (** [hsegs.(channel).(track)] partitions columns [\[0, cols-1\]]. *)
   vsegs : Spr_util.Interval.t array array array;
       (** [vsegs.(col).(vtrack)] partitions channels [\[0, rows\]]. *)
+  avg_hseg : float;  (** See {!avg_hseg_length}. *)
 }
 
 val create :
@@ -57,6 +58,10 @@ val find_cover : Spr_util.Interval.t array -> Spr_util.Interval.t -> (int * int)
     [None] when [span] exceeds the partition's extent. *)
 
 val avg_hseg_length : t -> float
+(** Mean horizontal segment length,
+    {!Segmentation.average_segment_length} of the fabric's scheme,
+    columns and tracks. Computed once by {!create} and stored, because
+    the pre-route delay estimate reads it for every unrouted net. *)
 
 (** {1 Sizing} *)
 

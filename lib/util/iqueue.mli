@@ -4,10 +4,14 @@
     hash-independent total order: {e key descending, id descending on
     ties} — the longest-estimated-length-first retry order of paper
     §3.3/§3.4. The layout is canonical (uniquely determined by the
-    member (key, id) pairs), the per-id position index makes membership
-    and removal O(1) lookups, and every journaled mutation records its
+    member (key, id) pairs), and every journaled mutation records its
     exact inverse, so rolling back a rejected move restores not just the
-    membership but the enumeration order bit-for-bit. *)
+    membership but the enumeration order bit-for-bit.
+
+    Members sit in one sorted array that grows with the queue, not with
+    the id range. Membership is a per-id key lookup; an id's rank is a
+    binary search over the canonical order, so insert and remove each
+    cost O(log n) comparisons plus one shift of the later members. *)
 
 type t
 
@@ -25,7 +29,9 @@ val key : t -> int -> int
 
 val add : ?j:Journal.t -> t -> int -> key:int -> unit
 (** Enqueue, or re-key an already-queued id (repositioning it). A no-op
-    when the id is queued with that exact key; journaled otherwise. *)
+    when the id is queued with that exact key; journaled otherwise.
+    Raises [Invalid_argument] when [key] is [min_int], which marks an
+    absent id. *)
 
 val remove : ?j:Journal.t -> t -> int -> bool
 (** [true] iff the id was queued. *)
@@ -45,4 +51,5 @@ val to_list : t -> int list
 (** In queue order. *)
 
 val check : t -> (unit, string) result
-(** Verify sortedness and the position-index mirror. *)
+(** Verify that the order is strict and that the queued ids are exactly
+    the ids listed at ranks [0, length). *)

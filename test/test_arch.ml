@@ -68,6 +68,31 @@ let test_average_segment_length () =
   let avg_full = Seg.average_segment_length Seg.Full ~cols:40 ~tracks:8 in
   Alcotest.(check (float 1e-9)) "full = cols" 40.0 avg_full
 
+(* [Arch.create] stores the mean segment length once; the stored value
+   must be the one the segmentation computes, bit for bit, including a
+   fabric narrower than the scheme's segments. *)
+let test_stored_average_segment_length () =
+  List.iter
+    (fun (hscheme, cols) ->
+      List.iter
+        (fun tracks ->
+          let arch = Arch.create ~rows:3 ~cols ~tracks ~hscheme () in
+          let expected = Seg.average_segment_length hscheme ~cols ~tracks in
+          let name =
+            Printf.sprintf "%s, %d cols, %d tracks" (Seg.scheme_to_string hscheme) cols tracks
+          in
+          Alcotest.(check bool) name true (Float.equal (Arch.avg_hseg_length arch) expected))
+        [ 1; 38 ])
+    [
+      (Seg.Full, 40);
+      (Seg.Uniform 4, 40);
+      (Seg.Uniform 9, 5);
+      (Seg.Actel_like, 40);
+      (Seg.Actel_like, 3);
+      (Seg.Geometric, 40);
+      (Seg.Geometric, 10);
+    ]
+
 (* --- find_cover --- *)
 
 let brute_force_cover segs (span : I.t) =
@@ -173,6 +198,8 @@ let () =
           Alcotest.test_case "stagger" `Quick test_segmentation_stagger;
           Alcotest.test_case "scheme string roundtrip" `Quick test_scheme_string_roundtrip;
           Alcotest.test_case "average length" `Quick test_average_segment_length;
+          Alcotest.test_case "arch stores the average length" `Quick
+            test_stored_average_segment_length;
           qtest test_segmentation_partition;
         ] );
       ( "find_cover",

@@ -139,6 +139,61 @@ let test_builder_bad_pin_index () =
   Nl.Builder.add_sink b ~net:n ~cell:po ~pin:7;
   expect_error b "out of range"
 
+(* A chain pi -> g_1 -> ... -> g_k -> po, with net i driven by cell i.
+   [order] lists the net ids in the order their sinks are added; every
+   net but the last also feeds the output pad's pin i, so a net's sinks
+   arrive in two separate calls. *)
+let build_chain ~k order =
+  let b = Nl.Builder.create () in
+  let pi = Nl.Builder.add_cell b ~name:"pi" ~kind:Ck.Input ~n_inputs:0 in
+  let gates =
+    Array.init k (fun i ->
+        Nl.Builder.add_cell b ~name:(Printf.sprintf "g%d" i) ~kind:Ck.Comb ~n_inputs:1)
+  in
+  let po = Nl.Builder.add_cell b ~name:"po" ~kind:Ck.Output ~n_inputs:k in
+  let nets =
+    Array.init (k + 1) (fun i ->
+        let driver = if i = 0 then pi else gates.(i - 1) in
+        Nl.Builder.add_net b ~name:(Printf.sprintf "n%d" i) ~driver)
+  in
+  List.iter
+    (fun i ->
+      if i < k then Nl.Builder.add_sink b ~net:nets.(i) ~cell:gates.(i) ~pin:0;
+      if i > 0 then Nl.Builder.add_sink b ~net:nets.(i) ~cell:po ~pin:(i - 1))
+    order;
+  Nl.Builder.finish_exn b
+
+let test_builder_sink_order () =
+  let k = 200 in
+  let in_order = List.init (k + 1) Fun.id in
+  let reference = build_chain ~k in_order in
+  Alcotest.(check int) "every net kept" (k + 1) (Nl.n_nets reference);
+  Array.iteri
+    (fun i n ->
+      Alcotest.(check int) "ids in add order" i n.Nl.net_id;
+      Alcotest.(check string) "names in add order" (Printf.sprintf "n%d" i) n.Nl.net_name)
+    (Nl.nets reference);
+  Alcotest.(check (list (pair int int))) "sinks in call order"
+    [ (2, 0); (k + 1, 0) ]
+    (Array.to_list (Nl.net reference 1).Nl.sinks);
+  let evens, odds = List.partition (fun i -> i mod 2 = 0) in_order in
+  List.iter
+    (fun (what, order) ->
+      Alcotest.(check bool) what true (Nl.nets (build_chain ~k order) = Nl.nets reference))
+    [ ("reverse net order", List.rev in_order); ("interleaved net order", odds @ evens) ]
+
+let test_builder_bad_net_id () =
+  let b = Nl.Builder.create () in
+  let pi = Nl.Builder.add_cell b ~name:"pi" ~kind:Ck.Input ~n_inputs:0 in
+  let po = Nl.Builder.add_cell b ~name:"po" ~kind:Ck.Output ~n_inputs:1 in
+  let n = Nl.Builder.add_net b ~name:"n" ~driver:pi in
+  List.iter
+    (fun net ->
+      Alcotest.check_raises (Printf.sprintf "net %d" net)
+        (Invalid_argument "Netlist.Builder.add_sink: bad net id") (fun () ->
+          Nl.Builder.add_sink b ~net ~cell:po ~pin:0))
+    [ -1; n + 1 ]
+
 (* --- Levelize --- *)
 
 let test_levelize_tiny () =
@@ -438,6 +493,9 @@ let () =
           Alcotest.test_case "output driving" `Quick test_builder_output_driving;
           Alcotest.test_case "pin connected twice" `Quick test_builder_pin_connected_twice;
           Alcotest.test_case "bad pin index" `Quick test_builder_bad_pin_index;
+          Alcotest.test_case "sinks keep call order in any net order" `Quick
+            test_builder_sink_order;
+          Alcotest.test_case "bad net id" `Quick test_builder_bad_net_id;
         ] );
       ( "levelize",
         [

@@ -325,14 +325,25 @@ let test_iqueue_ordering () =
     (List.init (Iqueue.length q) (Iqueue.nth q));
   Alcotest.check_raises "rank past the end" (Invalid_argument "Iqueue.nth: rank out of range")
     (fun () -> ignore (Iqueue.nth q 3));
+  Alcotest.check_raises "min_int is not a key" (Invalid_argument "Iqueue.add: min_int is not a key")
+    (fun () -> Iqueue.add q 2 ~key:min_int);
   check_ok "iqueue check" (Iqueue.check q)
+
+(* Ids range over 0-299, well past the queue's initial element array, so
+   growth, removal at every rank and re-keying all run. *)
+let iqueue_ids = 300
+
+let iqueue_pairs = QCheck.(list_of_size Gen.(0 -- 400) (pair (int_range 0 299) (int_range 0 19)))
+
+let iqueue_ops =
+  QCheck.(list_of_size Gen.(0 -- 400) (pair bool (pair (int_range 0 299) (int_range 0 19))))
 
 let test_iqueue_canonical =
   QCheck.Test.make ~name:"iqueue order is canonical (insertion-history independent)" ~count:200
-    QCheck.(list (pair (int_range 0 14) (int_range 0 9)))
+    iqueue_pairs
     (fun pairs ->
       (* Last write wins per id; any insertion order yields one layout. *)
-      let q1 = Iqueue.create ~capacity:15 and q2 = Iqueue.create ~capacity:15 in
+      let q1 = Iqueue.create ~capacity:iqueue_ids and q2 = Iqueue.create ~capacity:iqueue_ids in
       List.iter (fun (id, key) -> Iqueue.add q1 id ~key) pairs;
       List.iter (fun (id, key) -> Iqueue.add q2 id ~key) (List.rev pairs);
       let final = Hashtbl.create 16 in
@@ -343,12 +354,9 @@ let test_iqueue_canonical =
 
 let test_iqueue_rollback =
   QCheck.Test.make ~name:"iqueue journal rollback restores order bit-for-bit" ~count:300
-    QCheck.(
-      pair
-        (list (pair (int_range 0 14) (int_range 0 9)))
-        (list (pair bool (pair (int_range 0 14) (int_range 0 9)))))
+    QCheck.(pair iqueue_pairs iqueue_ops)
     (fun (setup, ops) ->
-      let q = Iqueue.create ~capacity:15 in
+      let q = Iqueue.create ~capacity:iqueue_ids in
       List.iter (fun (id, key) -> Iqueue.add q id ~key) setup;
       let before = List.map (fun id -> (id, Iqueue.key q id)) (Iqueue.to_list q) in
       let j = Journal.create () in
@@ -360,6 +368,38 @@ let test_iqueue_rollback =
       Journal.rollback j;
       (match Iqueue.check q with Ok () -> () | Error e -> QCheck.Test.fail_report e);
       List.map (fun id -> (id, Iqueue.key q id)) (Iqueue.to_list q) = before)
+
+(* The queue against a reference model: an association list from id to
+   key, sorted by key descending and id descending on ties. *)
+let test_iqueue_model =
+  QCheck.Test.make ~name:"iqueue agrees with a sorted association list" ~count:300 iqueue_ops
+    (fun ops ->
+      let q = Iqueue.create ~capacity:iqueue_ids in
+      let model =
+        List.fold_left
+          (fun model (add, (id, key)) ->
+            let rest = List.remove_assoc id model in
+            if add then begin
+              Iqueue.add q id ~key;
+              (id, key) :: rest
+            end
+            else begin
+              let was_queued = Iqueue.remove q id in
+              if was_queued <> List.mem_assoc id model then
+                QCheck.Test.fail_reportf "remove %d answered %b" id was_queued;
+              rest
+            end)
+          [] ops
+      in
+      let model = List.sort (fun (a, ka) (b, kb) -> compare (kb, b) (ka, a)) model in
+      (match Iqueue.check q with Ok () -> () | Error e -> QCheck.Test.fail_report e);
+      Iqueue.to_list q = List.map fst model
+      && Iqueue.length q = List.length model
+      && List.init (Iqueue.length q) (Iqueue.nth q) = List.map fst model
+      && List.for_all (fun (id, key) -> Iqueue.key q id = key) model
+      && List.for_all
+           (fun id -> Iqueue.mem q id = List.mem_assoc id model)
+           (List.init iqueue_ids Fun.id))
 
 (* --- Table --- *)
 
@@ -475,6 +515,7 @@ let () =
           Alcotest.test_case "retry order" `Quick test_iqueue_ordering;
           qtest test_iqueue_canonical;
           qtest test_iqueue_rollback;
+          qtest test_iqueue_model;
         ] );
       ("table", [ Alcotest.test_case "render" `Quick test_table_render ]);
       (* The longest group name sets the width of Alcotest's name column
