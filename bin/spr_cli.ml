@@ -4,7 +4,7 @@
 
      spr generate --cells 200 --seed 3 > c.blif
      spr route c.blif --tracks 28 --flow sa
-     spr route --circuit s1 --flow ap+sa --stage-budget sa=30 --run-dir runs/f
+     spr route --circuit s1 --flow seq --time-budget 30 --run-dir runs/f
      spr route --circuit s1 --svg die.svg --checkpoint s1.ckpt
      spr route --circuit s1 --obs-endpoints 5 --obs-clock 120
      spr route --circuit s1 --trace s1.jsonl --report s1-report.json
@@ -15,10 +15,9 @@
 
    The route flag surface is grouped: observability under
    --obs-*/--trace/--report, persistence under --run-*, flow selection
-   under --flow/--stage-budget, fleets under --parallel/--exchange.
-   The flags that decide a
-   run build one Spr_serve.Spec, shared by route and submit; the spec
-   alone maps to the run's configuration. *)
+   under --flow, fleets under --parallel/--exchange. The flags that
+   decide a run build one Spr_serve.Spec, shared by route and submit;
+   the spec alone maps to the run's configuration. *)
 
 open Cmdliner
 module Spec = Spr_serve.Spec
@@ -114,21 +113,17 @@ let spec_term =
                    (analytical seed, greedy descent, sequential routing) or $(b,seq) (the \
                    sequential baseline).")
   in
-  let stage_budgets =
-    Arg.(value & opt_all (pair ~sep:'=' string float) d.stage_budgets
-         & info [ "stage-budget" ] ~docv:"STAGE=SECONDS"
-             ~doc:"Wall-clock budget for one flow stage (repeatable), e.g. --stage-budget ap=5 \
-                   --stage-budget sa=60. The stages ap, greedy, route and sa take a budget.")
-  in
   let time_budget =
     Arg.(value & opt (some float) d.time_budget
          & info [ "time-budget" ] ~docv:"SECS"
-             ~doc:"Stop gracefully after $(docv) wall seconds and keep the best layout so far.")
+             ~doc:"Stop gracefully after $(docv) wall seconds, in whichever flow stage is \
+                   running, and keep the layout so far.")
   in
   let max_moves =
     Arg.(value & opt (some int) d.max_moves
          & info [ "max-moves" ] ~docv:"N"
-             ~doc:"Stop gracefully after $(docv) annealing moves (cumulative across resumes).")
+             ~doc:"Stop the sa anneal gracefully after $(docv) moves (cumulative across \
+                   resumes); a flow with no sa stage refuses it.")
   in
   let replicas =
     Arg.(value & opt int d.replicas
@@ -146,8 +141,7 @@ let spec_term =
           ~doc:"Fleet exchange policy: $(b,independent), or $(b,best:N) to broadcast the \
                 fleet-best layout to lagging replicas every N temperature boundaries.")
   in
-  let make file circuit tracks scheme seed effort flow stage_budgets replicas exchange time_budget
-      max_moves =
+  let make file circuit tracks scheme seed effort flow replicas exchange time_budget max_moves =
     let source =
       match file, circuit with
       | Some path, _ -> Some (`File path)
@@ -155,12 +149,11 @@ let spec_term =
       | None, None -> None
     in
     ( source,
-      { d with tracks; scheme; seed; effort; flow; stage_budgets; replicas; exchange; time_budget;
-               max_moves } )
+      { d with tracks; scheme; seed; effort; flow; replicas; exchange; time_budget; max_moves } )
   in
   Term.(
     const make $ file_arg $ circuit_arg $ tracks_arg $ scheme_arg $ seed_arg $ effort_arg $ flow
-    $ stage_budgets $ replicas $ exchange $ time_budget $ max_moves)
+    $ replicas $ exchange $ time_budget $ max_moves)
 
 (* A new run's spec: the flags plus the design the command line names,
    a built-in circuit by name or a BLIF file's bytes labelled with its
@@ -239,7 +232,7 @@ let post_layout nl ~route ~sta (o : outputs) =
     Printf.printf "\nworst %d endpoints:\n%s" k (Spr_timing.Path_report.render nl paths)
 
 (* One printer for every flow, fresh or resumed, one replica or a fleet:
-   the fleet table, an early stop of the sa stage, the stage table and
+   the fleet table, an early stop of any stage, the stage table and
    verdict, the artifacts, the sa winner's profile, then the audit of
    the final layout. *)
 let print_result ~flow ~(config : Spr_core.Config.t) ~run_dir (o : outputs) nl
@@ -247,14 +240,14 @@ let print_result ~flow ~(config : Spr_core.Config.t) ~run_dir (o : outputs) nl
   let module T = Spr_core.Tool in
   let sa = Option.map T.best_result r.Spr_flow.f_fleet in
   Option.iter report_fleet r.Spr_flow.f_fleet;
-  (match sa with
-  | Some { T.status = T.Interrupted reason; _ } ->
+  (match r.Spr_flow.f_status with
+  | T.Interrupted reason ->
     Printf.printf "interrupted (%s): best-so-far layout follows%s\n"
       (T.stop_reason_to_string reason)
       (match run_dir with
       | Some dir -> Printf.sprintf "; continue with: spr route --run-resume %s" dir
       | None -> "")
-  | Some _ | None -> ());
+  | T.Completed -> ());
   List.iter
     (fun s ->
       Printf.printf "  stage %-7s %7.1f s  %s\n" s.Spr_flow.sg_name s.Spr_flow.sg_seconds
@@ -297,10 +290,14 @@ let print_result ~flow ~(config : Spr_core.Config.t) ~run_dir (o : outputs) nl
   post_layout nl ~route:r.Spr_flow.f_route ~sta:r.Spr_flow.f_sta o;
   if audit_ok then Ok () else Error "selfcheck reported audit findings"
 
-(* A fresh run builds its spec from the flags and stores it in the run
-   directory; a resume loads that spec and takes only this invocation's
-   budgets from the flags. Either way the spec is validated before
-   anything is written, and the one flow engine call runs it. *)
+(* A run directory holds one run: a resume reads every file in it, so a
+   fresh run there would be continued from the files of the one before. *)
+let holds_files dir = Sys.file_exists dir && not (Sys.is_directory dir && Sys.readdir dir = [||])
+
+(* A fresh run builds its spec from the flags and stores it in a new or
+   empty run directory; a resume loads that spec and takes only this
+   invocation's budgets from the flags. Either way the spec is validated
+   before anything is written, and the one flow engine call runs it. *)
 let route spec_flags (run : run_flags) (o : outputs) =
   let ( let* ) = Result.bind in
   let prepared =
@@ -311,10 +308,7 @@ let route spec_flags (run : run_flags) (o : outputs) =
       | Some dir, (None, (flags : Spec.t)) ->
         Spec.load dir
         |> Result.map (fun (s : Spec.t) ->
-               { s with
-                 time_budget = flags.time_budget;
-                 max_moves = flags.max_moves;
-                 stage_budgets = flags.stage_budgets })
+               { s with time_budget = flags.time_budget; max_moves = flags.max_moves })
         |> Result.map_error (fun e -> "resume failed: " ^ e)
       | None, _ -> fresh_spec spec_flags
     in
@@ -336,17 +330,22 @@ let route spec_flags (run : run_flags) (o : outputs) =
       |> (match o.trace with Some path -> with_trace_file path | None -> Fun.id)
       |> match o.report with Some path -> with_report_file path | None -> Fun.id
     in
-    (match run.resume, run_dir with
-    | Some dir, _ ->
-      (* A multi-stage flow first skips to its latest loadable stage
-         checkpoint; then each sa replica continues from its own newest
-         loadable snapshot (or restarts from scratch without one) and
-         recorded rounds replay from the run directory. *)
-      Printf.printf "resuming flow %s with %d replica%s from %s\n%!" spec.flow spec.replicas
-        (if spec.replicas = 1 then "" else "s")
-        dir
-    | None, Some dir -> Spec.save ~dir spec
-    | None, None -> ());
+    let* () =
+      match run.resume, run_dir with
+      | Some dir, _ ->
+        (* A multi-stage flow first skips to its latest loadable stage
+           checkpoint; then each sa replica continues from its own newest
+           loadable snapshot (or restarts from scratch without one) and
+           recorded rounds replay from the run directory. *)
+        Printf.printf "resuming flow %s with %d replica%s from %s\n%!" spec.flow spec.replicas
+          (if spec.replicas = 1 then "" else "s")
+          dir;
+        Ok ()
+      | None, Some dir when holds_files dir ->
+        Error (Printf.sprintf "run directory %s is not empty; resume it with --run-resume %s" dir dir)
+      | None, Some dir -> Ok (Spec.save ~dir spec)
+      | None, None -> Ok ()
+    in
     Ok (spec.flow, config, arch, nl, run_dir)
   in
   (* The run starts only once [prepared] holds no spec, so a BLIF
@@ -355,7 +354,7 @@ let route spec_flags (run : run_flags) (o : outputs) =
     let* flow, config, arch, nl, run_dir = prepared in
     match
       Spr_core.Tool.with_signal_handlers (fun () ->
-          Spr_flow.run ~config ?resume_dir:run.resume arch nl)
+          Spr_flow.run ~config ~resume:(run.resume <> None) arch nl)
     with
     | Error e ->
       Error (Printf.sprintf "flow %s failed: %s" flow (Spr_core.Tool.error_to_string e))
@@ -421,7 +420,7 @@ let route_cmd =
     Arg.(value & opt (some string) None
          & info [ "run-dir" ] ~docv:"DIR" ~docs:run_docs
              ~doc:"Write the run spec (design included) and crash-safe resumable snapshots \
-                   into $(docv) as the run progresses.")
+                   into $(docv), which must be new or empty, as the run progresses.")
   in
   let resume =
     Arg.(value & opt (some dir) None

@@ -48,11 +48,6 @@ type obs = {
   on_event : (Spr_obs.Trace.event -> unit) option;
 }
 
-type flow = {
-  preset : string;
-  stage_budgets : (string * float) list;
-}
-
 type t = {
   seed : int;
   router : Router.config;
@@ -66,7 +61,7 @@ type t = {
   validation : validation;
   parallel : parallel;
   obs : obs;
-  flow : flow;
+  flow : string;
 }
 
 let default =
@@ -91,7 +86,7 @@ let default =
       };
     obs =
       { record = false; trace_path = None; report_path = None; label = None; on_event = None };
-    flow = { preset = "sa"; stage_budgets = [] };
+    flow = "sa";
   }
 
 (* --- flow vocabulary ---
@@ -108,10 +103,6 @@ let flow_presets =
   ]
 
 let flow_preset_names = List.map fst flow_presets
-
-(* The stages that poll a deadline; [sta] runs one full analysis and
-   reads none. *)
-let budgeted_stages = [ "ap"; "greedy"; "route"; "sa" ]
 
 let flow_stages_of_preset name =
   match List.assoc_opt name flow_presets with
@@ -158,25 +149,13 @@ let validated t =
   | Portfolio.Independent -> ()
   | Portfolio.Best_exchange n when n >= 1 -> ()
   | Portfolio.Best_exchange n -> reject "exchange period must be >= 1 (got %d)" n);
-  (match flow_stages_of_preset t.flow.preset with
+  (match flow_stages_of_preset t.flow with
   | Error e -> reject "%s" e
   | Ok stages ->
-    List.iter
-      (fun (stage, seconds) ->
-        if not (List.mem stage budgeted_stages) then
-          reject "stage_budget for stage %s: only stages %s take a budget" stage
-            (String.concat ", " budgeted_stages)
-        else if not (List.mem stage stages) then
-          reject "stage_budget for stage %s absent from flow %s" stage t.flow.preset;
-        if not (Float.is_finite seconds && seconds > 0.0) then
-          reject "stage_budget for %s must be positive seconds (got %g)" stage seconds)
-      t.flow.stage_budgets;
-    let keys = List.map fst t.flow.stage_budgets in
-    List.iter
-      (fun k ->
-        if List.length (List.filter (( = ) k) keys) > 1 then
-          reject "duplicate stage_budget for stage %s" k)
-      (List.sort_uniq compare keys));
+    (* A move budget counts annealing moves: a flow with no sa stage
+       would ignore it. *)
+    if t.budget.max_moves <> None && not (List.mem "sa" stages) then
+      reject "max_moves budgets the sa anneal, and flow %s has no sa stage" t.flow);
   match !errors with
   | _ :: _ -> Error (String.concat "; " (List.rev !errors))
   | [] ->
@@ -269,8 +248,4 @@ let with_report_file path t = { t with obs = { t.obs with report_path = Some pat
 
 let with_on_event f t = { t with obs = { t.obs with on_event = Some f } }
 
-let with_flow_preset preset t = { t with flow = { t.flow with preset } }
-
-let with_stage_budget stage seconds t =
-  let rest = List.filter (fun (s, _) -> s <> stage) t.flow.stage_budgets in
-  { t with flow = { t.flow with stage_budgets = rest @ [ (stage, seconds) ] } }
+let with_flow_preset flow t = { t with flow }

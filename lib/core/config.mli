@@ -7,7 +7,8 @@
     [Error (Invalid_config _)] and normalizing the clamped fields in
     one place. Build configurations from {!Config.default} with the
     [with_*] builders: they compose by piping, e.g.
-    [Config.(default |> with_seed 7 |> with_validate true)]. *)
+    [Config.(default |> with_seed 7 |> with_validate true)]. Every flow
+    stage obeys the one [budget.time_budget]; no stage has its own. *)
 
 type moves = {
   pinmap_move_prob : float;
@@ -28,9 +29,10 @@ type weights = {
 type budget = {
   time_budget : float option;
       (** Wall seconds for this invocation; the run stops gracefully
-          once exceeded (checked between moves). *)
+          once exceeded, in whichever flow stage is running. *)
   max_moves : int option;
-      (** Total annealing moves (cumulative across resumes). *)
+      (** Total moves of the [sa] anneal (cumulative across resumes);
+          refused for a flow with no [sa] stage. *)
   stop_after_accepted : int option;
       (** Fault injection: stop (as [Interrupt]) once this many
           moves have been accepted, cumulative across resumes. In a
@@ -40,7 +42,8 @@ type budget = {
 
 type persistence = {
   run_dir : string option;
-      (** Directory for {!Checkpoint.V2} snapshots; [None] disables
+      (** Directory for {!Checkpoint.V2} snapshots and stage
+          checkpoints, which belongs to one run; [None] disables
           checkpointing entirely. *)
   snapshot_every : int;
       (** Write a snapshot every this many temperature boundaries
@@ -104,21 +107,6 @@ type obs = {
           run. *)
 }
 
-type flow = {
-  preset : string;
-      (** One of the four flow presets: [sa], [ap+sa],
-          [ap+greedy+route] or [seq]. The tool's own entry points only
-          ever run the [sa] stage; the full multi-stage interpretation
-          lives in [Spr_flow] (which sits above this library) — the
-          presets and their validation live here so {!validated}
-          rejects bad flows up front. *)
-  stage_budgets : (string * float) list;
-      (** Per-stage wall-second budgets, keyed by stage name. Only
-          [ap], [greedy], [route] and [sa] take a budget; every key
-          must be a stage of the chosen preset and every budget a
-          positive finite number of seconds. *)
-}
-
 type t = {
   seed : int;
   router : Spr_route.Router.config;
@@ -137,7 +125,13 @@ type t = {
   validation : validation;
   parallel : parallel;
   obs : obs;
-  flow : flow;
+  flow : string;
+      (** One of the four flow presets: [sa], [ap+sa],
+          [ap+greedy+route] or [seq]. The tool's own entry points only
+          ever run the [sa] stage; the full multi-stage interpretation
+          lives in [Spr_flow] (which sits above this library) — the
+          presets and their validation live here so {!validated}
+          rejects bad flows up front. *)
 }
 
 val default : t
@@ -152,7 +146,8 @@ val validated : t -> (t, string) Stdlib.result
 (** The smart constructor: rejects out-of-range fields (move
     probability outside [0, 1], non-positive replica count or
     exchange period, negative budgets or stream, non-finite
-    weights...) with one message naming every offending field, and
+    weights...) and a move budget for a flow with no [sa] stage,
+    with one message naming every offending field, and
     normalizes the clamped fields ([validate_every],
     [snapshot_every], [snapshot_keep] to >= 1). Every entry point
     calls this; [Ok] configurations pass through it unchanged. *)
@@ -206,7 +201,3 @@ val flow_stages_of_preset : string -> (string list, string) Stdlib.result
     rejected with a message listing the four presets. *)
 
 val with_flow_preset : string -> t -> t
-
-val with_stage_budget : string -> float -> t -> t
-(** [with_stage_budget stage seconds] sets/overwrites one stage's
-    wall-clock budget. *)

@@ -644,10 +644,13 @@ let replica_sink (config : Config.t) =
   | Some f when recording_wanted config -> Spr_obs.Sink.stream f
   | _ -> if recording_wanted config then Spr_obs.Sink.memory () else Spr_obs.Sink.null
 
-let run ?(config = Config.default) ?resume_dir ?seed_place ?start_temperature arch nl =
+let run ?(config = Config.default) ?(resume = false) ?seed_place ?start_temperature arch nl =
   match Config.validated config with
   | Error msg -> Error (Invalid_config msg)
+  | Ok { persistence = { run_dir = None; _ }; _ } when resume ->
+    Error (Invalid_config "resume needs a run directory")
   | Ok config -> (
+    let restore_from = if resume then config.persistence.run_dir else None in
     match Spr_netlist.Levelize.run nl with
     | Error e -> Error (Invalid_design e)
     | Ok _ ->
@@ -660,7 +663,7 @@ let run ?(config = Config.default) ?resume_dir ?seed_place ?start_temperature ar
       let sched =
         Scheduler.create ~replicas config.parallel.exchange
           ~history:
-            (match resume_dir with Some dir -> Checkpoint.Round.load_all ~dir | None -> [])
+            (match restore_from with Some dir -> Checkpoint.Round.load_all ~dir | None -> [])
           ~persist:
             (match config.persistence.run_dir with
             | Some dir -> fun r -> ignore (Checkpoint.Round.write ~dir r)
@@ -683,7 +686,7 @@ let run ?(config = Config.default) ?resume_dir ?seed_place ?start_temperature ar
         let config = Config.with_stream (config.parallel.stream + k) config in
         let body () =
           try
-            match resume_dir with
+            match restore_from with
             | Some dir -> (
               match Checkpoint.V2.load_latest ?replica:ctx.rep_tag nl ~dir with
               | Ok resume -> run_resumed ~ctx ~config ~resume nl
@@ -756,8 +759,8 @@ let run ?(config = Config.default) ?resume_dir ?seed_place ?start_temperature ar
         | None -> ());
         Ok p)
 
-let run_exn ?config ?resume_dir ?seed_place ?start_temperature arch nl =
-  match run ?config ?resume_dir ?seed_place ?start_temperature arch nl with
+let run_exn ?config ?resume ?seed_place ?start_temperature arch nl =
+  match run ?config ?resume ?seed_place ?start_temperature arch nl with
   | Ok r -> r
   | Error e -> raise (Tool_error e)
 

@@ -17,7 +17,7 @@
     {b Crash safety.} With a run directory set, the run writes an
     atomic, checksummed {!Checkpoint.V2} snapshot at temperature
     boundaries and on interruption, rotating the last [snapshot_keep]
-    files. Running again with [?resume_dir] continues from the newest
+    files. Running again with [~resume:true] continues from the newest
     loadable snapshot mid-schedule, bit-identically to the
     uninterrupted run. Budgets and {!request_interrupt} (or the
     SIGINT/SIGTERM handlers of {!with_signal_handlers}) stop the
@@ -146,7 +146,7 @@ val best_metric : rs:Spr_route.Route_state.t -> sta:Spr_timing.Sta.t -> float
 
 val run :
   ?config:config ->
-  ?resume_dir:string ->
+  ?resume:bool ->
   ?seed_place:Spr_layout.Placement.slot array * int array ->
   ?start_temperature:float ->
   Spr_arch.Arch.t ->
@@ -161,9 +161,11 @@ val run :
     [sched-*.rec] records ({!Checkpoint.Round}) before any replica acts
     on them.
 
-    [?resume_dir] restores the whole fleet: each replica resumes from
-    its newest loadable snapshot (restarting from scratch
-    deterministically when it has none) and recorded rounds are
+    [config.persistence.run_dir] belongs to one run, so a fresh run
+    needs a new or empty one. [~resume:true] restores the whole fleet
+    from it (and is [Error (Invalid_config _)] without one): each
+    replica resumes from its newest loadable snapshot (restarting from
+    scratch deterministically when it has none) and recorded rounds are
     replayed, so a killed-and-resumed run matches the uninterrupted
     one. [arch] is ignored for a resumed replica — the restored layout
     carries its fabric — and the annealing schedule comes from the
@@ -184,7 +186,7 @@ val run :
 
 val run_exn :
   ?config:config ->
-  ?resume_dir:string ->
+  ?resume:bool ->
   ?seed_place:Spr_layout.Placement.slot array * int array ->
   ?start_temperature:float ->
   Spr_arch.Arch.t ->
@@ -204,14 +206,15 @@ val audit_result : result -> Spr_check.Finding.t list
 
 (** {1 Graceful interruption}
 
-    A process-wide atomic flag polled between moves by every replica.
-    Only a signal or {!request_interrupt} raises it — a fleet spreads
-    one replica's own stop through a per-run flag — so it stays raised
-    until {!reset_interrupt}, and a Ctrl-C during an earlier flow stage
-    still stops the anneal. The CLI and the service worker run their
-    flow inside {!with_signal_handlers}, so Ctrl-C or SIGTERM finishes
-    the in-flight moves, writes final checkpoints and returns the
-    best-so-far result instead of dying mid-update. *)
+    A process-wide atomic flag polled between moves by every replica,
+    and by [Spr_flow] in every flow stage. Only a signal or
+    {!request_interrupt} raises it — a fleet spreads one replica's own
+    stop through a per-run flag — so it stays raised until
+    {!reset_interrupt}. The CLI and the service worker run their flow
+    inside {!with_signal_handlers}, so Ctrl-C or SIGTERM stops the
+    running stage with the layout it holds (the anneal after its
+    in-flight moves and final checkpoints) instead of dying
+    mid-update. *)
 
 val request_interrupt : unit -> unit
 

@@ -24,6 +24,7 @@ type result = {
   f_stages : stage_record list;
   f_seed_temperature : float option;
   f_fleet : Tool.fleet option;
+  f_status : Tool.status;
 }
 
 let preset_names = C.flow_preset_names
@@ -48,9 +49,12 @@ type st = {
   mutable fleet : Tool.fleet option;
   mutable stages : stage_record list;  (* reversed *)
   mutable flow_events : Trace.event list;
+  started : Spr_util.Clock.stopwatch;  (* the flow's clock *)
+  time_budget : float option;
+  mutable stopped : Tool.stop_reason option;
 }
 
-let fresh_st () =
+let fresh_st (config : C.t) =
   {
     place = None;
     rs = None;
@@ -59,7 +63,24 @@ let fresh_st () =
     fleet = None;
     stages = [];
     flow_events = [];
+    started = Spr_util.Clock.start ();
+    time_budget = config.C.budget.C.time_budget;
+    stopped = None;
   }
+
+(* The run's one stop condition: the interrupt flag, or the time budget
+   spent on the flow's clock. The flow checks it before each stage, and
+   [ap], [greedy] and [route] poll it through their own hooks; the first
+   reason seen sticks, so the flow knows a stage was cut short. *)
+let should_stop st () =
+  (if st.stopped = None then
+     st.stopped <-
+       (if Tool.interrupt_requested () then Some Tool.Interrupt
+        else
+          match st.time_budget with
+          | Some b when Spr_util.Clock.elapsed st.started >= b -> Some Tool.Time_budget
+          | _ -> None));
+  st.stopped <> None
 
 let push_stage st ~name ~seconds ~detail =
   st.stages <- { sg_name = name; sg_seconds = seconds; sg_detail = detail } :: st.stages
@@ -77,21 +98,14 @@ let record_stage st ~want_events ~name f =
   st.flow_events <- st.flow_events @ Spr_obs.Sink.events sink;
   (out, Spr_util.Clock.elapsed watch)
 
-let stage_deadline (config : C.t) name =
-  match List.assoc_opt name config.C.flow.C.stage_budgets with
-  | None -> fun () -> false
-  | Some budget ->
-    let watch = Spr_util.Clock.start () in
-    fun () -> Spr_util.Clock.elapsed watch >= budget
-
 (* --- stage-boundary persistence ---
 
    Every completed stage that produces a layout ([ap], [greedy],
    [route]) leaves a v1 layout checkpoint [stage-NN-<stage>.ckpt] in the
    run directory, the last stage of a preset included; these files are
-   the flow's only progress record. [sta] is recomputed on resume, and
-   [sa] resumes from its own V2 snapshots through [Tool.run
-   ~resume_dir]. *)
+   the flow's only progress record. A stage the stop condition cut
+   short leaves none. [sta] is recomputed on resume, and [sa] resumes
+   from its own V2 snapshots through [Tool.run ~resume]. *)
 
 let stage_ckpt dir idx name = Filename.concat dir (Printf.sprintf "stage-%02d-%s.ckpt" idx name)
 
@@ -106,19 +120,6 @@ let persist_stage ~(config : C.t) ~idx ~name st =
     let rs = match st.rs with Some rs -> rs | None -> Rs.create (Option.get st.place) in
     Spr_util.Persist.ensure_dir dir;
     Checkpoint.save rs (stage_ckpt dir idx name)
-
-(* Checkpoints of the stages a run is about to execute were left by an
-   earlier run in the same directory; a kill before this run rewrites
-   them must not resume onto that run's layouts. *)
-let drop_stale ~(config : C.t) ~from stages =
-  Option.iter
-    (fun dir ->
-      List.iteri
-        (fun idx name ->
-          let path = stage_ckpt dir idx name in
-          if idx >= from && Sys.file_exists path then Sys.remove path)
-        stages)
-    config.C.persistence.C.run_dir
 
 (* --- seed temperature probe ---
 
@@ -185,10 +186,9 @@ let seed_data place nl =
 (* --- the stages --- *)
 
 let run_ap st ~(config : C.t) ~want_events arch nl =
-  let deadline = stage_deadline config "ap" in
   let out, seconds =
     record_stage st ~want_events ~name:"ap" (fun () ->
-        Ap_place.run ~deadline ~seed:config.C.seed arch nl)
+        Ap_place.run ~deadline:(should_stop st) ~seed:config.C.seed arch nl)
   in
   match out with
   | Error e -> Error (Tool.Invalid_design e)
@@ -207,7 +207,7 @@ let run_ap st ~(config : C.t) ~want_events arch nl =
    from nothing (exactly the old sequential flow's first leg), a
    zero-temperature descent when a previous stage already placed. *)
 let run_greedy st ~(config : C.t) ~want_events arch nl =
-  let should_stop = stage_deadline config "greedy" in
+  let should_stop = should_stop st in
   match st.place with
   | None -> (
     let out, seconds =
@@ -243,7 +243,7 @@ let run_greedy st ~(config : C.t) ~want_events arch nl =
     Ok ()
 
 let run_route st ~(config : C.t) ~want_events =
-  let should_stop = stage_deadline config "route" in
+  let should_stop = should_stop st in
   let place = Option.get st.place in
   let rs, seconds =
     record_stage st ~want_events ~name:"route" (fun () ->
@@ -272,7 +272,7 @@ let run_sta st ~(config : C.t) ~want_events =
    output is deferred: the sa sub-run records events in memory (when a
    trace was requested) and the flow assembles the final file, so the
    stage spans of the whole flow land in one [spr-trace-1] stream. *)
-let run_sa st ~(config : C.t) ~want_events ?resume_dir ~multi_stage arch nl =
+let run_sa st ~(config : C.t) ~want_events ~resume ~multi_stage arch nl =
   let seed_place = Option.map (fun place -> seed_data place nl) st.place in
   (* Probed on every run, resumes included: a replica that lost its V2
      snapshots restarts the seeded anneal and must open at the
@@ -316,13 +316,14 @@ let run_sa st ~(config : C.t) ~want_events ?resume_dir ~multi_stage arch nl =
         }
         config
   in
-  (* Whatever the preset, the stage runs under the tighter of the run's
-     time budget and its own stage budget. *)
+  (* The anneal spends what is left of the flow's time budget. A spent
+     budget stays positive, so the config still validates and the
+     anneal stops at its first move. *)
   let config =
-    match List.assoc_opt "sa" config.C.flow.C.stage_budgets, config.C.budget.C.time_budget with
-    | None, _ -> config
-    | Some b, Some t -> C.with_time_budget (Float.min t b) config
-    | Some b, None -> C.with_time_budget b config
+    match st.time_budget with
+    | None -> config
+    | Some b ->
+      C.with_time_budget (Float.max Float.min_float (b -. Spr_util.Clock.elapsed st.started)) config
   in
   let sa_config =
     if multi_stage then
@@ -336,7 +337,7 @@ let run_sa st ~(config : C.t) ~want_events ?resume_dir ~multi_stage arch nl =
     else config
   in
   let watch = Spr_util.Clock.start () in
-  match Tool.run ~config:sa_config ?resume_dir ?seed_place ?start_temperature arch nl with
+  match Tool.run ~config:sa_config ~resume ?seed_place ?start_temperature arch nl with
   | Error e -> Error e
   | Ok p ->
     let r = Tool.best_result p in
@@ -362,11 +363,11 @@ let run_sa st ~(config : C.t) ~want_events ?resume_dir ~multi_stage arch nl =
    when it does not, and return how many stages it skips; with none, the
    flow starts fresh (mirroring [Tool.run]'s per-replica fallback).
    Determinism replays whatever was lost. *)
-let restore ~resume_dir ~stages st nl =
+let restore ~dir ~stages st nl =
   let rec latest = function
     | [] -> 0
     | (idx, name) :: earlier -> (
-      match Checkpoint.load nl (stage_ckpt resume_dir idx name) with
+      match Checkpoint.load nl (stage_ckpt dir idx name) with
       | Error _ -> latest earlier
       | Ok rs ->
         st.place <- Some (Rs.place rs);
@@ -385,7 +386,7 @@ let restore ~resume_dir ~stages st nl =
 
 let fleet ev = { Trace.ev_replica = -1; ev }
 
-let write_flow_trace ~(orig : C.t) ~path st nl wall_seconds =
+let write_flow_trace ~(orig : C.t) ~path ~status ~rs ~sta st nl wall_seconds =
   match st.fleet with
   | Some p ->
     (* The stage spans lead replica 0's stream. *)
@@ -394,8 +395,6 @@ let write_flow_trace ~(orig : C.t) ~path st nl wall_seconds =
     Trace.to_file path (Tool.trace_events ~config:orig nl { p with Tool.p_results = results })
   | None ->
     (* No sa stage ran: frame the stage spans by hand. *)
-    let rs = Option.get st.rs in
-    let sta = Option.get st.sta in
     let g = Rs.g_count rs and d = Rs.d_count rs in
     let delay_ns = Sta.critical_delay sta in
     let best_cost = Tool.best_metric ~rs ~sta in
@@ -410,19 +409,20 @@ let write_flow_trace ~(orig : C.t) ~path st nl wall_seconds =
              n_nets = Spr_netlist.Netlist.n_nets nl;
            })
     in
-    let status = Tool.status_to_string Tool.Completed in
+    let status = Tool.status_to_string status in
     let stop = fleet (Trace.Run_end { status; g; d; delay_ns; best_cost; wall_seconds }) in
     Trace.to_file path ((start :: st.flow_events) @ [ stop ])
 
 (* --- the engine --- *)
 
-let run ?(config = Tool.default_config) ?resume_dir arch nl =
+let run ?(config = Tool.default_config) ?(resume = false) arch nl =
   match C.validated config with
   | Error msg -> Error (Tool.Invalid_config msg)
+  | Ok { C.persistence = { C.run_dir = None; _ }; _ } when resume ->
+    Error (Tool.Invalid_config "resume needs a run directory")
   | Ok config -> (
-    let preset = config.C.flow.C.preset in
     let stages =
-      match stages_of_preset preset with
+      match stages_of_preset config.C.flow with
       | Ok s -> s
       | Error _ -> assert false (* validated above *)
     in
@@ -438,38 +438,39 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
     | Ok () -> (
       let multi_stage = stages <> [ "sa" ] in
       let want_events = multi_stage && config.C.obs.C.trace_path <> None in
-      let st = fresh_st () in
-      let watch = Spr_util.Clock.start () in
+      let st = fresh_st config in
       let skip =
-        match resume_dir with
-        | Some dir when multi_stage -> restore ~resume_dir:dir ~stages st nl
+        match config.C.persistence.C.run_dir with
+        | Some dir when resume && multi_stage -> restore ~dir ~stages st nl
         | _ -> 0
       in
-      if multi_stage then drop_stale ~config ~from:skip stages;
+      (* The stop condition is checked before each stage that has a
+         layout to fall back on; a flow's first stage polls it itself
+         and stops at once. A stage it stopped leaves no checkpoint and
+         ends the flow, so a resume re-runs that stage from its start. *)
       let rec execute idx = function
         | [] -> Ok ()
+        | _ :: rest when idx < skip -> execute (idx + 1) rest
+        | _ when st.place <> None && should_stop st () -> Ok ()
         | stage :: rest -> (
           let outcome =
-            if idx < skip then Ok ()
-            else
-              match stage with
-              | "ap" -> run_ap st ~config ~want_events arch nl
-              | "greedy" -> run_greedy st ~config ~want_events arch nl
-              | "route" -> run_route st ~config ~want_events
-              | "sta" -> run_sta st ~config ~want_events
-              | "sa" ->
-                (* Pass the resume dir through so an in-flight sa
-                   continues from its V2 snapshots; a fresh sa with no
-                   snapshots starts deterministically from the seed. *)
-                run_sa st ~config ~want_events ?resume_dir ~multi_stage arch nl
-              | other ->
-                Error (Tool.Invalid_config (Printf.sprintf "unknown flow stage %s" other))
+            match stage with
+            | "ap" -> run_ap st ~config ~want_events arch nl
+            | "greedy" -> run_greedy st ~config ~want_events arch nl
+            | "route" -> run_route st ~config ~want_events
+            | "sta" -> run_sta st ~config ~want_events
+            | "sa" ->
+              (* A resumed sa continues from its V2 snapshots; a fresh
+                 sa with no snapshots starts deterministically from the
+                 seed. *)
+              run_sa st ~config ~want_events ~resume ~multi_stage arch nl
+            | other -> Error (Tool.Invalid_config (Printf.sprintf "unknown flow stage %s" other))
           in
           match outcome with
           | Error e -> Error e
+          | Ok () when st.stopped <> None -> Ok ()
           | Ok () ->
-            if idx >= skip && leaves_checkpoint stage then
-              persist_stage ~config ~idx ~name:stage st;
+            if leaves_checkpoint stage then persist_stage ~config ~idx ~name:stage st;
             execute (idx + 1) rest)
       in
       match execute 0 stages with
@@ -478,10 +479,16 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
         let place = Option.get st.place in
         let rs = match st.rs with Some rs -> rs | None -> Rs.create place in
         let sta = match st.sta with Some s -> s | None -> Sta.create config.C.delay_model rs in
-        let wall_seconds = Spr_util.Clock.elapsed watch in
+        let status =
+          match st.fleet, st.stopped with
+          | Some p, _ -> (Tool.best_result p).Tool.status
+          | None, Some reason -> Tool.Interrupted reason
+          | None, None -> Tool.Completed
+        in
+        let wall_seconds = Spr_util.Clock.elapsed st.started in
         (if multi_stage then
            match config.C.obs.C.trace_path with
-           | Some path -> write_flow_trace ~orig:config ~path st nl wall_seconds
+           | Some path -> write_flow_trace ~orig:config ~path ~status ~rs ~sta st nl wall_seconds
            | None -> ());
         Ok
           {
@@ -495,6 +502,7 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
             f_stages = List.rev st.stages;
             f_seed_temperature = st.seed_temp;
             f_fleet = st.fleet;
+            f_status = status;
           }))
 
 let stage_seconds r = List.fold_left (fun acc s -> acc +. s.sg_seconds) 0.0 r.f_stages
@@ -504,7 +512,7 @@ let sa_moves r =
   | Some p -> (Tool.best_result p).Tool.anneal_report.Spr_anneal.Engine.n_moves
   | None -> 0
 
-let run_exn ?config ?resume_dir arch nl =
-  match run ?config ?resume_dir arch nl with
+let run_exn ?config ?resume arch nl =
+  match run ?config ?resume arch nl with
   | Ok r -> r
   | Error e -> raise (Tool.Tool_error e)

@@ -17,20 +17,23 @@
 
     The four presets ([sa], [ap+sa], [ap+greedy+route], [seq]) are the
     only flows; they and their validation live in
-    {!Spr_core.Tool.Config} (the [flow] sub-record) so every entry
-    point rejects bad flows up front; this module is the interpreter.
-    The [sa] stage is one {!Spr_core.Tool.run} over the configured
-    fleet, so preset [sa] is exactly that run.
+    {!Spr_core.Tool.Config} (the [flow] field) so every entry point
+    rejects bad flows up front; this module is the interpreter. The
+    [sa] stage is one {!Spr_core.Tool.run} over the configured fleet,
+    so preset [sa] is exactly that run.
 
-    Per-stage wall-clock budgets ([Config.flow.stage_budgets]) bound
-    the [ap], [greedy], [route] and [sa] stages. Under
+    Every stage stops on one condition: the interrupt flag or
+    [Config.budget.time_budget] spent since the flow began. The flow
+    checks it before each stage, [ap], [greedy] and [route] poll it,
+    and [sa] spends what is left of the budget. Under
     [Config.persistence.run_dir], every completed stage that produces a
     layout ([ap], [greedy], [route], a preset's last stage included)
-    writes a v1 layout checkpoint [stage-NN-<stage>.ckpt]; these files
-    are the flow's only progress record. [sta] is recomputed on resume,
-    and an [sa] stage rides the V2 snapshot machinery of
-    {!Spr_core.Tool.run}. With [Config.obs.trace_path] set, the stage
-    spans of the whole flow land in one [spr-trace-1] stream. *)
+    writes a v1 layout checkpoint [stage-NN-<stage>.ckpt], the flow's
+    only progress record; a stopped stage writes none. [sta] is
+    recomputed on resume, and an [sa] stage rides the V2 snapshot
+    machinery of {!Spr_core.Tool.run}. With [Config.obs.trace_path]
+    set, the stage spans of the whole flow land in one [spr-trace-1]
+    stream. *)
 
 module Ap_place = Ap_place
 
@@ -53,8 +56,10 @@ type result = {
       (** The probed reduced starting temperature, when a seeded [sa]
           stage ran. *)
   f_fleet : Spr_core.Tool.fleet option;
-      (** The [sa] stage's fleet record; [None] for flows without an
-          [sa] stage. *)
+      (** The [sa] stage's fleet record; [None] when no [sa] stage ran. *)
+  f_status : Spr_core.Tool.status;
+      (** The [sa] winner's status when [sa] ran, else [Completed] or
+          the stop condition's reason. *)
 }
 
 val preset_names : string list
@@ -76,22 +81,27 @@ val sa_moves : result -> int
 
 val run :
   ?config:Spr_core.Tool.config ->
-  ?resume_dir:string ->
+  ?resume:bool ->
   Spr_arch.Arch.t ->
   Spr_netlist.Netlist.t ->
   (result, Spr_core.Tool.error) Stdlib.result
-(** Run [config.flow.preset]. [?resume_dir] resumes a multi-stage flow
-    after the latest stage checkpoint that loads (trying earlier ones
-    when it does not) and an [sa] stage from its V2 snapshots; a seeded
-    [sa] re-probes its T0 from the restored placement. A directory with
-    no loadable stage checkpoint starts fresh — determinism replays the
-    lost trajectory. A run first deletes the stage checkpoints of the
-    stages it is about to execute, which an earlier run in the same
-    directory may have left. *)
+(** Run [config.flow]. A stopped stage ends the flow with the layout it
+    holds: after [ap] or [greedy] the placement, unrouted; after
+    [route] the partial routing; with an STA built from scratch.
+
+    [config.persistence.run_dir] belongs to one run, so a fresh run
+    needs a new or empty one. [~resume:true] resumes from it (and is
+    [Error (Invalid_config _)] without one): a multi-stage flow after
+    the latest stage checkpoint that loads, trying earlier ones when it
+    does not, and an [sa] stage from its V2 snapshots; a seeded [sa]
+    re-probes its T0 from the restored placement. [ap], [greedy] and
+    [route] keep no mid-stage state, so a stopped stage runs again from
+    its start. With no loadable stage checkpoint the flow starts fresh:
+    determinism replays the lost trajectory. *)
 
 val run_exn :
   ?config:Spr_core.Tool.config ->
-  ?resume_dir:string ->
+  ?resume:bool ->
   Spr_arch.Arch.t ->
   Spr_netlist.Netlist.t ->
   result

@@ -21,9 +21,9 @@ val run :
 (** Produces a placement (default pinmaps) optimized for estimated
     wirelength and congestion only, annealing under [?anneal] (sized to
     the netlist when absent) from a random placement drawn from [seed].
-    [?should_stop] is polled between annealing moves (the flow engine's
-    stage budget rides it); the run then returns the placement as
-    annealed so far. *)
+    [?should_stop] is polled between annealing moves (the flow engine
+    passes the run's stop condition through it); the run then returns
+    the placement as annealed so far. *)
 
 val refine :
   ?should_stop:(unit -> bool) ->
@@ -34,8 +34,8 @@ val refine :
 (** Zero-temperature greedy descent over an existing placement: propose
     up to [moves] swaps, keeping only the improving ones (mutating the
     placement in place). Returns the number of improvements kept.
-    Deterministic given the rng state; [?should_stop] bounds it by wall
-    clock. *)
+    Deterministic given the rng state; [?should_stop] is polled before
+    each move and ends the descent early. *)
 
 val wirelength : Spr_layout.Placement.t -> float
 (** Current weighted half-perimeter total (vertical weight 2.0), for

@@ -17,5 +17,5 @@ val run :
 (** The rip-up-and-retry loop runs at most 25 iterations. The state is
     left with whatever could be routed; inspect
     {!Spr_route.Route_state.fully_routed}. [?should_stop] is polled
-    between rip-up-and-retry iterations, so a stage budget bounds the
-    loop without leaving the state mid-commit. *)
+    between rip-up-and-retry iterations, so the flow engine's stop
+    condition ends the loop without leaving the state mid-commit. *)

@@ -14,7 +14,6 @@ type t = {
   seed : int;
   effort : Profiles.effort;
   flow : string;
-  stage_budgets : (string * float) list;
   replicas : int;
   exchange : Portfolio.exchange;
   time_budget : float option;
@@ -30,8 +29,7 @@ let default =
     scheme = Segmentation.Actel_like;
     seed = c.C.seed;
     effort = Profiles.Standard;
-    flow = c.C.flow.C.preset;
-    stage_budgets = c.C.flow.C.stage_budgets;
+    flow = c.C.flow;
     replicas = c.C.parallel.C.replicas;
     exchange = c.C.parallel.C.exchange;
     time_budget = c.C.budget.C.time_budget;
@@ -46,7 +44,7 @@ let config s ~n =
       C.budget = { c.C.budget with C.time_budget = s.time_budget; max_moves = s.max_moves };
       parallel = { c.C.parallel with C.replicas = s.replicas; exchange = s.exchange };
       obs = { c.C.obs with C.label = Some s.label };
-      flow = { C.preset = s.flow; stage_budgets = s.stage_budgets };
+      flow = s.flow;
     }
 
 let unknown_circuit name =
@@ -113,7 +111,6 @@ let to_json s =
       ("seed", J.Int s.seed);
       ("effort", J.String (Profiles.effort_to_string s.effort));
       ("flow", J.String s.flow);
-      ("stage_budgets", J.Obj (List.map (fun (stage, b) -> (stage, J.Float b)) s.stage_budgets));
       ("replicas", J.Int s.replicas);
       ("exchange", J.String (Portfolio.exchange_to_string s.exchange));
       ("time_budget", opt (fun b -> J.Float b) s.time_budget);
@@ -129,11 +126,11 @@ let of_json =
         | None, None -> J.fail "provide a circuit name or BLIF text"
         | Some _, Some _ -> J.fail "provide a circuit name or BLIF text, not both"
       in
-      let stage_budgets =
-        match J.dopt J.dfields j "stage_budgets" with
-        | None -> default.stage_budgets
-        | Some kvs -> List.map (fun (stage, v) -> (stage, J.expect "number" J.to_float stage v)) kvs
-      in
+      (* Specs written while flows had per-stage budgets carry the
+         field, empty unless a budget was set. *)
+      (match J.dopt J.dfields j "stage_budgets" with
+      | None | Some [] -> ()
+      | Some _ -> J.fail "stage_budgets were deleted; bound the whole run with time_budget");
       (* Specs written while fleets had a second scheduler name it and
          carry its three knobs: "barrier" is the one policy left, and the
          knobs are ignored. *)
@@ -160,7 +157,6 @@ let of_json =
                 ~none:(Printf.sprintf "effort must be quick|standard|thorough (got %s)" s))
             "effort";
         flow = Option.value (J.dopt J.dstr j "flow") ~default:default.flow;
-        stage_budgets;
         replicas = J.dint j "replicas";
         exchange = parsed Portfolio.exchange_of_string "exchange";
         time_budget = J.dopt J.dfloat j "time_budget";

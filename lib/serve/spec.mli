@@ -28,13 +28,15 @@ type t = {
   seed : int;
   effort : Spr_experiments.Profiles.effort;
   flow : string;  (** Flow preset: [sa], [ap+sa], [ap+greedy+route] or [seq]. *)
-  stage_budgets : (string * float) list;  (** Wall seconds per flow stage. *)
   replicas : int;
   exchange : Spr_anneal.Portfolio.exchange;
   time_budget : float option;
-      (** Wall seconds for one invocation; for a serve job also its soft
-          timeout ({!Daemon} adds a hard backstop). *)
-  max_moves : int option;  (** Annealing moves, cumulative across resumes. *)
+      (** Wall seconds for one invocation, which every flow stage obeys;
+          for a serve job also its soft timeout ({!Daemon} adds a hard
+          backstop). *)
+  max_moves : int option;
+      (** Moves of the [sa] anneal, cumulative across resumes; refused
+          for a flow with no [sa] stage. *)
 }
 
 val default : t
@@ -44,7 +46,8 @@ val default : t
 
 val config : t -> n:int -> (Spr_core.Config.t, string) result
 (** The configuration the spec runs on an [n]-cell design: the effort's
-    annealing schedule, flow, stage budgets, budgets, fleet and label, through {!Spr_core.Config.validated}. *)
+    annealing schedule, flow, budgets, fleet and label, through
+    {!Spr_core.Config.validated}. *)
 
 val netlist : t -> (Spr_netlist.Netlist.t, string) result
 (** Build the built-in circuit or parse the BLIF bytes. *)
@@ -74,11 +77,13 @@ val to_json : t -> Spr_obs.Json.t
 val of_json : Spr_obs.Json.t -> (t, string) result
 (** Total. Exactly one of the [circuit]/[blif] fields must be set, and
     misspelt effort, scheme or exchange values are errors naming the
-    valid ones. Fields added after [job.json] files were first written
-    ([flow], [stage_budgets]) take their {!default} when absent. Files
-    written while fleets had a second scheduler still decode when they
-    name ["barrier"], and their race knobs are ignored; a file that
-    names ["racing"] is an error naming the deleted scheduler. *)
+    valid ones. A missing [flow] (added after [job.json] files were
+    first written) takes its {!default}. The [stage_budgets] object of
+    files written while stages had budgets is ignored when empty and
+    an error naming it otherwise. Files written while fleets had a
+    second scheduler still decode when they name ["barrier"], and their
+    race knobs are ignored; a file that names ["racing"] is an error
+    naming the deleted scheduler. *)
 
 (** {1 Run directories} *)
 

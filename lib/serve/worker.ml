@@ -92,22 +92,18 @@ let main ~state_dir ~job ~pipe =
              with V2 snapshots in the run dir pick up where they stopped;
              anything without usable state starts deterministically from
              scratch.
-             SIGTERM lands in Tool's handler and stops the run gracefully
-             between moves. *)
+             SIGTERM lands in Tool's handler and stops whichever flow
+             stage is running gracefully. *)
           Spr_core.Tool.with_signal_handlers (fun () ->
-              Spr_flow.run ~config ~resume_dir:run_dir arch nl)
+              Spr_flow.run ~config ~resume:true arch nl)
         with
         | Ok r ->
           Spr_core.Checkpoint.save r.Spr_flow.f_route (Job.layout_file ~state_dir job);
           (* Flows without an sa stage have no Tool run report; their
              outcome carries the status alone. *)
-          let status, report =
-            match r.Spr_flow.f_fleet with
-            | Some p ->
-              ( Spr_core.Tool.status_to_string
-                  (Spr_core.Tool.best_result p).Spr_core.Tool.status,
-                Some (Spr_obs.Report.to_json p.Spr_core.Tool.p_report) )
-            | None -> (Spr_core.Tool.status_to_string Spr_core.Tool.Completed, None)
+          let status = Spr_core.Tool.status_to_string r.Spr_flow.f_status in
+          let report =
+            Option.map (fun p -> Spr_obs.Report.to_json p.Spr_core.Tool.p_report) r.Spr_flow.f_fleet
           in
           (* Outcome before result frame: if the daemon dies between the
              two, restart recovery still finds the result on disk. *)

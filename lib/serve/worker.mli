@@ -8,9 +8,9 @@
 
     The worker owns its job directory: it redirects stdout/stderr to
     [log.txt], always runs the flow engine ({!Spr_flow.run}) with
-    [~resume_dir] pointing at the job's run directory (so a re-run
-    after a crash resumes from the newest snapshots and a first run
-    starts fresh — same call either way), streams every trace event to
+    [~resume:true] over the job's run directory (so a re-run after a
+    crash resumes from the newest snapshots and a first run starts
+    fresh — same call either way), streams every trace event to
     the daemon over the result pipe as {!Protocol.W_event} frames, and
     finishes by durably writing [outcome.json] {e before} sending the
     {!Protocol.W_result} frame. That ordering is the crash-recovery
@@ -19,8 +19,10 @@
     instead of re-running the job.
 
     SIGTERM is the graceful-stop channel: {!Spr_core.Tool}'s handler
-    turns it into an interrupt, the run stops between moves with a
-    final checkpoint, and the worker still exits 0 with an
+    turns it into an interrupt that stops whichever flow stage is
+    running (an anneal between moves, with a final checkpoint; an
+    earlier stage with the layout it holds), and the worker still
+    exits 0 with an
     [interrupted] outcome (the daemon decides whether that means
     parked, cancelled, or timed out). A broken pipe (daemon died)
     silently stops streaming but the run carries on — the outcome file

@@ -456,7 +456,7 @@ let crash_runner ~name ~arch ~nl ~config =
         (fun () ->
           (* A crash before the first snapshot existed resumes as a
              fresh start, which must still match by determinism. *)
-          match Tool.run ~config:resume_config ~resume_dir:dir arch nl with
+          match Tool.run ~config:resume_config ~resume:true arch nl with
           | Ok p -> Ok (outcome_of p)
           | Error e -> Error (Tool.error_to_string e));
       reset = (fun () -> rmrf dir);
@@ -514,7 +514,7 @@ let test_portfolio_kill_resume () =
           stopped.Tool.p_results
       in
       if not interrupted then Alcotest.failf "%s: fleet was not interrupted" policy_name;
-      let resumed = Tool.run_exn ~config:run_config ~resume_dir:dir arch nl in
+      let resumed = Tool.run_exn ~config:run_config ~resume:true arch nl in
       Array.iteri
         (fun k (r : Tool.result) ->
           (match r.Tool.status with
@@ -629,7 +629,7 @@ let test_graceful_stop_resume () =
   match V2.load_latest nl ~dir with
   | Error e -> Alcotest.failf "no resumable snapshot after graceful stop: %s" e
   | Ok _ -> (
-    match Tool.run ~config:(Tool.Config.with_run_dir dir config) ~resume_dir:dir arch nl with
+    match Tool.run ~config:(Tool.Config.with_run_dir dir config) ~resume:true arch nl with
     | Error e -> Alcotest.fail (Tool.error_to_string e)
     | Ok resumed ->
       (match (Tool.best_result resumed).Tool.status with

@@ -1,6 +1,7 @@
 (* End-to-end tests that drive the spr binary: budget-limited runs exit
-   cleanly with a best-so-far layout, and SIGINT leaves behind a
-   resumable run directory. The CLI is located relative to this test
+   cleanly with a best-so-far layout in every flow stage, a run
+   directory holds one run, and SIGINT leaves behind a resumable run
+   directory. The CLI is located relative to this test
    executable (_build/default/test/ -> _build/default/bin/), so the
    tests work under both [dune runtest] and [dune exec]. *)
 
@@ -193,10 +194,10 @@ let test_exchange_blif_resume () =
   rmrf dir;
   Sys.remove blif
 
-(* A resume takes this invocation's --stage-budget: the sa stage of a
-   long run stops at it. *)
-let test_resume_stage_budget () =
-  let dir = "cli-stage-budget" in
+(* A resume takes this invocation's --time-budget: a long run stops at
+   it. *)
+let test_resume_time_budget () =
+  let dir = "cli-resume-budget" in
   rmrf dir;
   let status, _ =
     run_cli
@@ -204,13 +205,87 @@ let test_resume_stage_budget () =
         "--run-dir"; dir ]
   in
   check_exit_zero "cut run" status;
-  let status, out = run_cli [ "route"; "--run-resume"; dir; "--stage-budget"; "sa=0.3" ] in
+  let status, out = run_cli [ "route"; "--run-resume"; dir; "--time-budget"; "0.3" ] in
   check_exit_zero "budgeted resume" status;
   Alcotest.(check bool)
-    (Printf.sprintf "the stage budget stops the resumed run (got: %s)" out)
+    (Printf.sprintf "the time budget stops the resumed run (got: %s)" out)
     true
     (has_substring ~sub:"interrupted (time budget)" out);
   rmrf dir
+
+(* The line that reports a flow's layout and delay, without the stage
+   seconds that end it. *)
+let flow_line out =
+  let untimed l =
+    let rec cut i = if i <= 0 || String.sub l i 2 = "  " then i else cut (i - 1) in
+    String.sub l 0 (cut (String.length l - 2))
+  in
+  String.split_on_char '\n' out
+  |> List.find_opt (String.starts_with ~prefix:"flow ")
+  |> Option.map untimed
+
+(* A run directory holds one run. A fresh run in a directory an earlier
+   run used is refused before it writes anything, naming --run-resume,
+   so the directory still resumes the earlier run: a resume can no
+   longer continue one run's files under another run's spec.json. *)
+let test_reused_run_dir_refused () =
+  let dir = "cli-reused" in
+  rmrf dir;
+  let status, first =
+    run_cli
+      [ "route"; "--circuit"; "s1"; "--effort"; "quick"; "--seed"; "2"; "--max-moves"; "3000";
+        "--run-dir"; dir ]
+  in
+  check_exit_zero "first run" status;
+  let spec = Spr_util.Persist.read_file (Filename.concat dir "spec.json") in
+  let status, out =
+    run_cli
+      [ "route"; "--circuit"; "s1"; "--effort"; "standard"; "--seed"; "3"; "--max-moves"; "3000";
+        "--run-dir"; dir ]
+  in
+  (match status with
+  | Unix.WEXITED 0 -> Alcotest.failf "a fresh run in a used directory was accepted (got: %s)" out
+  | _ -> ());
+  Alcotest.(check bool)
+    (Printf.sprintf "the refusal names --run-resume %s (got: %s)" dir out)
+    true
+    (has_substring ~sub:("--run-resume " ^ dir) out);
+  Alcotest.(check bool) "spec.json is untouched" true
+    (spec = Spr_util.Persist.read_file (Filename.concat dir "spec.json"));
+  let status, resumed = run_cli [ "route"; "--run-resume"; dir; "--max-moves"; "3000" ] in
+  check_exit_zero "resume" status;
+  Alcotest.(check (option string)) "the resume lands on the first run" (flow_line first)
+    (flow_line resumed);
+  Alcotest.(check bool) "a flow line was printed" true (flow_line first <> None);
+  rmrf dir
+
+(* Every stage obeys the run's --time-budget: a seq flow stops in its
+   greedy placer. *)
+let test_seq_time_budget () =
+  let status, out =
+    run_cli
+      [ "route"; "--circuit"; "big529"; "--tracks"; "38"; "--effort"; "quick"; "--flow"; "seq";
+        "--time-budget"; "0.5" ]
+  in
+  check_exit_zero "seq run" status;
+  Alcotest.(check bool)
+    (Printf.sprintf "reports the interruption (got: %s)" out)
+    true
+    (has_substring ~sub:"interrupted (time budget)" out)
+
+(* --max-moves budgets the sa anneal; a flow without one refuses it
+   instead of ignoring it. *)
+let test_seq_refuses_max_moves () =
+  let status, out =
+    run_cli [ "route"; "--circuit"; "s1"; "--flow"; "seq"; "--max-moves"; "100" ]
+  in
+  (match status with
+  | Unix.WEXITED 0 -> Alcotest.failf "--flow seq --max-moves 100 accepted (got: %s)" out
+  | _ -> ());
+  Alcotest.(check bool)
+    (Printf.sprintf "the refusal names max_moves and the flow (got: %s)" out)
+    true
+    (has_substring ~sub:"max_moves" out && has_substring ~sub:"flow seq" out)
 
 (* A run directory written before run specs existed holds only [meta];
    --run-resume refuses it and names the missing spec.json. *)
@@ -387,48 +462,49 @@ let test_bad_parallel_flags () =
         (has_substring ~sub:"unknown option" out))
     [ [ "--" ^ "scheduler"; "racing" ]; [ String.concat "-" [ "--race"; "margin" ]; "1" ] ]
 
+(* Start the CLI, send it SIGINT after [after] seconds, and wait for it
+   to exit, killing it after [within] more seconds. Returns its exit
+   status, its combined output, and the seconds it took to exit after
+   the signal. *)
+let interrupt_cli ~after ~within args =
+  let out_path = Filename.temp_file "spr_cli_sigint" ".out" in
+  let out_fd = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid = Unix.create_process spr (Array.of_list (spr :: args)) Unix.stdin out_fd out_fd in
+  Unix.close out_fd;
+  Unix.sleepf after;
+  Unix.kill pid Sys.sigint;
+  let signalled = Unix.gettimeofday () in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+      if Unix.gettimeofday () > signalled +. within then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "CLI did not exit within %.0fs of SIGINT" within
+      end
+      else begin
+        Unix.sleepf 0.05;
+        wait ()
+      end
+    | _, status -> status
+  in
+  let status = wait () in
+  let took = Unix.gettimeofday () -. signalled in
+  let out = In_channel.with_open_bin out_path In_channel.input_all in
+  Sys.remove out_path;
+  (status, out, took)
+
 (* SIGINT mid-anneal: the handler finishes the in-flight move, writes a
    final checkpoint, and the process exits 0 with the best-so-far
    layout instead of dying. *)
 let test_sigint_writes_resumable_checkpoint () =
   let dir = "cli-sigint" in
   rmrf dir;
-  let out_path = Filename.temp_file "spr_cli_sigint" ".out" in
-  let out_fd = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let pid =
-    Unix.create_process spr
-      [| spr; "route"; "--circuit"; "s1"; "--effort"; "standard"; "--seed"; "2";
-         "--run-dir"; dir |]
-      Unix.stdin out_fd out_fd
-  in
-  Unix.close out_fd;
   (* s1 at standard effort anneals for >10s; by 2s the handlers are
      installed and the run is mid-schedule. *)
-  Unix.sleepf 2.0;
-  Unix.kill pid Sys.sigint;
-  let deadline = Unix.gettimeofday () +. 60.0 in
-  let rec wait () =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-      if Unix.gettimeofday () > deadline then begin
-        Unix.kill pid Sys.sigkill;
-        ignore (Unix.waitpid [] pid);
-        Alcotest.fail "CLI did not exit within 60s of SIGINT"
-      end
-      else begin
-        Unix.sleepf 0.2;
-        wait ()
-      end
-    | _, status -> status
-  in
-  let status = wait () in
-  let out =
-    let ic = open_in_bin out_path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Sys.remove out_path;
-    s
+  let status, out, _ =
+    interrupt_cli ~after:2.0 ~within:60.0
+      [ "route"; "--circuit"; "s1"; "--effort"; "standard"; "--seed"; "2"; "--run-dir"; dir ]
   in
   check_exit_zero "interrupted CLI" status;
   Alcotest.(check bool)
@@ -439,6 +515,32 @@ let test_sigint_writes_resumable_checkpoint () =
   Alcotest.(check bool) "final checkpoint present" true (loaded.Spr_core.Checkpoint.V2.seq >= 1);
   rmrf dir
 
+(* SIGINT during the seq flow's greedy placer: the stage polls the
+   interrupt flag, so the process exits at once with the placement so
+   far, and leaves no greedy checkpoint for a resume to trust. *)
+let test_sigint_stops_seq_greedy () =
+  let blif = "cli-gen2000.blif" and dir = "cli-sigint-seq" in
+  rmrf dir;
+  let status, _ = run_cli [ "generate"; "--cells"; "2000"; "--seed"; "1"; "-o"; blif ] in
+  check_exit_zero "generate" status;
+  (* Its greedy stage anneals for about 7 s on a 2-core host; the
+     signal lands 1.5 s in, after set-up has installed the handlers. *)
+  let status, out, took =
+    interrupt_cli ~after:1.5 ~within:60.0
+      [ "route"; blif; "--tracks"; "38"; "--effort"; "quick"; "--flow"; "seq"; "--run-dir"; dir ]
+  in
+  check_exit_zero "interrupted CLI" status;
+  Alcotest.(check bool) (Printf.sprintf "exits within 3 s of SIGINT (took %.1f s)" took) true
+    (took < 3.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "reports the interruption (got: %s)" out)
+    true
+    (has_substring ~sub:"interrupted (interrupt)" out);
+  Alcotest.(check bool) "no greedy checkpoint" false
+    (Sys.file_exists (Filename.concat dir "stage-00-greedy.ckpt"));
+  rmrf dir;
+  Sys.remove blif
+
 let () =
   Alcotest.run "spr_cli"
     [
@@ -448,7 +550,10 @@ let () =
             test_time_budget_interrupts;
           Alcotest.test_case "move budget interrupts, then resumes to completion" `Slow
             test_move_budget_then_resume;
-          Alcotest.test_case "a resume obeys its --stage-budget" `Slow test_resume_stage_budget;
+          Alcotest.test_case "a resume obeys its --time-budget" `Slow test_resume_time_budget;
+          Alcotest.test_case "a used run directory is refused" `Slow test_reused_run_dir_refused;
+          Alcotest.test_case "--flow seq stops at its --time-budget" `Quick test_seq_time_budget;
+          Alcotest.test_case "--flow seq refuses --max-moves" `Quick test_seq_refuses_max_moves;
           Alcotest.test_case "a run dir without spec.json is refused" `Quick
             test_resume_without_spec;
           Alcotest.test_case "a corrupted stage checkpoint resumes from scratch" `Slow
@@ -474,5 +579,7 @@ let () =
         [
           Alcotest.test_case "SIGINT writes a final resumable checkpoint" `Slow
             test_sigint_writes_resumable_checkpoint;
+          Alcotest.test_case "SIGINT stops the seq flow's greedy stage" `Slow
+            test_sigint_stops_seq_greedy;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* The composable flow engine: preset validation, analytical-seed
    determinism, bit-compat of the [sa] preset with a plain tool run,
-   worker-count independence of the seeded anneal, and stage-boundary
+   the one stop condition every stage obeys, and stage-boundary
    crash + resume. *)
 
 module Flow = Spr_flow
@@ -78,32 +78,21 @@ let test_bad_preset_rejected () =
       | Ok _ -> Alcotest.failf "flow %s accepted" flow)
     [ "warp9"; "greedy+sa" ]
 
-let test_bad_stage_budget_rejected () =
+(* A move budget counts the sa anneal's moves, so a flow with no sa
+   stage refuses it, naming the flow, instead of ignoring it. *)
+let test_move_budget_needs_sa () =
   let _, _, config = preset ~seed:3 () in
-  (match Config.validated (Config.with_stage_budget "sa" (-2.0) config) with
-  | Error msg -> Alcotest.(check bool) "mentions budget" true (String.length msg > 0)
-  | Ok _ -> Alcotest.fail "negative stage budget accepted");
-  (* sta runs one full analysis and reads no deadline, so a budget for
-     it would be silently ignored; the error names the stages that take
-     one. *)
-  let seq = Config.with_flow_preset "seq" config in
-  match Config.validated (Config.with_stage_budget "sta" 1.0 seq) with
-  | Error msg ->
-    List.iter
-      (fun stage ->
-        Alcotest.(check bool) (Printf.sprintf "error names %s: %s" stage msg) true
-          (contains ~needle:stage msg))
-      [ "sta"; "ap"; "greedy"; "route"; "sa" ]
-  | Ok _ -> Alcotest.fail "stage budget for sta accepted"
-
-let test_stage_budget_builder_overwrites () =
-  let _, _, config = preset ~seed:3 () in
-  let config =
-    Config.(config |> with_stage_budget "sa" 5.0 |> with_stage_budget "sa" 9.0)
-  in
-  match List.assoc_opt "sa" config.Config.flow.Config.stage_budgets with
-  | Some b -> Alcotest.(check (float 1e-9)) "last write wins" 9.0 b
-  | None -> Alcotest.fail "budget missing"
+  List.iter
+    (fun flow ->
+      let config = Config.(config |> with_flow_preset flow |> with_max_moves 100) in
+      match Config.validated config, Flow.stages_of_preset flow with
+      | Ok _, Ok stages when List.mem "sa" stages -> ()
+      | Error msg, Ok stages when not (List.mem "sa" stages) ->
+        Alcotest.(check bool) (Printf.sprintf "%s: error names the flow: %s" flow msg) true
+          (contains ~needle:("flow " ^ flow) msg && contains ~needle:"max_moves" msg)
+      | Ok _, _ -> Alcotest.failf "%s: a move budget was accepted" flow
+      | Error msg, _ -> Alcotest.failf "%s: a move budget was refused: %s" flow msg)
+    Flow.preset_names
 
 (* --- analytical placement --- *)
 
@@ -152,18 +141,6 @@ let test_seq_preset_deterministic () =
   let names = List.map (fun s -> s.Flow.sg_name) a.Flow.f_stages in
   Alcotest.(check (list string)) "stage order" [ "greedy"; "route"; "sta" ] names
 
-(* The sa stage budget binds whatever the preset: preset sa stops at it
-   too. *)
-let test_sa_stage_budget () =
-  let nl = Gen.generate (Gen.default ~n_cells:120) ~seed:4 in
-  let arch = Arch.size_for ~tracks:18 nl in
-  let config = Config.(default |> with_seed 4 |> with_stage_budget "sa" 0.2) in
-  match (Flow.run_exn ~config arch nl).Flow.f_fleet with
-  | None -> Alcotest.fail "no sa stage ran"
-  | Some p ->
-    Alcotest.(check bool) "sa stopped at its stage budget" true
-      ((Tool.best_result p).Tool.status = Tool.Interrupted Tool.Time_budget)
-
 (* --- stage-boundary kill + resume --- *)
 
 let test_ap_sa_kill_resume () =
@@ -191,7 +168,7 @@ let test_ap_sa_kill_resume () =
           arch nl
       in
       let resumed =
-        Flow.run_exn ~config:(Config.with_run_dir dir base) ~resume_dir:dir arch nl
+        Flow.run_exn ~config:(Config.with_run_dir dir base) ~resume:true arch nl
       in
       Alcotest.(check bool) "resume skipped the ap stage" true
         (List.exists
@@ -230,7 +207,7 @@ let test_lost_snapshots_reprobe () =
     (fun () ->
       let reference = Flow.run_exn ~config arch nl in
       remove_files dir ~prefix:"snap-";
-      let resumed = Flow.run_exn ~config ~resume_dir:dir arch nl in
+      let resumed = Flow.run_exn ~config ~resume:true arch nl in
       Alcotest.(check (list string)) "ap restored" [ "ap" ] (restored_stages resumed);
       Alcotest.(check bool) "a seeded anneal ran" true (reference.Flow.f_seed_temperature <> None);
       Alcotest.(check bool) "re-probed the seed temperature" true
@@ -253,7 +230,7 @@ let test_finished_seq_resumes () =
     ~finally:(fun () -> rmrf dir)
     (fun () ->
       let reference = Flow.run_exn ~config arch nl in
-      let resumed = Flow.run_exn ~config ~resume_dir:dir arch nl in
+      let resumed = Flow.run_exn ~config ~resume:true arch nl in
       Alcotest.(check (list string)) "greedy and route restored" [ "greedy"; "route" ]
         (restored_stages resumed);
       Alcotest.(check (list string)) "every stage reported" [ "greedy"; "route"; "sta" ]
@@ -289,7 +266,7 @@ let test_lost_last_stage_checkpoint () =
           write greedy greedy_text;
           write route route_text;
           damage ();
-          match Flow.run ~config ~resume_dir:dir arch nl with
+          match Flow.run ~config ~resume:true arch nl with
           | exception e -> Alcotest.failf "%s: resume raised %s" label (Printexc.to_string e)
           | Error e -> Alcotest.failf "%s: resume failed: %s" label (Tool.error_to_string e)
           | Ok r ->
@@ -308,49 +285,124 @@ let test_lost_last_stage_checkpoint () =
           ("no stage checkpoint", (fun () -> remove_files dir ~prefix:"stage-"), []);
         ])
 
-(* A fresh run that reuses an earlier run's directory drops that run's
-   stage checkpoints before its first stage, so if it dies before
-   writing its own (here: on a fabric too small for greedy), its resume
-   starts fresh instead of restoring the earlier run's layout. *)
-let test_reused_run_dir () =
+let stage_names (r : Flow.result) = List.map (fun s -> s.Flow.sg_name) r.Flow.f_stages
+
+(* The result holds its placement with no net routed. *)
+let unrouted (r : Flow.result) =
+  let fresh = Rs.create r.Flow.f_place in
+  Rs.snapshot fresh = Rs.snapshot r.Flow.f_route
+
+(* The status the [run_end] row of a flow's trace file reports. *)
+let traced_status path =
+  match Spr_obs.Trace.of_file path with
+  | Error e -> Alcotest.failf "trace %s: %s" path e
+  | Ok events ->
+    List.find_map
+      (fun e -> match e.Spr_obs.Trace.ev with Spr_obs.Trace.Run_end r -> Some r.status | _ -> None)
+      events
+
+(* A seq run that the stop condition cuts short in greedy, whether by
+   the interrupt flag or by its time budget, ends there: route and sta
+   do not run, no greedy checkpoint is written, and the result (and its
+   trace) is the greedy placement, unrouted. Its resume re-runs greedy
+   from its start and lands on the uninterrupted layout and delay. *)
+let test_seq_stopped_in_greedy () =
   let arch, nl, base = preset ~seed:9 () in
-  let dir = "flow-seq-reused" in
-  let seq seed = Config.(base |> with_seed seed |> with_flow_preset "seq") in
-  let tiny = Arch.size_for ~tracks:18 (Gen.generate (Gen.default ~n_cells:8) ~seed:1) in
+  let base = Config.with_flow_preset "seq" base in
+  let reference = Flow.run_exn ~config:base arch nl in
+  let dir = "flow-seq-stopped" and trace = "flow-seq-stopped.jsonl" in
+  List.iter
+    (fun (label, stop, config, reason) ->
+      rmrf dir;
+      Fun.protect
+        ~finally:(fun () ->
+          Tool.reset_interrupt ();
+          rmrf dir;
+          rmrf trace)
+        (fun () ->
+          stop ();
+          let config = Config.(config |> with_run_dir dir |> with_trace_file trace) in
+          let stopped = Flow.run_exn ~config arch nl in
+          Tool.reset_interrupt ();
+          Alcotest.(check bool) (label ^ ": interrupted") true
+            (stopped.Flow.f_status = Tool.Interrupted reason);
+          Alcotest.(check (option string)) (label ^ ": the trace reports it")
+            (Some (Tool.status_to_string (Tool.Interrupted reason)))
+            (traced_status trace);
+          Alcotest.(check (list string)) (label ^ ": the flow ended in greedy") [ "greedy" ]
+            (stage_names stopped);
+          Alcotest.(check bool) (label ^ ": no greedy checkpoint") false
+            (Sys.file_exists (Filename.concat dir "stage-00-greedy.ckpt"));
+          Alcotest.(check bool) (label ^ ": the placement is unrouted") true (unrouted stopped);
+          let resumed = Flow.run_exn ~config:(Config.with_run_dir dir base) ~resume:true arch nl in
+          Alcotest.(check (list string)) (label ^ ": nothing restored") [] (restored_stages resumed);
+          Alcotest.(check bool) (label ^ ": the resume completes") true
+            (resumed.Flow.f_status = Tool.Completed);
+          Alcotest.(check string) (label ^ ": lands on the uninterrupted layout")
+            (Rs.snapshot reference.Flow.f_route)
+            (Rs.snapshot resumed.Flow.f_route);
+          Alcotest.(check (float 0.0)) (label ^ ": same delay") reference.Flow.f_critical_delay
+            resumed.Flow.f_critical_delay))
+    [
+      ("interrupt", Tool.request_interrupt, base, Tool.Interrupt);
+      ("time budget", ignore, Config.with_time_budget 1e-6 base, Tool.Time_budget);
+    ]
+
+(* The flow checks the stop condition before each stage: a resume that
+   restores greedy while an interrupt is pending stops before route,
+   with greedy's placement, unrouted. *)
+let test_stop_between_stages () =
+  let arch, nl, base = preset ~seed:9 () in
+  let dir = "flow-seq-between" in
+  let config = Config.(base |> with_flow_preset "seq" |> with_run_dir dir) in
   rmrf dir;
   Fun.protect
-    ~finally:(fun () -> rmrf dir)
+    ~finally:(fun () ->
+      Tool.reset_interrupt ();
+      rmrf dir)
     (fun () ->
-      let earlier = Flow.run_exn ~config:(Config.with_run_dir dir (seq 9)) arch nl in
-      (match Flow.run ~config:(Config.with_run_dir dir (seq 10)) tiny nl with
-      | Error (Tool.Invalid_design _) -> ()
-      | Error e -> Alcotest.failf "wrong error: %s" (Tool.error_to_string e)
-      | Ok _ -> Alcotest.fail "a 48-cell design fit an 8-cell fabric");
-      let reference = Flow.run_exn ~config:(seq 10) arch nl in
-      Alcotest.(check bool) "the two runs differ" false
-        (Rs.snapshot earlier.Flow.f_route = Rs.snapshot reference.Flow.f_route);
-      let resumed =
-        Flow.run_exn ~config:(Config.with_run_dir dir (seq 10)) ~resume_dir:dir arch nl
-      in
-      Alcotest.(check (list string)) "nothing restored" [] (restored_stages resumed);
-      Alcotest.(check string) "resumed run lands on its own uninterrupted layout"
-        (Rs.snapshot reference.Flow.f_route)
-        (Rs.snapshot resumed.Flow.f_route))
-
-(* A Ctrl-C that lands during an earlier stage is still pending when
-   the sa stage starts, so the anneal stops after its first move. *)
-let test_interrupt_survives_earlier_stage () =
-  let arch, nl, config = preset ~seed:5 () in
-  Fun.protect ~finally:Tool.reset_interrupt (fun () ->
+      ignore (Flow.run_exn ~config arch nl : Flow.result);
+      Sys.remove (Filename.concat dir "stage-01-route.ckpt");
       Tool.request_interrupt ();
-      let r = Flow.run_exn ~config:(Config.with_flow_preset "ap+sa" config) arch nl in
-      match r.Flow.f_fleet with
-      | None -> Alcotest.fail "no sa stage ran"
-      | Some p ->
-        let sa = Tool.best_result p in
-        Alcotest.(check bool) "sa interrupted" true
-          (sa.Tool.status = Tool.Interrupted Tool.Interrupt);
-        Alcotest.(check int) "sa stopped after its first move" 1 (Flow.sa_moves r))
+      let r = Flow.run_exn ~config ~resume:true arch nl in
+      Alcotest.(check bool) "interrupted" true (r.Flow.f_status = Tool.Interrupted Tool.Interrupt);
+      Alcotest.(check (list string)) "greedy restored, nothing run" [ "greedy" ] (stage_names r);
+      Alcotest.(check (list string)) "restored" [ "greedy" ] (restored_stages r);
+      Alcotest.(check bool) "the placement is unrouted" true (unrouted r))
+
+(* A resume reads the run directory the config names, and there is
+   nothing to resume without one. *)
+let test_resume_needs_run_dir () =
+  let arch, nl, config = preset ~seed:9 () in
+  List.iter
+    (fun flow ->
+      match Flow.run ~config:(Config.with_flow_preset flow config) ~resume:true arch nl with
+      | Error (Tool.Invalid_config msg) ->
+        Alcotest.(check bool) (flow ^ ": names the run directory") true
+          (contains ~needle:"run directory" msg)
+      | Error e -> Alcotest.failf "%s: wrong error: %s" flow (Tool.error_to_string e)
+      | Ok _ -> Alcotest.failf "%s: resumed without a run directory" flow)
+    [ "sa"; "seq" ]
+
+(* A Ctrl-C that lands during ap stops the flow there: ap returns the
+   placement it holds, writes no checkpoint, and sa never starts. *)
+let test_interrupt_stops_ap () =
+  let arch, nl, config = preset ~seed:5 () in
+  let dir = "flow-ap-interrupted" in
+  rmrf dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Tool.reset_interrupt ();
+      rmrf dir)
+    (fun () ->
+      Tool.request_interrupt ();
+      let config = Config.(config |> with_flow_preset "ap+sa" |> with_run_dir dir) in
+      let r = Flow.run_exn ~config arch nl in
+      Alcotest.(check bool) "interrupted" true (r.Flow.f_status = Tool.Interrupted Tool.Interrupt);
+      Alcotest.(check (list string)) "the flow ended in ap" [ "ap" ] (stage_names r);
+      Alcotest.(check bool) "no sa stage ran" true (r.Flow.f_fleet = None);
+      Alcotest.(check bool) "no ap checkpoint" false
+        (Sys.file_exists (Filename.concat dir "stage-00-ap.ckpt")))
 
 (* --- serve admission --- *)
 
@@ -399,10 +451,7 @@ let () =
           Alcotest.test_case "presets resolve" `Quick test_presets_resolve;
           Alcotest.test_case "bad preset rejected with vocabulary" `Quick
             test_bad_preset_rejected;
-          Alcotest.test_case "negative stage budget rejected" `Quick
-            test_bad_stage_budget_rejected;
-          Alcotest.test_case "stage budget overwrite" `Quick
-            test_stage_budget_builder_overwrites;
+          Alcotest.test_case "a move budget needs an sa stage" `Quick test_move_budget_needs_sa;
         ] );
       ("ap", [ Alcotest.test_case "deterministic and legal" `Quick test_ap_deterministic ]);
       ( "presets",
@@ -410,21 +459,23 @@ let () =
           Alcotest.test_case "sa == Tool.run bit-identical" `Quick
             test_sa_preset_matches_tool;
           Alcotest.test_case "seq deterministic" `Quick test_seq_preset_deterministic;
-          Alcotest.test_case "sa stage budget binds preset sa" `Quick test_sa_stage_budget;
         ] );
       ( "resume",
         [
           Alcotest.test_case "ap+sa kill mid-sa and resume" `Quick test_ap_sa_kill_resume;
-          Alcotest.test_case "an interrupt during ap still stops sa" `Quick
-            test_interrupt_survives_earlier_stage;
+          Alcotest.test_case "an interrupt during ap stops the flow there" `Quick
+            test_interrupt_stops_ap;
           Alcotest.test_case "a resume that lost its sa snapshots re-probes and replays" `Quick
             test_lost_snapshots_reprobe;
           Alcotest.test_case "a finished seq flow resumes without re-running a stage" `Quick
             test_finished_seq_resumes;
           Alcotest.test_case "a lost last stage checkpoint falls back to the one before" `Quick
             test_lost_last_stage_checkpoint;
-          Alcotest.test_case "a fresh run drops an earlier run's stage checkpoints" `Quick
-            test_reused_run_dir;
+          Alcotest.test_case "a seq run stopped in greedy resumes from its start" `Quick
+            test_seq_stopped_in_greedy;
+          Alcotest.test_case "a stop between stages keeps the last finished one" `Quick
+            test_stop_between_stages;
+          Alcotest.test_case "a resume needs a run directory" `Quick test_resume_needs_run_dir;
         ] );
       ( "serve",
         [

@@ -128,9 +128,9 @@ let test_protocol_roundtrip () =
 (* --- the run spec --- *)
 
 (* The one spec codec: every field round-trips (a BLIF design byte for
-   byte), specs written before the stage budgets existed decode with
-   the defaults, specs written while fleets had a second scheduler
-   decode when they name "barrier" (their race knobs are ignored), and
+   byte), specs written before the flow field existed decode with the
+   default, specs written while fleets had a second scheduler decode
+   when they name "barrier" (their race knobs are ignored), and
    misspelt values are decode errors naming the valid ones, so no
    spelling ever reaches a run. *)
 let test_spec_codec () =
@@ -143,7 +143,6 @@ let test_spec_codec () =
       Spec.default with
       label = "gen";
       design = Blif ".model m\n.inputs a\n.outputs b\n.names a b\n1 1\n.end\n";
-      stage_budgets = [ ("sa", 0.5) ];
       time_budget = Some 2.5;
       max_moves = Some 300;
     }
@@ -152,7 +151,7 @@ let test_spec_codec () =
   | Ok s -> Alcotest.(check bool) "round trip" true (s = spec)
   | Error e -> Alcotest.failf "round trip: %s" e);
   let without names = List.filter (fun (k, _) -> not (List.mem k names)) (fields Spec.default) in
-  (match decode (without [ "flow"; "stage_budgets" ]) with
+  (match decode (without [ "flow" ]) with
   | Ok s -> Alcotest.(check bool) "old job.json decodes with defaults" true (s = Spec.default)
   | Error e -> Alcotest.failf "old spec rejected: %s" e);
   (* the deleted scheduler's field and knobs, spelt at run time *)
@@ -187,6 +186,30 @@ let test_spec_codec () =
       ("bad scheduler", scheduler "greedy", "barrier");
     ]
 
+(* Every spec.json and job.json written while flows had per-stage
+   budgets carries a stage_budgets object. The empty one that every run
+   without such a budget wrote still loads; a budget is refused, naming
+   the deleted field and the budget that replaces it. *)
+let test_spec_stage_budgets () =
+  let parent_style budgets =
+    match Spec.to_json Spec.default with
+    | Json.Obj kvs -> Json.to_string ~indent:true (Json.Obj (kvs @ [ ("stage_budgets", budgets) ]))
+    | _ -> Alcotest.fail "spec_to_json shape"
+  in
+  let load text = Result.bind (Json.parse text) Spec.of_json in
+  (match load (parent_style (Json.Obj [])) with
+  | Ok s -> Alcotest.(check bool) "an empty stage_budgets loads" true (s = Spec.default)
+  | Error e -> Alcotest.failf "an empty stage_budgets was refused: %s" e);
+  match load (parent_style (Json.Obj [ ("sa", Json.Float 2.5) ])) with
+  | Ok _ -> Alcotest.fail "a stage budget was accepted"
+  | Error e ->
+    List.iter
+      (fun needle ->
+        let n = String.length needle in
+        let rec scan i = i + n <= String.length e && (String.sub e i n = needle || scan (i + 1)) in
+        Alcotest.(check bool) (Printf.sprintf "the error names %s: %s" needle e) true (scan 0))
+      [ "stage_budgets"; "time_budget" ]
+
 (* The spec loader's property: on any input it returns [Error] or a
    spec that [Spec.validate] and [Spec.config] take without raising. *)
 let spec_loads_as_error_or_valid text =
@@ -204,7 +227,6 @@ let test_spec_mutations () =
       label = "fz";
       design = Spec.Blif blif;
       flow = "ap+sa";
-      stage_budgets = [ ("sa", 2.5) ];
       replicas = 2;
       time_budget = Some 10.0;
       max_moves = Some 3000;
@@ -284,7 +306,7 @@ let job_loads_as_error_or_valid text =
 
 let test_job_mutations () =
   let spec =
-    { Spec.default with label = "fz"; flow = "ap+sa"; stage_budgets = [ ("sa", 2.5) ] }
+    { Spec.default with label = "fz"; flow = "ap+sa" }
   in
   List.iter
     (fun state ->
@@ -772,6 +794,8 @@ let () =
       ( "spec",
         [
           Alcotest.test_case "one codec, old job.json, decode errors" `Quick test_spec_codec;
+          Alcotest.test_case "a parent-style stage_budgets loads empty, refused set" `Quick
+            test_spec_stage_budgets;
           Alcotest.test_case "truncations, flips and value splices load as Error or valid" `Quick
             test_spec_mutations;
         ] );
